@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -24,7 +23,7 @@ from .embedding import (
     validate_sum,
 )
 from .errors import BookEmbedError
-from .exact import parse_rational
+from .exact import parse_rational, scaled_weights
 from .graph import parse_graph, serialize_graph
 from .maxdraw import _per_component, embed_max
 from .minres import minres_be_drawer
@@ -51,13 +50,6 @@ def _emit(args, text):
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _threads(args):
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("BOOKEMBED_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 _VALIDATORS = {
@@ -106,8 +98,7 @@ def _cmd_embed(args, driver, class_name):
 
 def _cmd_embed_minres(args):
     g = _load_graph(args)
-    threads = _threads(args)
-    result = _per_component(g, lambda sub: minres_be_drawer(sub, threads=threads))
+    result = _per_component(g, minres_be_drawer)
     if isinstance(result, BookEmbedding):
         _emit(args, result.to_json(g) + "\n")
         return 0
@@ -124,8 +115,7 @@ def _cmd_embed_minres(args):
 def _cmd_embed_2d(args):
     g = _load_graph(args)
     if args.minres:
-        threads = _threads(args)
-        result = _per_component(g, lambda sub: minres_be_drawer(sub, threads=threads))
+        result = _per_component(g, minres_be_drawer)
         if not isinstance(result, BookEmbedding):
             _emit(
                 args,
@@ -163,7 +153,7 @@ def _cmd_render(args):
     if not args.graph:
         raise BookEmbedError("arc rendering from a bare order needs --graph")
     g = parse_graph(_read_text(args.graph), format=args.format)
-    embedding = BookEmbedding(g.resolve(v) for v in doc)
+    embedding = BookEmbedding(g.resolve_labels(doc))
     _emit(args, render_arcs(g, embedding, spec))
     return 0
 
@@ -209,7 +199,7 @@ def _bench_once(algo, n, seed, chosen):
     for g in instances:
         eu = [u for u, _, _ in g.edges]
         ev = [v for _, v, _ in g.edges]
-        wnum, wden = oracle_mod._scaled_weights(g)
+        wnum, wden = scaled_weights(w for _, _, w in g.edges)
         chosen.class_sweep(
             g.n, eu, ev, wnum, wden, oracle_mod._CLASS_CODES[cls], 1, True
         )
@@ -249,6 +239,25 @@ def _cmd_bench(args):
     return 0
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Lets positionals follow options.  argparse alone gives the optional
+    ``input`` its default before it reaches ``--order``, so
+    ``check max --order X g.json`` would leave ``g.json`` unrecognized;
+    such a command line is parsed again with the positionals intermixed."""
+
+    _intermixing = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        if not extras or self._intermixing:
+            return parsed, extras
+        self._intermixing = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._intermixing = False
+
+
 def _add_io(parser, with_output=True):
     parser.add_argument("input", nargs="?", default="-", help="graph file or - for stdin")
     parser.add_argument(
@@ -268,7 +277,9 @@ def build_parser():
             "per component and concatenated."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
+    )
 
     p = sub.add_parser("check", help="validate a vertex order against a class")
     p.add_argument(
@@ -291,7 +302,6 @@ def build_parser():
 
     p = sub.add_parser("embed-minres", help="resolution-supporting 1-page embedding")
     _add_io(p)
-    p.add_argument("--threads", type=int, help="parallel anchor runs")
     p.set_defaults(func=_cmd_embed_minres)
 
     p = sub.add_parser("embed-2d", help="two-dimensional book embedding (JSON)")
@@ -302,7 +312,6 @@ def build_parser():
         "--minres", action="store_true",
         help="build the unit-resolution drawing instead",
     )
-    p.add_argument("--threads", type=int, help="parallel anchor runs (with --minres)")
     p.set_defaults(func=_cmd_embed_2d)
 
     p = sub.add_parser("render", help="render an embedding as SVG")

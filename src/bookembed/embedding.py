@@ -46,8 +46,7 @@ class BookEmbedding:
 
     @staticmethod
     def from_json(text, g):
-        labels = json.loads(text)
-        return BookEmbedding(g.resolve(v) for v in labels)
+        return BookEmbedding(g.resolve_labels(json.loads(text)))
 
 
 def _check_permutation(g, embedding):

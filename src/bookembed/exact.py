@@ -1,7 +1,9 @@
-"""Exact rational helpers: parsing, formatting, and the +infinity top element."""
+"""Exact rational helpers: parsing, formatting, integer scaling, and the
++infinity top element."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -50,3 +52,13 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Canonical string form: ``"5"`` for integers, ``"p/q"`` otherwise."""
     return str(value)
+
+
+def scaled_weights(weights):
+    """Rationals as integers over their least common denominator (exact):
+    ``(numerators, denominator)``."""
+    weights = list(weights)
+    den = 1
+    for w in weights:
+        den = den * w.denominator // math.gcd(den, w.denominator)
+    return [w.numerator * (den // w.denominator) for w in weights], den

@@ -93,6 +93,23 @@ class WeightedGraph:
             return vertex
         return self.label_index[vertex]
 
+    def resolve_labels(self, labels):
+        """Dense ids of a JSON array of vertex labels (a vertex order), each
+        coerced as graph JSON labels are: ``1`` is the label ``"1"``, not the
+        dense id 1."""
+        if not isinstance(labels, list):
+            raise GraphFormatError("order must be a JSON array of vertex labels")
+        index = self.label_index
+        ids = []
+        for i, label in enumerate(labels):
+            if not isinstance(label, str):
+                label = _coerce_label(label, f"order[{i}]")
+            v = index.get(label)
+            if v is None:
+                raise GraphFormatError(f"unknown vertex {label!r} (order[{i}])")
+            ids.append(v)
+        return ids
+
     def total_weight(self):
         return sum((w for _, _, w in self.edges), Fraction(0))
 

@@ -6,18 +6,26 @@ The driver anchors one edge at a time as the globally unnested edge and runs
 a bottom-up pass over the block-cut-vertex tree rooted at the anchor's block.
 Cut vertices carry fronts keyed by the vertex counts left/right of the cut;
 blocks keep a single maximum-residual extension.
+
+A subtree's result depends only on its top node and that node's parent, so
+one drawer call caches the block result per (block, parent cut) and the cut
+front per (cut, parent block), failures included: anchors share everything
+below their own block.  Weights are scaled once to integers over their
+common denominator; residuals leave the module as exact Fractions.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from math import inf
 
 from . import seq
 from .blocks import block_outer_cycle, cut_cycle
 from .embedding import BookEmbedding
 from .errors import NotOuterplanarError, PreconditionError
-from .exact import INF
+from .exact import scaled_weights
 from .graph import BlockCutTree, is_connected
 from .maxdraw import _per_component
 from .outerplanar import outerplane_embedding
@@ -40,15 +48,17 @@ class MinresFailure:
     detail: str = ""
 
 
-def _forced_supporting(g, cycle, edge_ids, s, t):
-    """Order with s first / t last if it satisfies weight >= span everywhere."""
+def _forced_supporting(g, w, den, cycle, edge_ids, s, t):
+    """Order with s first / t last if it satisfies weight >= span everywhere;
+    ``w`` holds the edge weights scaled by ``den``."""
     order = cut_cycle(cycle, s, t)
     if order is None:
         return None
     pos = {v: i for i, v in enumerate(order)}
+    edges = g.edges
     for eid in edge_ids:
-        u, v, w = g.edges[eid]
-        if w < abs(pos[u] - pos[v]):
+        u, v, _ = edges[eid]
+        if w[eid] < den * abs(pos[u] - pos[v]):
             return None
     return order
 
@@ -62,117 +72,141 @@ def minres_biconnected_with_edge(g, s, t):
     emb = outerplane_embedding(g)
     if emb is None:
         raise NotOuterplanarError("graph is not outerplanar")
-    order = _forced_supporting(g, list(emb.cycle), range(g.m), s, t)
+    w, den = scaled_weights(wt for _, _, wt in g.edges)
+    order = _forced_supporting(g, w, den, list(emb.cycle), range(g.m), s, t)
     return BookEmbedding(order) if order is not None else None
 
 
-def _block_spans(g, order, edge_ids):
-    pos = {v: i for i, v in enumerate(order)}
-    spans = []
-    for eid in edge_ids:
-        u, v, _ = g.edges[eid]
-        a, b = pos[u], pos[v]
-        if a > b:
-            a, b = b, a
-        spans.append((a, b, eid))
-    return spans
+class _AnchorSearch:
+    """Anchor runs over one graph that share their subtree results.
 
+    A node below the root is ``("B", block, parent cut)`` or
+    ``("C", cut, parent block)``.  A block result is ``(rope, residual,
+    vertex count)``; a cut result is the front ``(ropes, nls, nrs)`` sorted
+    by ``nl``.  Residuals are scaled by ``den`` like the weights.
+    """
 
-class _AnchorRun:
-    def __init__(self, g, tree, cycles, e_star, audit=None):
+    def __init__(self, g, tree, cycles, audit=None):
+        if any(c is None for c in cycles):
+            raise NotOuterplanarError("graph is not outerplanar")
         self.g = g
         self.tree = tree
         self.cycles = cycles
-        self.e_star = e_star
         self.audit = audit
+        self.w, self.den = scaled_weights(w for _, _, w in g.edges)
+        cuts = set(tree.cut_vertices)
+        self.block_cuts = [[v for v in b.vertices if v in cuts] for b in tree.blocks]
+        self.candidates = {}  # (block, parent cut) -> supporting orders
+        self.results = {"B": {}, "C": {}}  # kind -> (node, parent) -> result
 
-    def run(self):
+    def run(self, e_star):
+        """Supporting embedding with ``e_star`` unnested, or a MinresFailure."""
         g, tree = self.g, self.tree
-        b_star = tree.block_of_edge[self.e_star]
-        rooted = tree.rooted(b_star)
-        self.rooted = rooted
+        root = tree.block_of_edge[e_star]
+        u, v = g.endpoints(e_star)
+        if u > v:
+            u, v = v, u
+        order = _forced_supporting(
+            g, self.w, self.den, self.cycles[root], tree.blocks[root].edge_ids, u, v
+        )
+        if order is None:
+            return MinresFailure(
+                1, e_star, block=root,
+                detail="anchor block has no supporting order with the anchor outermost",
+            )
 
-        candidates = {}
-        for bid, block in enumerate(tree.blocks):
-            cycle = self.cycles[bid]
-            if cycle is None:
-                raise NotOuterplanarError("block is not outerplanar")
-            if bid == b_star:
-                u, v = g.endpoints(self.e_star)
-                if u > v:
-                    u, v = v, u
-                order = _forced_supporting(g, cycle, block.edge_ids, u, v)
-                if order is None:
-                    return MinresFailure(
-                        1, self.e_star, block=bid,
-                        detail="anchor block has no supporting order with the anchor outermost",
-                    )
-                candidates[bid] = [order]
+        # uncached nodes below the root, every parent before its children
+        todo = []
+        up = {}
+        stack = [("C", c, root) for c in self.block_cuts[root]]
+        while stack:
+            node = stack.pop()
+            kind, x, parent = node
+            known = self.results[kind].get((x, parent))
+            if known is None and kind == "B" and not self._candidates(x, parent):
+                return self._fail(
+                    e_star, node, up, 2, block=x, cut_vertex=parent,
+                    detail="no supporting order keeps the parent cut extreme",
+                )
+            if isinstance(known, MinresFailure):
+                return replace(known, anchor=e_star)
+            if known is not None:
                 continue
-            c = rooted.parent_cut[bid]
-            found = []
+            todo.append(node)
+            if kind == "C":
+                kids = [("B", b, x) for b in tree.blocks_of_vertex[x] if b != parent]
+            else:
+                kids = [("C", c, x) for c in self.block_cuts[x] if c != parent]
+            for kid in kids:
+                up[kid] = node
+            stack.extend(kids)
+
+        for node in reversed(todo):
+            kind, x, parent = node
+            if kind == "C":
+                result = self._process_cut(x, parent)
+                if result is None:
+                    return self._fail(
+                        e_star, node, up, 3, cut_vertex=x,
+                        detail="no feasible combination at a cut vertex",
+                    )
+            else:
+                result = self._process_block(x, parent, self.candidates[x, parent])
+                if result is None:
+                    return self._fail(
+                        e_star, node, up, 4, block=x,
+                        detail="no supporting extension of the block",
+                    )
+            self.results[kind][x, parent] = result
+
+        result = self._process_block(root, None, [order])
+        if result is None:
+            return MinresFailure(
+                4, e_star, block=root, detail="no supporting extension of the block",
+            )
+        return BookEmbedding(seq.materialize(result[0]))
+
+    def _fail(self, e_star, node, up, condition, **where):
+        """Cache one failure for ``node`` and every uncached ancestor; the
+        failure of anchor ``e_star``."""
+        failure = MinresFailure(condition, None, **where)
+        while node is not None:
+            kind, x, parent = node
+            self.results[kind][x, parent] = failure
+            node = up.get(node)
+        return replace(failure, anchor=e_star)
+
+    def _candidates(self, bid, c):
+        """Supporting orders of block ``bid`` with its parent cut ``c`` first."""
+        key = (bid, c)
+        found = self.candidates.get(key)
+        if found is None:
+            cycle = self.cycles[bid]
             if len(cycle) == 2:
                 ends = [cycle[1] if cycle[0] == c else cycle[0]]
             else:
                 i = cycle.index(c)
                 ends = {cycle[(i - 1) % len(cycle)], cycle[(i + 1) % len(cycle)]}
+            edge_ids = self.tree.blocks[bid].edge_ids
+            found = []
             for x in sorted(ends):
-                order = _forced_supporting(g, cycle, block.edge_ids, c, x)
+                order = _forced_supporting(self.g, self.w, self.den, cycle, edge_ids, c, x)
                 if order is not None:
                     found.append(order)
-            if not found:
-                return MinresFailure(
-                    2, self.e_star, block=bid, cut_vertex=c,
-                    detail="no supporting order keeps the parent cut extreme",
-                )
-            candidates[bid] = found
+            self.candidates[key] = found
+        return found
 
-        centries = {}
-        bresults = {}
-
-        depth = {("B", rooted.root): 0}
-        schedule = []
-        for bid in reversed(rooted.block_postorder):
-            parent = rooted.parent_cut[bid]
-            if parent is not None:
-                depth[("B", bid)] = depth[("C", parent)] + 1
-            schedule.append(("B", bid))
-            for c in rooted.child_cuts[bid]:
-                depth[("C", c)] = depth[("B", bid)] + 1
-                schedule.append(("C", c))
-        schedule.sort(key=lambda item: (-depth[item], item[0], item[1]))
-
-        for kind, node in schedule:
-            if kind == "C":
-                result = self._process_cut(node, centries, bresults)
-                if result is None:
-                    return MinresFailure(
-                        3, self.e_star, cut_vertex=node,
-                        detail="no feasible combination at a cut vertex",
-                    )
-            else:
-                result = self._process_block(node, candidates[node], centries)
-                if result is None:
-                    return MinresFailure(
-                        4, self.e_star, block=node,
-                        detail="no supporting extension of the block",
-                    )
-                bresults[node] = result
-
-        rope, _residual = bresults[rooted.root]
-        return BookEmbedding(seq.materialize(rope))
-
-    def _process_cut(self, c, centries, bresults):
-        rooted = self.rooted
+    def _process_cut(self, c, parent):
+        den = self.den
+        blocks = self.results["B"]
         kids = sorted(
-            rooted.child_blocks[c],
-            key=lambda b2: (bresults[b2][1] + rooted.n_plus_b[b2], b2),
+            (b2 for b2 in self.tree.blocks_of_vertex[c] if b2 != parent),
+            key=lambda b2: (blocks[b2, c][1] + blocks[b2, c][2] * den, b2),
         )
         entries = None
         partial_n = 1
         for b2 in kids:
-            rope_b, resid = bresults[b2]
-            size = rooted.n_plus_b[b2]
+            rope_b, resid, size = blocks[b2, c]
             partial_n += size - 1
             if entries is None:
                 entries = [(rope_b, 0, size - 1), (seq.flip(rope_b), size - 1, 0)]
@@ -182,9 +216,9 @@ class _AnchorRun:
                 new = []
                 tail = seq.skipping(rope_b, c)
                 for rope, nl, nr in entries:
-                    if resid >= nr:
+                    if resid >= nr * den:
                         new.append((seq.cat(rope, tail), nl, nr + size - 1))
-                    if resid >= nl:
+                    if resid >= nl * den:
                         new.append((seq.cat(seq.flip(tail), rope), nl + size - 1, nr))
                 if not new:
                     return None
@@ -197,85 +231,88 @@ class _AnchorRun:
             assert len(entries) <= partial_n, "front exceeds the size bound"
         if self.audit is not None:
             self.audit("C", c, entries)
-        centries[c] = (
+        return (
             [e[0] for e in entries],
             [e[1] for e in entries],
             [e[2] for e in entries],
         )
-        return entries
 
-    def _process_block(self, bid, orders, centries):
-        g, rooted = self.g, self.rooted
-        block = self.tree.blocks[bid]
+    def _process_block(self, bid, parent, orders):
         best = None
         for order in orders:
-            out = self._extend_block(bid, block, order, centries)
+            out = self._extend_block(bid, parent, order)
             if out is None:
                 continue
             if best is None or out[1] > best[1]:
                 best = out
         if best is not None and self.audit is not None:
-            self.audit("B", bid, best)
+            self.audit("B", bid, (best[0], Fraction(best[1], self.den)))
         return best
 
-    def _extend_block(self, bid, block, order, centries):
-        g, rooted = self.g, self.rooted
-        spans = _block_spans(g, order, block.edge_ids)
-        beta = [b - a - 1 for a, b, _ in spans]
-        weights = [g.weight(e) for _, _, e in spans]
+    def _extend_block(self, bid, parent, order):
+        g, w, den = self.g, self.w, self.den
         pos = {v: i for i, v in enumerate(order)}
-        cuts = sorted(((pos[c], c) for c in rooted.child_cuts[bid]), reverse=True)
+        spans = []
+        slack = []  # weight - span, scaled
+        for eid in self.tree.blocks[bid].edge_ids:
+            u, v, _ = g.edges[eid]
+            a, b = pos[u], pos[v]
+            if a > b:
+                a, b = b, a
+            spans.append((a, b))
+            slack.append(w[eid] - (b - a) * den)
+        cuts = sorted(
+            ((pos[c], c) for c in self.block_cuts[bid] if c != parent), reverse=True
+        )
+        fronts = self.results["C"]
         repl = {}
+        size = len(order)
         for x, c in cuts:
-            ropes, nls, nrs = centries[c]
-            size = rooted.n_plus_c[c]
-            total = size - 1
-            cover_min = left_min = right_min = INF
-            for i, (a, b, _e) in enumerate(spans):
+            ropes, nls, nrs = fronts[c, bid]
+            total = nls[0] + nrs[0]
+            size += total
+            cover_min = left_min = right_min = inf
+            for i, (a, b) in enumerate(spans):
                 if a < x < b:
-                    slack = weights[i] - beta[i] - 1
-                    if slack < cover_min:
-                        cover_min = slack
+                    if slack[i] < cover_min:
+                        cover_min = slack[i]
                 elif b == x:
-                    slack = weights[i] - beta[i] - 1
-                    if slack < left_min:
-                        left_min = slack
+                    if slack[i] < left_min:
+                        left_min = slack[i]
                 elif a == x:
-                    slack = weights[i] - beta[i] - 1
-                    if slack < right_min:
-                        right_min = slack
-            if not cover_min >= total:
+                    if slack[i] < right_min:
+                        right_min = slack[i]
+            if not cover_min >= total * den:
                 return None
             # entries sorted by n_left; the splice is supporting iff
             # n_left <= left_min and n_right <= right_min
-            if right_min is INF:
+            if right_min == inf:
                 j = 0
             else:
-                j = bisect_left(nls, total - right_min)
+                j = bisect_left(nls, total - right_min // den)
                 if j >= len(nls):
                     return None
-            if not nls[j] <= left_min:
+            if not nls[j] * den <= left_min:
                 return None
-            for i, (a, b, _e) in enumerate(spans):
+            for i, (a, b) in enumerate(spans):
                 if a < x < b:
-                    beta[i] += total
+                    slack[i] -= total * den
                 elif b == x:
-                    beta[i] += nls[j]
+                    slack[i] -= nls[j] * den
                 elif a == x:
-                    beta[i] += nrs[j]
+                    slack[i] -= nrs[j] * den
             repl[order[x]] = ropes[j]
-        residual = INF
-        for i, (a, b, _e) in enumerate(spans):
-            if a == 0:
-                slack = weights[i] - beta[i] - 1
-                if slack < residual:
-                    residual = slack
-        return seq.blk(order, repl or None), residual
+        residual = inf
+        for i, (a, _b) in enumerate(spans):
+            if a == 0 and slack[i] < residual:
+                residual = slack[i]
+        return seq.blk(order, repl or None), residual, size
 
 
 def minres_be_drawer_anchor(g, e_star, *, decomposition=None, cycles=None, audit=None):
     """Supporting embedding in which ``e_star`` is nested under no edge, or a
-    MinresFailure."""
+    MinresFailure.  Each call starts from empty caches, so ``audit`` sees
+    every node it solves."""
     if not is_connected(g):
         raise PreconditionError("drawer requires a connected graph")
     tree = decomposition or BlockCutTree(g)
@@ -283,14 +320,14 @@ def minres_be_drawer_anchor(g, e_star, *, decomposition=None, cycles=None, audit
         cycles = [
             block_outer_cycle(g, b.vertices, b.edge_ids) for b in tree.blocks
         ]
-    return _AnchorRun(g, tree, cycles, e_star, audit=audit).run()
+    return _AnchorSearch(g, tree, cycles, audit=audit).run(e_star)
 
 
-def minres_be_drawer(g, threads=1, audit=None):
+def minres_be_drawer(g):
     """Supporting embedding of a connected outerplanar graph, or None.
 
-    Anchors are tried in edge-id order; the first success wins, making the
-    result deterministic whatever the level of parallelism.
+    Anchors are tried in edge-id order and the first success wins.  They
+    share one search, so each subtree result is computed once.
     """
     if not is_connected(g):
         raise PreconditionError("drawer requires a connected graph")
@@ -298,37 +335,11 @@ def minres_be_drawer(g, threads=1, audit=None):
         return BookEmbedding((0,))
     tree = BlockCutTree(g)
     cycles = [block_outer_cycle(g, b.vertices, b.edge_ids) for b in tree.blocks]
-    if any(c is None for c in cycles):
-        raise NotOuterplanarError("graph is not outerplanar")
-    anchors = list(range(g.m))
-    if threads > 1:
-        try:
-            return _parallel_anchors(g, anchors, threads)
-        except Exception:
-            pass  # fall back to the sequential loop
-    for e_star in anchors:
-        result = _AnchorRun(g, tree, cycles, e_star, audit=audit).run()
+    search = _AnchorSearch(g, tree, cycles)
+    for e_star in range(g.m):
+        result = search.run(e_star)
         if isinstance(result, BookEmbedding):
             return result
-    return None
-
-
-def _anchor_worker(args):
-    g, e_star = args
-    result = minres_be_drawer_anchor(g, e_star)
-    return e_star, result if isinstance(result, BookEmbedding) else None
-
-
-def _parallel_anchors(g, anchors, threads):
-    import multiprocessing
-
-    with multiprocessing.Pool(threads) as pool:
-        for e_star, result in pool.imap(
-            _anchor_worker, ((g, a) for a in anchors), chunksize=4
-        ):
-            if result is not None:
-                pool.terminate()
-                return result
     return None
 
 

@@ -8,7 +8,6 @@ each class is checked straight from its definition (see ``_fast``).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +15,7 @@ from fractions import Fraction
 from ._fast import CLASS_MAX, CLASS_MINRES, CLASS_ONE_PAGE, CLASS_SUM, kernel
 from .embedding import BookEmbedding
 from .errors import PreconditionError
+from .exact import scaled_weights
 from .graph import WeightedGraph
 
 ORACLE_MAX_N = 10
@@ -53,14 +53,6 @@ def _edge_arrays(g):
     return eu, ev
 
 
-def _scaled_weights(g):
-    """Weights as integers over a common denominator (exact)."""
-    den = 1
-    for _, _, w in g.edges:
-        den = den * w.denominator // math.gcd(den, w.denominator)
-    return [int(w * den) for _, _, w in g.edges], den
-
-
 def _pick_kernel(g, wnum, wden):
     if (
         g.n <= _NATIVE_N_LIMIT
@@ -91,7 +83,7 @@ def oracle_exists(g, embedding_class, *, exhaustive=False, max_witnesses=1):
     _guard(g)
     cls = _CLASS_CODES[embedding_class]
     eu, ev = _edge_arrays(g)
-    wnum, wden = _scaled_weights(g)
+    wnum, wden = scaled_weights(w for _, _, w in g.edges)
     k = _pick_kernel(g, wnum, wden)
     count, witnesses = k.class_sweep(
         g.n, eu, ev, wnum, wden, cls, max_witnesses, exhaustive
@@ -108,7 +100,7 @@ def definitional_check(g, embedding, embedding_class):
     from ._fast import pure
 
     eu, ev = _edge_arrays(g)
-    wnum, wden = _scaled_weights(g)
+    wnum, wden = scaled_weights(w for _, _, w in g.edges)
     return pure.check_order(
         embedding.order, eu, ev, wnum, wden, _CLASS_CODES[embedding_class]
     )

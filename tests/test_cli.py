@@ -166,8 +166,7 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("BOOKEMBED_THREADS", "2")
+def test_embed_minres_from_stdin():
     code, out, _ = run_cli(
         ["embed-minres"], stdin_text='{"edges":[["a","b","2"],["b","c","1"]]}'
     )
@@ -183,3 +182,42 @@ def test_disconnected_input_handled():
     assert order[-1] == "z"
     code, out, _ = run_cli(["embed-2d"], stdin_text=g)
     assert code == 0
+
+
+# integer labels in graph JSON are read as strings
+INT_LABELS = '{"edges":[[1,2,"5"],[2,0,"3"],[1,0,"4"]]}'
+
+
+def test_check_order_integers_are_labels(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(INT_LABELS)
+    as_ints = run_cli(["check", "max", str(path), "--order", "[0,1,2]"])
+    as_strings = run_cli(["check", "max", str(path), "--order", '["0","1","2"]'])
+    assert as_ints == as_strings
+    assert as_ints[0] == 1 and json.loads(as_ints[1])["ok"] is False
+
+
+def test_unknown_order_labels_exit_2(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(INT_LABELS)
+    for order in ('["1","2","9"]', "[1,2,3]", '{"a":1}', "[1.5,2,0]"):
+        code, out, err = run_cli(["check", "max", str(path), "--order", order])
+        assert code == 2 and out == "", order
+        assert "Traceback" not in err and err.startswith("bookembed: ")
+    # a graph document is not a bare order
+    code, out, err = run_cli(
+        ["render", "--style", "arc", "--graph", str(path), str(path)]
+    )
+    assert code == 2 and out == "" and "order" in err
+
+
+def test_options_may_precede_the_input(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(TRI_5_6_11)
+    order = '["a","b","c"]'
+    before = run_cli(["check", "max", "--order", order, str(path)])
+    after = run_cli(["check", "max", str(path), "--order", order])
+    assert before == after and before[0] == 0
+    out_path = tmp_path / "out.json"
+    code, _, _ = run_cli(["embed-max", "--output", str(out_path), str(path)])
+    assert code == 0 and sorted(json.loads(out_path.read_text())) == ["a", "b", "c"]

@@ -1,18 +1,20 @@
 """The resolution-supporting drawer: oracle agreement, front invariants,
 residual optimality, end-to-end construction."""
 
+from fractions import Fraction
+
 import pytest
 
 from bookembed.embedding import BookEmbedding, validate_minres_supporting
 from bookembed.errors import PreconditionError
-from bookembed.graph import BlockCutTree
+from bookembed.graph import BlockCutTree, WeightedGraph
 from bookembed.minres import (
     MinresFailure,
     minres_be_drawer,
     minres_be_drawer_anchor,
     minres_biconnected_with_edge,
 )
-from bookembed.oracle import enumerate_one_page, oracle_exists
+from bookembed.oracle import enumerate_one_page, oracle_exists, random_outerplanar
 from bookembed.seq import materialize
 from bookembed.twodim import check_twodim, minres_construct
 
@@ -76,16 +78,48 @@ def test_anchor_success_leaves_anchor_unnested():
                 assert not (c <= a and b <= d), "anchor must not be nested"
 
 
-def test_oracle_agreement_corpus():
-    for g in small_corpus(250, weights=(1, 6), seed0=4242):
+def _divided(graphs, d):
+    """The graphs with every weight divided by ``d`` (exact)."""
+    return [
+        WeightedGraph(g.labels, [(u, v, w / d) for u, v, w in g.edges])
+        for g in graphs
+    ]
+
+
+def _assert_oracle_agreement(corpus):
+    verdicts = set()
+    for g in corpus:
         got = minres_be_drawer(g)
+        verdicts.add(got is not None)
         assert (got is not None) == oracle_exists(g, "minres-supporting").exists
         if got is not None:
             assert validate_minres_supporting(g, got) is None
+    assert verdicts == {True, False}
+
+
+def test_oracle_agreement_corpus():
+    _assert_oracle_agreement(small_corpus(250, weights=(1, 6), seed0=4242))
+
+
+def test_oracle_agreement_fractional_weights():
+    _assert_oracle_agreement(
+        _divided(small_corpus(150, weights=(2, 18), seed0=4242), 3)
+    )
 
 
 def test_front_invariants_and_b2_optimality():
-    for g in small_corpus(120, max_n=7, weights=(1, 5), seed0=99):
+    _assert_fronts_and_b2(small_corpus(120, max_n=7, weights=(1, 5), seed0=99))
+
+
+def test_front_invariants_and_b2_fractional_weights():
+    # a residual reported in scaled units (here 3x) fails (B2)
+    _assert_fronts_and_b2(
+        _divided(small_corpus(80, max_n=7, weights=(2, 15), seed0=99), 3)
+    )
+
+
+def _assert_fronts_and_b2(corpus):
+    for g in corpus:
         if g.n < 3:
             continue
         tree = BlockCutTree(g)
@@ -156,11 +190,30 @@ def test_end_to_end_construction():
         assert check_twodim(g, drawing, require_minres=True) == []
 
 
-def test_parallel_anchors_match_sequential():
-    for seed in (3, 11, 29):
-        g = small_corpus(1, max_n=8, weights=(1, 5), seed0=seed)[0]
-        seq_result = minres_be_drawer(g, threads=1)
-        par_result = minres_be_drawer(g, threads=2)
-        assert (seq_result is None) == (par_result is None)
-        if seq_result is not None:
-            assert validate_minres_supporting(g, par_result) is None
+def test_drawer_is_first_anchor_success():
+    corpus = _divided(small_corpus(120, max_n=9, weights=(2, 16), seed0=777), 3)
+    corpus += _divided(
+        [random_outerplanar(24, (2, 60), seed=s) for s in range(12)], 4
+    )
+    outcomes = set()
+    for g in corpus:
+        if g.n < 2:
+            continue
+        expected = None
+        for e_star in range(g.m):
+            result = minres_be_drawer_anchor(g, e_star)
+            if isinstance(result, BookEmbedding):
+                expected = result
+                break
+        outcomes.add((expected is not None, len(BlockCutTree(g).blocks) > 1))
+        assert minres_be_drawer(g) == expected
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_long_path_draws_without_recursion():
+    n = 5000
+    g = WeightedGraph(
+        [str(i) for i in range(n)], [(i, i + 1, Fraction(1)) for i in range(n - 1)]
+    )
+    out = minres_be_drawer(g)
+    assert out is not None and validate_minres_supporting(g, out) is None
