@@ -8,6 +8,7 @@ machine-readable reason goes to stdout), 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -22,11 +23,11 @@ from .embedding import (
     validate_minres_supporting,
     validate_sum,
 )
-from .errors import BookEmbedError
+from .errors import BookEmbedError, NotOnePageError
 from .exact import parse_rational, scaled_weights
 from .graph import parse_graph, serialize_graph
-from .maxdraw import _per_component, embed_max
-from .minres import minres_be_drawer
+from .maxdraw import embed_max
+from .minres import embed_minres, minres_be_drawer
 from .oracle import random_outerplanar
 from .render import RenderSpec, render_arcs, render_rects
 from .sumdraw import embed_sum
@@ -68,10 +69,11 @@ def _cmd_check(args):
     elif order_text == "-":
         order_text = sys.stdin.read()
     embedding = BookEmbedding.from_json(order_text, g)
-    if args.embedding_class != "one-page" and not is_one_page(g, embedding):
+    try:
+        verdict = _VALIDATORS[args.embedding_class](g, embedding)
+    except NotOnePageError:
         _emit(args, json.dumps({"ok": False, "reason": "not a 1-page embedding"}) + "\n")
         return 1
-    verdict = _VALIDATORS[args.embedding_class](g, embedding)
     if verdict is None:
         _emit(args, json.dumps({"ok": True}) + "\n")
         return 0
@@ -96,32 +98,30 @@ def _cmd_embed(args, driver, class_name):
     return 1
 
 
+def _supporting_embedding(args, g, failure):
+    """``embed_minres(g)``; when it is None, ``failure`` goes out first,
+    completed with the reason every minres command gives."""
+    result = embed_minres(g)
+    if result is None:
+        doc = {**failure, "reason": "no supporting embedding"}
+        _emit(args, json.dumps(doc) + "\n")
+    return result
+
+
 def _cmd_embed_minres(args):
     g = _load_graph(args)
-    result = _per_component(g, minres_be_drawer)
-    if isinstance(result, BookEmbedding):
-        _emit(args, result.to_json(g) + "\n")
-        return 0
-    _emit(
-        args,
-        json.dumps(
-            {"exists": False, "class": "minres", "reason": "no supporting embedding"}
-        )
-        + "\n",
-    )
-    return 1
+    result = _supporting_embedding(args, g, {"exists": False, "class": "minres"})
+    if result is None:
+        return 1
+    _emit(args, result.to_json(g) + "\n")
+    return 0
 
 
 def _cmd_embed_2d(args):
     g = _load_graph(args)
     if args.minres:
-        result = _per_component(g, minres_be_drawer)
-        if not isinstance(result, BookEmbedding):
-            _emit(
-                args,
-                json.dumps({"exists": False, "reason": "no supporting embedding"})
-                + "\n",
-            )
+        result = _supporting_embedding(args, g, {"exists": False})
+        if result is None:
             return 1
         emb2d = minres_construct(g, result)
     else:
@@ -350,9 +350,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of :func:`main`, built on its first call rather than at
+    import.  Parsing leaves the parser as it found it, so every later call
+    reuses it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BookEmbedError as exc:

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from .errors import NotOnePageError, PreconditionError
 from .exact import INF, format_rational
+from .graph import component_subgraphs
 from .outerplanar import nesting_forest
 
 
@@ -47,6 +48,25 @@ class BookEmbedding:
     @staticmethod
     def from_json(text, g):
         return BookEmbedding(g.resolve_labels(json.loads(text)))
+
+
+def per_component(g, drawer):
+    """Run ``drawer`` on every component with two or more vertices, in order
+    of smallest vertex id, and concatenate the orders; single-vertex
+    components go to the right end.  The first result that is not a
+    :class:`BookEmbedding` is returned as it is, and no later component is
+    drawn."""
+    order = []
+    tail = []
+    for verts, sub in component_subgraphs(g):
+        if len(verts) == 1:
+            tail.extend(verts)
+            continue
+        result = drawer(sub)
+        if not isinstance(result, BookEmbedding):
+            return result
+        order.extend(verts[v] for v in result.order)
+    return BookEmbedding(order + tail)
 
 
 def _check_permutation(g, embedding):

@@ -26,7 +26,6 @@ class WeightedGraph:
         if len(self.label_index) != len(self.labels):
             raise GraphFormatError("duplicate vertex label", kind="syntax")
         n = len(self.labels)
-        adjacency = [[] for _ in range(n)]
         lookup = {}
         checked = []
         for eid, (u, v, w) in enumerate(edges):
@@ -42,19 +41,39 @@ class WeightedGraph:
                     f"duplicate edge {self.labels[u]!r}--{self.labels[v]!r}",
                     kind="duplicate-edge",
                 )
-            w = Fraction(w)
-            if w <= 0:
+            if type(w) is not Fraction:
+                w = Fraction(w)
+            # exact: a Fraction's denominator is always positive
+            if w.numerator <= 0:
                 raise GraphFormatError(
                     f"non-positive weight {w} on edge "
                     f"{self.labels[u]!r}--{self.labels[v]!r}",
                     kind="non-positive-weight",
                 )
             lookup[key] = eid
+            checked.append((u, v, w))
+        self._link(checked, lookup)
+
+    @classmethod
+    def _of_checked(cls, labels, edges):
+        """Graph over distinct ``labels`` and ``edges`` taken from a graph
+        that is already checked: dense ids, no self-loops, no duplicate
+        edges, positive ``Fraction`` weights.  Skips the per-edge checks."""
+        g = cls.__new__(cls)
+        g.labels = tuple(labels)
+        g.label_index = {lab: i for i, lab in enumerate(g.labels)}
+        g._link(edges, {
+            ((u, v) if u < v else (v, u)): eid for eid, (u, v, _) in enumerate(edges)
+        })
+        return g
+
+    def _link(self, edges, lookup):
+        adjacency = [[] for _ in self.labels]
+        for eid, (u, v, _) in enumerate(edges):
             adjacency[u].append(eid)
             adjacency[v].append(eid)
-            checked.append((u, v, w))
-        self.edges = tuple(checked)
-        self.adjacency = tuple(tuple(a) for a in adjacency)
+        self.edges = tuple(edges)
+        self.adjacency = tuple(map(tuple, adjacency))
         self._edge_lookup = lookup
 
     # -- basic accessors ---------------------------------------------------
@@ -138,7 +157,8 @@ class WeightedGraph:
         for u, v, w in self.edges:
             if u in to_sub and v in to_sub:
                 sub_edges.append((to_sub[u], to_sub[v], w))
-        return WeightedGraph([self.labels[v] for v in verts], sub_edges), to_sub
+        sub = WeightedGraph._of_checked([self.labels[v] for v in verts], sub_edges)
+        return sub, to_sub
 
 
 # -- parsing / serialization ----------------------------------------------
@@ -292,6 +312,8 @@ def serialize_graph(g, format="json"):
 def component_vertex_sets(g):
     """Vertex sets of connected components, ordered by smallest dense id."""
     n = g.n
+    edges = g.edges
+    adjacency = g.adjacency
     seen = [False] * n
     comps = []
     for start in range(n):
@@ -302,8 +324,9 @@ def component_vertex_sets(g):
         comp = [start]
         while stack:
             v = stack.pop()
-            for eid in g.adjacency[v]:
-                u = g.other_end(eid, v)
+            for eid in adjacency[v]:
+                a, b, _ = edges[eid]
+                u = b if a == v else a
                 if not seen[u]:
                     seen[u] = True
                     comp.append(u)
@@ -312,9 +335,38 @@ def component_vertex_sets(g):
     return comps
 
 
+def component_subgraphs(g):
+    """Connected components as ``(vertices, subgraph)`` pairs, ordered by
+    smallest dense id.  ``vertices`` lists the component's dense ids in
+    increasing order, so subgraph id ``i`` is ``vertices[i]`` in ``g``, and
+    the subgraph equals ``g.induced(vertices)[0]``.
+
+    The edges are split over the components in one pass; each subgraph is
+    built only when the caller reaches it, so a caller that stops at a
+    failing component builds no more.  A connected graph is its own
+    single component.
+    """
+    comps = component_vertex_sets(g)
+    if len(comps) == 1:
+        yield comps[0], g
+        return
+    comp_of = [0] * g.n
+    local = [0] * g.n
+    for c, verts in enumerate(comps):
+        for i, v in enumerate(verts):
+            comp_of[v] = c
+            local[v] = i
+    parts = [[] for _ in comps]
+    for u, v, w in g.edges:
+        parts[comp_of[u]].append((local[u], local[v], w))
+    labels = g.labels
+    for verts, edges in zip(comps, parts):
+        yield verts, WeightedGraph._of_checked([labels[v] for v in verts], edges)
+
+
 def connected_components(g):
     """Maximal connected subgraphs, ordered by smallest vertex id."""
-    return [g.induced(comp)[0] for comp in component_vertex_sets(g)]
+    return [sub for _, sub in component_subgraphs(g)]
 
 
 def is_connected(g):

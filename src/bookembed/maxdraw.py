@@ -15,10 +15,10 @@ from .blocks import (
     lowest_edges,
     unique_max_edge,
 )
-from .embedding import BookEmbedding
+from .embedding import BookEmbedding, per_component
 from .errors import NotOuterplanarError, PreconditionError
 from .exact import INF
-from .graph import build_bc_tree, component_vertex_sets, is_connected
+from .graph import build_bc_tree, is_connected
 from .outerplanar import outerplane_embedding
 
 
@@ -180,23 +180,7 @@ def max_be_drawer(g):
 def embed_max(g):
     """Per-component driver: components concatenated by smallest vertex id,
     single-vertex components moved to the right end."""
-    return _per_component(g, max_be_drawer)
-
-
-def _per_component(g, drawer):
-    order = []
-    tail = []
-    for comp in component_vertex_sets(g):
-        if len(comp) == 1:
-            tail.extend(comp)
-            continue
-        sub, to_sub = g.induced(comp)
-        result = drawer(sub)
-        if not isinstance(result, BookEmbedding):
-            return result
-        back = {to_sub[v]: v for v in to_sub}
-        order.extend(back[v] for v in result.order)
-    return BookEmbedding(order + tail)
+    return per_component(g, max_be_drawer)
 
 
 def star_sort_demo(weights):

@@ -23,11 +23,10 @@ from math import inf
 
 from . import seq
 from .blocks import block_outer_cycle, cut_cycle
-from .embedding import BookEmbedding
+from .embedding import BookEmbedding, per_component
 from .errors import NotOuterplanarError, PreconditionError
 from .exact import scaled_weights
 from .graph import BlockCutTree, is_connected
-from .maxdraw import _per_component
 from .outerplanar import outerplane_embedding
 
 
@@ -345,17 +344,4 @@ def minres_be_drawer(g):
 
 def embed_minres(g):
     """Per-component driver; None when some component admits no embedding."""
-    result = _per_component(g, _drawer_or_none)
-    return result if isinstance(result, BookEmbedding) else None
-
-
-def _drawer_or_none(sub):
-    result = minres_be_drawer(sub)
-    return result if result is not None else _NO_EMBEDDING
-
-
-class _NoEmbedding:
-    pass
-
-
-_NO_EMBEDDING = _NoEmbedding()
+    return per_component(g, minres_be_drawer)

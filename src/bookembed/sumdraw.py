@@ -15,10 +15,9 @@ from fractions import Fraction
 
 from . import seq
 from .blocks import block_outer_cycle, cut_cycle, forest_over, unique_max_edge
-from .embedding import BookEmbedding
+from .embedding import BookEmbedding, per_component
 from .errors import NotOuterplanarError, PreconditionError
 from .graph import build_bc_tree, is_connected
-from .maxdraw import _per_component
 from .outerplanar import outerplane_embedding
 
 
@@ -281,4 +280,4 @@ def sum_be_drawer(g, audit=None):
 
 def embed_sum(g):
     """Per-component driver (components concatenated side by side)."""
-    return _per_component(g, sum_be_drawer)
+    return per_component(g, sum_be_drawer)

@@ -17,7 +17,7 @@ from .blocks import block_outer_cycle
 from .embedding import BookEmbedding, validate_minres_supporting
 from .errors import NotOuterplanarError, PreconditionError
 from .exact import format_rational, parse_rational
-from .graph import BlockCutTree, WeightedGraph, component_vertex_sets
+from .graph import BlockCutTree, WeightedGraph, component_subgraphs
 from .outerplanar import nesting_forest, outerplane_embedding
 
 
@@ -224,13 +224,11 @@ def twodim_general(g, eps=Fraction(1), length=None):
         raise PreconditionError("eps must be positive")
     n = g.n
     order_all = []
-    for comp in component_vertex_sets(g):
-        if len(comp) == 1:
-            order_all.extend(comp)
+    for verts, sub in component_subgraphs(g):
+        if len(verts) == 1:
+            order_all.extend(verts)
             continue
-        sub, to_sub = g.induced(comp)
-        back = {to_sub[v]: v for v in to_sub}
-        order_all.extend(back[v] for v in one_page_order(sub))
+        order_all.extend(verts[v] for v in one_page_order(sub))
 
     if g.m == 0:
         x = {v: Fraction(i) for i, v in enumerate(order_all)}

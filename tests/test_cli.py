@@ -221,3 +221,52 @@ def test_options_may_precede_the_input(tmp_path):
     out_path = tmp_path / "out.json"
     code, _, _ = run_cli(["embed-max", "--output", str(out_path), str(path)])
     assert code == 0 and sorted(json.loads(out_path.read_text())) == ["a", "b", "c"]
+
+
+def test_repeated_calls_match_a_fresh_parser(tmp_path, monkeypatch):
+    from bookembed import cli
+
+    path = tmp_path / "g.json"
+    path.write_text(TRI_5_6_11)
+    crossing = tmp_path / "c.json"
+    crossing.write_text('{"edges":[["a","c","1"],["b","d","1"]]}')
+    out_path = str(tmp_path / "out.txt")
+    calls = [
+        ["check", "max", "--order", '["a","b","c"]', str(path)],
+        ["embed-max", str(path), "--output", out_path],
+        ["embed-unknown"],
+        ["check", "sum", str(crossing), "--order", '["a","b","c","d"]'],
+        ["check", "max", "--order", '["a","b"]', str(path), "--output", out_path],
+        ["embed-2d", "--minres", str(path)],
+        ["check", "one-page", str(crossing), "--order", '["a","b","c","d"]'],
+        ["embed-minres", "--output", out_path, str(path)],
+        ["check", "minres", str(path)],
+        ["embed-sum", str(path)],
+        ["check", "max", "--order", '["a","b","c"]', str(path)],
+    ]
+
+    def outcome(argv):
+        try:
+            result = run_cli(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        with open(out_path, "a+", encoding="utf-8") as handle:
+            handle.seek(0)
+            written = handle.read()
+            handle.truncate(0)
+        return result, written
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    reused = [outcome(argv) for argv in calls]
+    assert reused == fresh and len(built) == 1
+    assert ("exit", 2) in [result for result, _ in fresh]
+    assert fresh[3][0][:2] == (1, '{"ok": false, "reason": "not a 1-page embedding"}\n')
+    assert fresh[4][0][0] == 2 and "not a permutation" in fresh[4][0][2]

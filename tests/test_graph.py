@@ -1,20 +1,25 @@
 """Graph model, parsing, components, and the block-cut-vertex tree."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from bookembed.embedding import per_component
 from bookembed.errors import GraphFormatError, PreconditionError
 from bookembed.graph import (
     BlockCutTree,
+    WeightedGraph,
     build_bc_tree,
+    component_subgraphs,
+    component_vertex_sets,
     connected_components,
     is_connected,
     parse_graph,
     serialize_graph,
 )
 
-from conftest import graph_from
+from conftest import graph_from, small_corpus
 
 
 def test_parse_json_triangle():
@@ -75,6 +80,88 @@ def test_components_order_and_content():
     assert [c.labels for c in comps] == [("a", "b"), ("c", "d")]
     assert connected_components(graph_from([("a", "b", 1), ("b", "c", 2), ("a", "c", 3)]))[0].m == 3
     assert connected_components(graph_from([], vertices=[])) == []
+
+
+def _shuffled_union(parts, seed):
+    """Disjoint union of ``parts`` with the dense ids of all parts
+    interleaved at random, plus two isolated vertices."""
+    rng = random.Random(seed)
+    total = sum(g.n for g in parts) + 2
+    ids = list(range(total))
+    rng.shuffle(ids)
+    labels = [None] * total
+    edges = []
+    base = 0
+    for p, g in enumerate(parts):
+        for v, lab in enumerate(g.labels):
+            labels[ids[base + v]] = f"{p}.{lab}"
+        edges += [(ids[base + u], ids[base + v], w) for u, v, w in g.edges]
+        base += g.n
+    labels[ids[base]], labels[ids[base + 1]] = "iso0", "iso1"
+    rng.shuffle(edges)
+    return WeightedGraph(labels, edges)
+
+
+def test_component_subgraphs_match_induced():
+    corpus = small_corpus(60)
+    graphs = corpus + [
+        _shuffled_union(random.Random(i).sample(corpus, 2 + i % 4), i)
+        for i in range(40)
+    ]
+    graphs.append(graph_from([], vertices=[]))
+    for g in graphs:
+        split = list(component_subgraphs(g))
+        comps = component_vertex_sets(g)
+        assert [verts for verts, _ in split] == comps
+        for verts, sub in split:
+            # the checked constructor over the old induced() filter
+            to_sub = {v: i for i, v in enumerate(verts)}
+            ref = WeightedGraph(
+                [g.labels[v] for v in verts],
+                [(to_sub[u], to_sub[v], w) for u, v, w in g.edges
+                 if u in to_sub and v in to_sub],
+            )
+            for other in (ref, g.induced(verts)[0]):
+                assert sub.labels == other.labels
+                assert sub.label_index == other.label_index
+                assert sub.edges == other.edges
+                assert sub.adjacency == other.adjacency
+                assert sub._edge_lookup == other._edge_lookup
+            assert g.induced(verts)[1] == to_sub
+            assert all(type(w) is Fraction for _, _, w in sub.edges)
+        assert connected_components(g) == [sub for _, sub in split]
+
+
+def test_per_component_builds_no_subgraph_past_a_failure(monkeypatch):
+    g = _shuffled_union(small_corpus(4, seed0=10)[1:], 1)
+    built = []
+    checked = WeightedGraph._of_checked.__func__
+
+    def counting(cls, labels, edges):
+        built.append(labels)
+        return checked(cls, labels, edges)
+
+    monkeypatch.setattr(WeightedGraph, "_of_checked", classmethod(counting))
+    failure = object()
+    assert per_component(g, lambda sub: failure) is failure
+    assert len(built) == 1 and len(component_vertex_sets(g)) > 2
+
+
+@pytest.mark.parametrize("w", [Fraction(0), Fraction(-1, 2), 0, "-3/4", -0.5])
+def test_non_positive_weights_rejected(w):
+    with pytest.raises(GraphFormatError) as err:
+        WeightedGraph(["a", "b"], [(0, 1, w)])
+    assert err.value.kind == "non-positive-weight"
+
+
+@pytest.mark.parametrize(
+    "w,expected",
+    [(3, Fraction(3)), ("7/2", Fraction(7, 2)), (0.25, Fraction(1, 4)),
+     (Fraction(5, 3), Fraction(5, 3))],
+)
+def test_weights_coerced_to_fraction(w, expected):
+    g = WeightedGraph(["a", "b"], [(0, 1, w)])
+    assert type(g.weight(0)) is Fraction and g.weight(0) == expected
 
 
 def test_bc_tree_path():
