@@ -45,7 +45,7 @@ from .minres import (
     minres_biconnected_with_edge,
 )
 from .oracle import OracleVerdict, enumerate_one_page, oracle_exists, random_outerplanar
-from .outerplanar import OuterplaneEmbedding, extended_dual_tree, outerplane_embedding
+from .outerplanar import OuterplaneEmbedding, outerplane_embedding
 from .render import RenderSpec, render_arcs, render_rects
 from .sumdraw import SumFailure, embed_sum, sum_be_drawer, sum_biconnected
 from .twodim import (

@@ -1,96 +1,76 @@
-"""Internal helpers shared by the drawers: per-block outer cycles, forced
-linear orders, and nesting forests keyed by graph edge ids."""
+"""Internal helpers shared by the drawers: the forced block orders of the
+max and sum classes, and the edges of a block around a vertex."""
 
 from __future__ import annotations
 
-from .errors import NotOnePageError
-from .outerplanar import _canonical_cycle, _reduce_to_outer_cycle, nesting_forest
+from .errors import NotOuterplanarError
+from .outerplanar import block_outer_cycle, cut_cycle, nesting_forest, span
 
 
-def block_outer_cycle(g, vertices, edge_ids):
-    """Outer cycle of a biconnected block (canonical flip, g-vertex ids),
-    or None if the block is not outerplanar."""
-    k = len(vertices)
-    if k == 1:
-        return [vertices[0]]
-    if k == 2:
-        return list(sorted(vertices))
-    if len(edge_ids) > 2 * k - 3:
-        return None
-    local = {v: i for i, v in enumerate(vertices)}
-    neighbor_sets = [set() for _ in range(k)]
-    for eid in edge_ids:
-        u, v, _ = g.edges[eid]
-        neighbor_sets[local[u]].add(local[v])
-        neighbor_sets[local[v]].add(local[u])
-    if any(len(s) < 2 for s in neighbor_sets):
-        return None
-    cycle_local = _reduce_to_outer_cycle(k, neighbor_sets)
-    if cycle_local is None:
-        return None
-    cycle = [vertices[i] for i in cycle_local]
-    pos = {v: i for i, v in enumerate(cycle)}
-    present = set()
-    for eid in edge_ids:
-        u, v, _ = g.edges[eid]
-        a, b = pos[u], pos[v]
-        if a > b:
-            a, b = b, a
-        present.add((a, b))
-    for i in range(k):
-        a, b = i, (i + 1) % k
-        if a > b:
-            a, b = b, a
-        if (a, b) not in present:
-            return None
-    spans = sorted((min(pos[g.edges[e][0]], pos[g.edges[e][1]]),
-                    max(pos[g.edges[e][0]], pos[g.edges[e][1]]), e)
-                   for e in edge_ids)
-    try:
-        nesting_forest(k, spans)
-    except NotOnePageError:
-        return None
-    return list(_canonical_cycle(cycle))
+def forced_block_order(g, vertices, edge_ids, under, reason, cycle=None):
+    """The one order of a block that the max and sum classes allow:
+    ``(order, None)``, or ``(None, detail)`` when the block has none.
 
-
-def cut_cycle(cycle, s, t):
-    """Linear order with s first and t last, cutting the cycle at edge (s,t).
-
-    Returns None unless s and t are cyclically consecutive (either
-    direction)."""
-    n = len(cycle)
-    if n == 2:
-        return [s, t] if {s, t} == set(cycle) else None
-    pos = {v: i for i, v in enumerate(cycle)}
-    if s not in pos or t not in pos:
-        return None
-    i, j = pos[s], pos[t]
-    if (i + 1) % n == j:
-        return [cycle[(i - k) % n] for k in range(n)]
-    if (j + 1) % n == i:
-        return [cycle[(i + k) % n] for k in range(n)]
-    return None
-
-
-def forest_over(g, order, edge_ids):
-    """Nesting forest of a block's edges over a forced order.
-
-    Returns ``(pos, children, roots)`` with ``children`` and ``roots`` holding
-    g-edge ids; children are ordered left to right.
+    The block's unique maximum-weight edge must lie on its outer cycle; the
+    cycle is cut there (canonical flip).  Every edge must then strictly
+    outweigh ``under`` (``max`` or ``sum``) of the weights of the edges
+    directly under it, else the detail is ``reason``.  ``cycle`` is the
+    block's outer cycle when the caller has it; otherwise it is searched
+    after the maximum-edge test, and :class:`NotOuterplanarError` is raised
+    when there is none.
     """
+    if len(vertices) == 2:
+        return sorted(vertices), None
+    e_m = unique_max_edge(g, edge_ids)
+    if e_m is None:
+        return None, "no unique maximum-weight edge"
+    if cycle is None:
+        cycle = block_outer_cycle(g, vertices, edge_ids)
+        if cycle is None:
+            raise NotOuterplanarError("block is not outerplanar")
+    s, t = g.endpoints(e_m)
+    order = cut_cycle(cycle, s, t)
+    if order is None:
+        return None, "maximum-weight edge is not on the outer face"
+    order = min(order, cut_cycle(cycle, t, s))
     pos = {v: i for i, v in enumerate(order)}
     spans = []
     for eid in edge_ids:
         u, v, _ = g.edges[eid]
-        a, b = pos[u], pos[v]
-        if a > b:
-            a, b = b, a
-        spans.append((a, b, eid))
-    parent, children, roots = nesting_forest(len(order), spans)
-    child_map = {
-        spans[i][2]: [spans[k][2] for k in kids] for i, kids in enumerate(children)
-    }
-    return pos, child_map, [spans[i][2] for i in roots]
+        spans.append(span(pos, u, v) + (eid,))
+    _parent, children, _roots = nesting_forest(len(order), spans)
+    for idx, kids in enumerate(children):
+        if kids and not g.weight(spans[idx][2]) > under(
+            g.weight(spans[k][2]) for k in kids
+        ):
+            return None, reason
+    return order, None
+
+
+def rooted_block_orders(g, rooted, under, reason, failure):
+    """Forced orders of every block of ``rooted``, each with its parent cut
+    vertex first: ``(orders by block id, None)``, or ``(None, failure)`` for
+    the first block without one.  ``failure`` is the drawer's failure class;
+    condition 1 carries the detail of :func:`forced_block_order`, condition 2
+    a parent cut vertex inside the order."""
+    orders = {}
+    for bid, block in enumerate(rooted.tree.blocks):
+        order, detail = forced_block_order(
+            g, block.vertices, block.edge_ids, under, reason
+        )
+        if order is None:
+            return None, failure(1, block=bid, detail=detail)
+        parent = rooted.parent_cut[bid]
+        if parent is not None:
+            if order[-1] == parent:
+                order = order[::-1]
+            elif order[0] != parent:
+                return None, failure(
+                    2, block=bid, cut_vertex=parent,
+                    detail="parent cut vertex is interior to the block order",
+                )
+        orders[bid] = order
+    return orders, None
 
 
 def unique_max_edge(g, edge_ids):

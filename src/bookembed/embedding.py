@@ -12,7 +12,7 @@ from fractions import Fraction
 from .errors import NotOnePageError, PreconditionError
 from .exact import INF, format_rational
 from .graph import component_subgraphs
-from .outerplanar import nesting_forest
+from .outerplanar import nesting_forest, span
 
 
 class BookEmbedding:
@@ -76,13 +76,7 @@ def _check_permutation(g, embedding):
 
 def _edge_spans(g, embedding):
     pos = embedding.position
-    spans = []
-    for eid, (u, v, _) in enumerate(g.edges):
-        a, b = pos[u], pos[v]
-        if a > b:
-            a, b = b, a
-        spans.append((a, b, eid))
-    return spans
+    return [span(pos, u, v) + (eid,) for eid, (u, v, _) in enumerate(g.edges)]
 
 
 def is_one_page(g, embedding):
@@ -121,8 +115,8 @@ class MaxViolation:
         if embedding is not None:
             pos = embedding.position
             doc["positions"] = {
-                "outer": sorted((pos[ou], pos[ov])),
-                "inner": sorted((pos[iu], pos[iv])),
+                "outer": list(span(pos, ou, ov)),
+                "inner": list(span(pos, iu, iv)),
             }
         return doc
 
@@ -148,7 +142,7 @@ class SumViolation:
         }
         if embedding is not None:
             pos = embedding.position
-            doc["positions"] = sorted((pos[u], pos[v]))
+            doc["positions"] = list(span(pos, u, v))
         return doc
 
 
@@ -169,7 +163,7 @@ class MinresViolation:
         }
         if embedding is not None:
             pos = embedding.position
-            doc["positions"] = sorted((pos[u], pos[v]))
+            doc["positions"] = list(span(pos, u, v))
         return doc
 
 
@@ -245,8 +239,8 @@ def validate_minres_supporting(g, embedding):
     for eid, (u, v, w) in enumerate(g.edges):
         beta = abs(pos[u] - pos[v]) - 1
         if w < beta + 1:
-            a, b = pos[u], pos[v]
-            key = (min(a, b), -max(a, b), eid)
+            a, b = span(pos, u, v)
+            key = (a, -b, eid)
             if worst is None or key < worst[0]:
                 worst = (key, MinresViolation(eid, beta))
     return worst[1] if worst else None

@@ -42,10 +42,11 @@ INF = _Infinity()
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"5"``, ``"3.25"`` or ``"7/2"`` into an exact Fraction."""
+    """Parse ``"5"``, ``"3.25"`` or ``"7/2"`` into an exact Fraction;
+    anything else, a non-string included, raises ValueError."""
     try:
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 

@@ -238,8 +238,11 @@ def _parse_json(text):
         ) from None
     if not isinstance(doc, dict) or "edges" not in doc:
         raise GraphFormatError('expected an object with an "edges" array')
+    vertices = doc.get("vertices", [])
+    if not isinstance(vertices, list):
+        raise GraphFormatError('"vertices" must be an array')
     vertex_labels = []
-    for i, v in enumerate(doc.get("vertices", [])):
+    for i, v in enumerate(vertices):
         vertex_labels.append(_coerce_label(v, f"vertices[{i}]"))
     triples = []
     edges = doc["edges"]
@@ -391,7 +394,11 @@ class Block:
 
 
 def _biconnected_components(g):
-    """Iterative Hopcroft-Tarjan. Returns (blocks as edge-id lists, cut flags)."""
+    """Iterative Hopcroft-Tarjan. Returns (blocks as edge-id lists, cut flags).
+
+    Raises :class:`PreconditionError` when the graph is not connected: the
+    search from vertex 0 leaves some vertex unvisited.
+    """
     n = g.n
     disc = [0] * n  # 0 = unvisited, else discovery index + 1
     low = [0] * n
@@ -400,58 +407,59 @@ def _biconnected_components(g):
     blocks = []
     counter = 1
     adjacency = g.adjacency
-    for start in range(n):
-        if disc[start]:
-            continue
-        disc[start] = low[start] = counter
-        counter += 1
-        root_children = 0
-        # frames: [vertex, parent edge id, adjacency cursor]
-        frames = [[start, -1, 0]]
-        while frames:
-            frame = frames[-1]
-            v, parent_eid, cursor = frame
-            adj = adjacency[v]
-            advanced = False
-            while cursor < len(adj):
-                eid = adj[cursor]
-                cursor += 1
-                if eid == parent_eid:
-                    continue
-                u = g.other_end(eid, v)
-                if not disc[u]:
-                    frame[2] = cursor
-                    edge_stack.append(eid)
-                    disc[u] = low[u] = counter
-                    counter += 1
-                    frames.append([u, eid, 0])
-                    advanced = True
-                    break
-                if disc[u] < disc[v]:
-                    edge_stack.append(eid)
-                    if disc[u] < low[v]:
-                        low[v] = disc[u]
-            if advanced:
+    if n == 0:
+        return blocks, is_cut
+    disc[0] = low[0] = counter
+    counter += 1
+    root_children = 0
+    # frames: [vertex, parent edge id, adjacency cursor]
+    frames = [[0, -1, 0]]
+    while frames:
+        frame = frames[-1]
+        v, parent_eid, cursor = frame
+        adj = adjacency[v]
+        advanced = False
+        while cursor < len(adj):
+            eid = adj[cursor]
+            cursor += 1
+            if eid == parent_eid:
                 continue
-            frames.pop()
-            if frames:
-                parent = frames[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-                if low[v] >= disc[parent]:
-                    if parent == start:
-                        root_children += 1
-                        if root_children > 1:
-                            is_cut[parent] = True
-                    else:
+            u = g.other_end(eid, v)
+            if not disc[u]:
+                frame[2] = cursor
+                edge_stack.append(eid)
+                disc[u] = low[u] = counter
+                counter += 1
+                frames.append([u, eid, 0])
+                advanced = True
+                break
+            if disc[u] < disc[v]:
+                edge_stack.append(eid)
+                if disc[u] < low[v]:
+                    low[v] = disc[u]
+        if advanced:
+            continue
+        frames.pop()
+        if frames:
+            parent = frames[-1][0]
+            if low[v] < low[parent]:
+                low[parent] = low[v]
+            if low[v] >= disc[parent]:
+                if parent == 0:
+                    root_children += 1
+                    if root_children > 1:
                         is_cut[parent] = True
-                    block = []
-                    while True:
-                        top = edge_stack.pop()
-                        block.append(top)
-                        if top == parent_eid:
-                            break
-                    blocks.append(block)
+                else:
+                    is_cut[parent] = True
+                block = []
+                while True:
+                    top = edge_stack.pop()
+                    block.append(top)
+                    if top == parent_eid:
+                        break
+                blocks.append(block)
+    if counter <= n:
+        raise PreconditionError("block-cut-vertex tree requires a connected graph")
     return blocks, is_cut
 
 
@@ -466,8 +474,6 @@ class BlockCutTree:
     __slots__ = ("graph", "blocks", "cut_vertices", "blocks_of_vertex", "block_of_edge")
 
     def __init__(self, g):
-        if not is_connected(g):
-            raise PreconditionError("block-cut-vertex tree requires a connected graph")
         self.graph = g
         raw_blocks, is_cut = _biconnected_components(g)
         blocks = []

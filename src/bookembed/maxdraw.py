@@ -8,18 +8,18 @@ from fractions import Fraction
 
 from . import seq
 from .blocks import (
-    block_outer_cycle,
-    cut_cycle,
-    forest_over,
+    forced_block_order,
     incident_in_block,
     lowest_edges,
-    unique_max_edge,
+    rooted_block_orders,
 )
 from .embedding import BookEmbedding, per_component
-from .errors import NotOuterplanarError, PreconditionError
+from .errors import NotOuterplanarError
 from .exact import INF
-from .graph import build_bc_tree, is_connected
+from .graph import build_bc_tree
 from .outerplanar import outerplane_embedding
+
+_WRAPS = "an edge does not outweigh an edge it wraps"
 
 
 @dataclass
@@ -47,38 +47,6 @@ class MaxFailure:
         return doc
 
 
-def _forced_block_order(g, edge_ids, cycle, top_eid):
-    """Order with the top edge's endpoints first and last; canonical flip."""
-    s, t = g.endpoints(top_eid)
-    order = cut_cycle(cycle, s, t)
-    if order is None:
-        return None
-    other = cut_cycle(cycle, t, s)
-    return min(order, other)
-
-
-def _max_block_order(g, vertices, edge_ids):
-    """Forced order of one block, or (None, reason)."""
-    if len(vertices) == 2:
-        return list(sorted(vertices)), None
-    e_m = unique_max_edge(g, edge_ids)
-    if e_m is None:
-        return None, "no unique maximum-weight edge"
-    cycle = block_outer_cycle(g, vertices, edge_ids)
-    if cycle is None:
-        raise NotOuterplanarError("block is not outerplanar")
-    order = _forced_block_order(g, edge_ids, cycle, e_m)
-    if order is None:
-        return None, "maximum-weight edge is not on the outer face"
-    _pos, children, _roots = forest_over(g, order, edge_ids)
-    for eid, kids in children.items():
-        w = g.weight(eid)
-        for kid in kids:
-            if not w > g.weight(kid):
-                return None, "an edge does not outweigh an edge it wraps"
-    return order, None
-
-
 def max_biconnected(g, require_first_last=None):
     """Unique embedding of a biconnected outerplanar graph for the max class,
     or None if it admits none.
@@ -91,7 +59,9 @@ def max_biconnected(g, require_first_last=None):
     emb = outerplane_embedding(g)
     if emb is None:
         raise NotOuterplanarError("graph is not outerplanar")
-    order, _reason = _max_block_order(g, list(range(g.n)), list(range(g.m)))
+    order, _reason = forced_block_order(
+        g, range(g.n), range(g.m), max, _WRAPS, emb.cycle
+    )
     if order is None:
         return None
     if require_first_last is not None:
@@ -106,31 +76,20 @@ def max_biconnected(g, require_first_last=None):
 def max_be_drawer(g):
     """Test and construct over a connected outerplanar graph; returns a
     BookEmbedding or a MaxFailure."""
-    if not is_connected(g):
-        raise PreconditionError("drawer requires a connected graph")
     if g.n == 1:
         return BookEmbedding((0,))
     rooted = build_bc_tree(g, "max-weight-block")
     tree = rooted.tree
 
-    block_order = {}
+    block_order, failure = rooted_block_orders(g, rooted, max, _WRAPS, MaxFailure)
+    if failure is not None:
+        return failure
     block_lr = {}
-    for bid, block in enumerate(tree.blocks):
-        order, reason = _max_block_order(g, block.vertices, block.edge_ids)
-        if order is None:
-            return MaxFailure(1, bid, detail=reason)
-        parent = rooted.parent_cut[bid]
-        if parent is not None:
-            if order[-1] == parent:
-                order = order[::-1]
-            elif order[0] != parent:
-                return MaxFailure(
-                    2, bid, cut_vertex=parent,
-                    detail="parent cut vertex is interior to the block order",
-                )
+    for bid, order in block_order.items():
         pos = {v: i for i, v in enumerate(order)}
         lr = {}
         cuts = list(rooted.child_cuts[bid])
+        parent = rooted.parent_cut[bid]
         if parent is not None:
             cuts.append(parent)
         for c in cuts:
@@ -141,7 +100,6 @@ def max_be_drawer(g):
                 g.weight(el) if el is not None else INF,
                 g.weight(er) if er is not None else INF,
             )
-        block_order[bid] = order
         block_lr[bid] = lr
 
     ropes = {}

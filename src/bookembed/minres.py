@@ -22,12 +22,11 @@ from fractions import Fraction
 from math import inf
 
 from . import seq
-from .blocks import block_outer_cycle, cut_cycle
 from .embedding import BookEmbedding, per_component
 from .errors import NotOuterplanarError, PreconditionError
 from .exact import scaled_weights
-from .graph import BlockCutTree, is_connected
-from .outerplanar import outerplane_embedding
+from .graph import BlockCutTree
+from .outerplanar import block_outer_cycle, cut_cycle, outerplane_embedding, span
 
 
 @dataclass
@@ -255,9 +254,7 @@ class _AnchorSearch:
         slack = []  # weight - span, scaled
         for eid in self.tree.blocks[bid].edge_ids:
             u, v, _ = g.edges[eid]
-            a, b = pos[u], pos[v]
-            if a > b:
-                a, b = b, a
+            a, b = span(pos, u, v)
             spans.append((a, b))
             slack.append(w[eid] - (b - a) * den)
         cuts = sorted(
@@ -312,8 +309,6 @@ def minres_be_drawer_anchor(g, e_star, *, decomposition=None, cycles=None, audit
     """Supporting embedding in which ``e_star`` is nested under no edge, or a
     MinresFailure.  Each call starts from empty caches, so ``audit`` sees
     every node it solves."""
-    if not is_connected(g):
-        raise PreconditionError("drawer requires a connected graph")
     tree = decomposition or BlockCutTree(g)
     if cycles is None:
         cycles = [
@@ -328,8 +323,6 @@ def minres_be_drawer(g):
     Anchors are tried in edge-id order and the first success wins.  They
     share one search, so each subtree result is computed once.
     """
-    if not is_connected(g):
-        raise PreconditionError("drawer requires a connected graph")
     if g.n == 1:
         return BookEmbedding((0,))
     tree = BlockCutTree(g)

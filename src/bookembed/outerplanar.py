@@ -1,5 +1,6 @@
-"""Outerplanarity recognition, the unique outerplane embedding, and the
-extended dual tree of a biconnected outerplanar graph."""
+"""Outerplanarity recognition: the outer cycle of a biconnected block, the
+cut of that cycle into a linear order, the unique outerplane embedding, and
+the nesting forest of edge spans over a linear order."""
 
 from __future__ import annotations
 
@@ -7,6 +8,13 @@ from collections import deque
 
 from .errors import NotOnePageError, PreconditionError
 from .graph import BlockCutTree, is_connected
+
+
+def span(pos, u, v):
+    """Order positions ``(left, right)`` of the edge ``(u, v)``, smaller
+    first; ``pos`` maps a vertex to its position."""
+    a, b = pos[u], pos[v]
+    return (a, b) if a < b else (b, a)
 
 
 def nesting_forest(num_positions, edge_spans):
@@ -68,38 +76,33 @@ class OuterplaneEmbedding:
     def __repr__(self):
         return f"OuterplaneEmbedding(cycle={self.cycle})"
 
-    def position_on_cycle(self):
-        return {v: i for i, v in enumerate(self.cycle)}
-
-    def outer_neighbors(self, v):
-        """The one or two cycle neighbors of v."""
-        pos = self.cycle.index(v)
-        n = len(self.cycle)
-        if n == 1:
-            return ()
-        if n == 2:
-            return (self.cycle[1 - pos],)
-        return (self.cycle[(pos - 1) % n], self.cycle[(pos + 1) % n])
-
     def linear_order(self, s, t):
         """The unique 1-page order with ``s`` first and ``t`` last.
 
         Requires (s, t) to be consecutive on the outer cycle (in either
         direction); returns None otherwise.
         """
-        n = len(self.cycle)
-        if n == 2:
-            return [s, t] if {s, t} == set(self.cycle) else None
-        pos = self.position_on_cycle()
-        if s not in pos or t not in pos:
-            return None
-        i, j = pos[s], pos[t]
-        if (i + 1) % n == j:
-            # cycle reads ... s t ...: walk backwards from s around to t
-            return [self.cycle[(i - k) % n] for k in range(n)]
-        if (j + 1) % n == i:
-            return [self.cycle[(i + k) % n] for k in range(n)]
+        return cut_cycle(self.cycle, s, t)
+
+
+def cut_cycle(cycle, s, t):
+    """Linear order with s first and t last, cutting the cycle at edge (s,t).
+
+    Returns None unless s and t are cyclically consecutive (either
+    direction)."""
+    n = len(cycle)
+    if n == 2:
+        return [s, t] if {s, t} == set(cycle) else None
+    pos = {v: i for i, v in enumerate(cycle)}
+    if s not in pos or t not in pos:
         return None
+    i, j = pos[s], pos[t]
+    if (i + 1) % n == j:
+        # cycle reads ... s t ...: walk backwards from s around to t
+        return [cycle[(i - k) % n] for k in range(n)]
+    if (j + 1) % n == i:
+        return [cycle[(i + k) % n] for k in range(n)]
+    return None
 
 
 def _canonical_cycle(cycle):
@@ -195,17 +198,50 @@ def _reduce_to_outer_cycle(n, neighbor_sets):
     return cycle
 
 
-def _faces_from_cycle(g, cycle, edge_ids):
-    """Internal face cycles given the outer cycle, via the nesting forest."""
+def block_outer_cycle(g, vertices, edge_ids):
+    """Outer cycle of a biconnected block (canonical flip, g-vertex ids),
+    or None if the block is not outerplanar."""
+    k = len(vertices)
+    if k == 1:
+        return [vertices[0]]
+    if k == 2:
+        return sorted(vertices)
+    if len(edge_ids) > 2 * k - 3:
+        return None
+    local = {v: i for i, v in enumerate(vertices)}
+    neighbor_sets = [set() for _ in range(k)]
+    for eid in edge_ids:
+        u, v, _ = g.edges[eid]
+        neighbor_sets[local[u]].add(local[v])
+        neighbor_sets[local[v]].add(local[u])
+    if any(len(s) < 2 for s in neighbor_sets):
+        return None
+    cycle_local = _reduce_to_outer_cycle(k, neighbor_sets)
+    if cycle_local is None:
+        return None
+    cycle = [vertices[i] for i in cycle_local]
     pos = {v: i for i, v in enumerate(cycle)}
     spans = []
     for eid in edge_ids:
         u, v, _ = g.edges[eid]
-        a, b = pos[u], pos[v]
-        if a > b:
-            a, b = b, a
-        spans.append((a, b, eid))
-    parent, children, _roots = nesting_forest(len(cycle), spans)
+        spans.append(span(pos, u, v) + (eid,))
+    # Every consecutive cycle pair must be an edge, and the chords must not
+    # cross with respect to the cycle order.
+    ring = {(i, i + 1) for i in range(k - 1)} | {(0, k - 1)}
+    if not ring <= {(a, b) for a, b, _ in spans}:
+        return None
+    try:
+        nesting_forest(k, spans)
+    except NotOnePageError:
+        return None
+    return list(_canonical_cycle(cycle))
+
+
+def _faces_from_cycle(g, cycle):
+    """Internal face cycles given the outer cycle, via the nesting forest."""
+    pos = {v: i for i, v in enumerate(cycle)}
+    spans = [span(pos, u, v) + (eid,) for eid, (u, v, _) in enumerate(g.edges)]
+    _parent, children, _roots = nesting_forest(len(cycle), spans)
     faces = []
     for idx, kids in enumerate(children):
         if not kids:
@@ -229,164 +265,15 @@ def _is_biconnected(g):
     return len(tree.blocks) == 1
 
 
-def outerplane_embedding(g, *, _trusted=False):
+def outerplane_embedding(g):
     """Unique outerplane embedding of a biconnected graph, or None if the
     graph is not outerplanar.
 
-    Raises :class:`PreconditionError` on non-biconnected input (skipped when
-    ``_trusted`` is set by callers that already know the input is a block).
+    Raises :class:`PreconditionError` on non-biconnected input.
     """
-    if not _trusted and not _is_biconnected(g):
+    if not _is_biconnected(g):
         raise PreconditionError("outerplane embedding requires a biconnected graph")
-    n = g.n
-    if n == 1:
-        return OuterplaneEmbedding((0,), ())
-    if n == 2:
-        return OuterplaneEmbedding((0, 1), ())
-    if g.m > 2 * n - 3:
-        return None
-    neighbor_sets = [set() for _ in range(n)]
-    for u, v, _ in g.edges:
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
-    if any(len(s) < 2 for s in neighbor_sets):
-        return None
-    cycle = _reduce_to_outer_cycle(n, neighbor_sets)
+    cycle = block_outer_cycle(g, range(g.n), range(g.m))
     if cycle is None:
         return None
-    # Every consecutive cycle pair must be a real edge, and the chords must
-    # not cross with respect to the cycle order.
-    pos = {v: i for i, v in enumerate(cycle)}
-    for i in range(n):
-        if g.edge_between(cycle[i], cycle[(i + 1) % n]) is None:
-            return None
-    spans = []
-    for eid, (u, v, _) in enumerate(g.edges):
-        a, b = pos[u], pos[v]
-        if a > b:
-            a, b = b, a
-        spans.append((a, b, eid))
-    try:
-        nesting_forest(n, spans)
-    except NotOnePageError:
-        return None
-    canon = _canonical_cycle(cycle)
-    return OuterplaneEmbedding(canon, _faces_from_cycle(g, canon, range(g.m)))
-
-
-class ExtendedDualTree:
-    """Extended dual tree of an outerplane embedding.
-
-    Nodes: one per internal face plus one leaf per outer edge.  Every edge of
-    the primal graph is dual to exactly one tree edge.  When rooted at the
-    leaf dual to ``root_edge``, the parent/child structure over primal edges
-    coincides with the nesting forest of the linear order that cuts the outer
-    cycle at ``root_edge``; that structure is exposed directly because every
-    drawer consumes it.
-
-    Attributes
-    ----------
-    order: the linear order (root edge endpoints first and last)
-    parent / children: nesting forest over primal edge ids
-    subtree_weight: ``A(e)`` = weight of e plus all edges nested below it
-    face_of_edge: internal face node id for every span>=2 edge, else -1
-    leaves: leaf node ids indexed by outer edge
-    """
-
-    __slots__ = (
-        "graph",
-        "root_edge",
-        "order",
-        "position",
-        "parent",
-        "children",
-        "root_ids",
-        "subtree_weight",
-        "node_count",
-        "edge_count",
-        "leaf_edges",
-    )
-
-    def __init__(self, g, order, root_edge):
-        self.graph = g
-        self.root_edge = root_edge
-        self.order = tuple(order)
-        pos = {v: i for i, v in enumerate(order)}
-        self.position = pos
-        spans = []
-        for eid, (u, v, _) in enumerate(g.edges):
-            a, b = pos[u], pos[v]
-            if a > b:
-                a, b = b, a
-            spans.append((a, b, eid))
-        parent, children, roots = nesting_forest(g.n, spans)
-        self.parent = tuple(parent)
-        self.children = tuple(
-            tuple(sorted(kids, key=lambda i: spans[i][0])) for kids in children
-        )
-        self.root_ids = tuple(roots)
-        weights = [None] * g.m
-        for eid in self._postorder():
-            total = g.weight(eid)
-            for k in self.children[eid]:
-                total += weights[k]
-            weights[eid] = total
-        self.subtree_weight = tuple(weights)
-        # Outer edges: span-1 edges plus the top edge (a single edge covers
-        # both cases, hence the set).
-        self.leaf_edges = tuple(
-            sorted(
-                {eid for eid, (a, b, _) in enumerate(spans) if b - a == 1}
-                | {root_edge}
-            )
-        )
-        internal_faces = sum(1 for kids in self.children if kids)
-        # The outer-face dual vertex splits into one degree-1 leaf per vertex.
-        self.node_count = internal_faces + g.n
-        self.edge_count = g.m
-
-    def _postorder(self):
-        out = []
-        stack = list(self.root_ids)
-        while stack:
-            eid = stack.pop()
-            out.append(eid)
-            stack.extend(self.children[eid])
-        return reversed(out)
-
-    def face_cycle(self, eid):
-        """Vertices of the internal face whose top edge is ``eid`` (left to
-        right along the order), or None for span-1 edges."""
-        kids = self.children[eid]
-        if not kids:
-            return None
-        u, v, _ = self.graph.edges[eid]
-        a, b = self.position[u], self.position[v]
-        if a > b:
-            a, b = b, a
-        face = [self.order[a]]
-        for k in kids:
-            ku, kv, _ = self.graph.edges[k]
-            ka, kb = self.position[ku], self.position[kv]
-            face.append(self.order[max(ka, kb)])
-        return face
-
-
-def extended_dual_tree(g, emb, root_edge=None):
-    """Extended dual tree of ``emb``, rooted at the leaf dual to ``root_edge``.
-
-    ``root_edge`` must lie on the outer face; None picks the edge joining the
-    first and last vertices of the canonical cycle.
-    """
-    cycle = emb.cycle
-    if g.m == 0:
-        raise PreconditionError("extended dual tree requires at least one edge")
-    if root_edge is None:
-        root_edge = g.edge_between(cycle[0], cycle[-1])
-        if root_edge is None:
-            raise PreconditionError("no outer edge joins the cycle endpoints")
-    u, v, _ = g.edges[root_edge]
-    order = emb.linear_order(u, v)
-    if order is None:
-        raise PreconditionError("root edge is not on the outer face")
-    return ExtendedDualTree(g, order, root_edge)
+    return OuterplaneEmbedding(cycle, _faces_from_cycle(g, cycle))

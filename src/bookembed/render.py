@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .embedding import is_one_page
 from .errors import NotOnePageError
+from .outerplanar import span
 
 
 @dataclass
@@ -63,7 +64,7 @@ def render_arcs(g, embedding, spec=None):
         f'y2="{_fmt(base_y)}" stroke="#cccccc" stroke-width="1" />\n'
     )
     for eid, (u, v, w) in enumerate(g.edges):
-        a, b = sorted((pos[u], pos[v]))
+        a, b = span(pos, u, v)
         r = (b - a) * gap / 2.0
         body.append(
             f'<path d="M {_fmt(vx(a))} {_fmt(base_y)} '

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import seq
-from .blocks import block_outer_cycle, cut_cycle, forest_over, unique_max_edge
+from .blocks import forced_block_order, rooted_block_orders
 from .embedding import BookEmbedding, per_component
-from .errors import NotOuterplanarError, PreconditionError
-from .graph import build_bc_tree, is_connected
+from .errors import NotOuterplanarError
+from .graph import build_bc_tree
 from .outerplanar import outerplane_embedding
+
+_UNDER = "an edge does not outweigh the edges directly under it"
 
 
 @dataclass
@@ -41,27 +43,6 @@ class SumFailure:
         return doc
 
 
-def _sum_block_order(g, vertices, edge_ids):
-    if len(vertices) == 2:
-        return list(sorted(vertices)), None
-    e_m = unique_max_edge(g, edge_ids)
-    if e_m is None:
-        return None, "no unique maximum-weight edge"
-    cycle = block_outer_cycle(g, vertices, edge_ids)
-    if cycle is None:
-        raise NotOuterplanarError("block is not outerplanar")
-    s, t = g.endpoints(e_m)
-    order = cut_cycle(cycle, s, t)
-    if order is None:
-        return None, "maximum-weight edge is not on the outer face"
-    order = min(order, cut_cycle(cycle, t, s))
-    _pos, children, _roots = forest_over(g, order, edge_ids)
-    for eid, kids in children.items():
-        if kids and not g.weight(eid) > sum(g.weight(k) for k in kids):
-            return None, "an edge does not outweigh the edges directly under it"
-    return order, None
-
-
 def sum_biconnected(g):
     """Unique embedding of a biconnected outerplanar graph for the sum class,
     or None."""
@@ -70,7 +51,9 @@ def sum_biconnected(g):
     emb = outerplane_embedding(g)
     if emb is None:
         raise NotOuterplanarError("graph is not outerplanar")
-    order, _reason = _sum_block_order(g, list(range(g.n)), list(range(g.m)))
+    order, _reason = forced_block_order(
+        g, range(g.n), range(g.m), sum, _UNDER, emb.cycle
+    )
     return BookEmbedding(order) if order is not None else None
 
 
@@ -134,28 +117,13 @@ def sum_be_drawer(g, audit=None):
     ("C" nodes: (rope, lambda, rho); "B" nodes: (rope, alpha, tau)) so tests
     can assert the structural invariants at every tree node.
     """
-    if not is_connected(g):
-        raise PreconditionError("drawer requires a connected graph")
     if g.n == 1:
         return BookEmbedding((0,))
     rooted = build_bc_tree(g, "max-weight-block")
     tree = rooted.tree
-
-    block_order = {}
-    for bid, block in enumerate(tree.blocks):
-        order, reason = _sum_block_order(g, block.vertices, block.edge_ids)
-        if order is None:
-            return SumFailure(1, block=bid, detail=reason)
-        parent = rooted.parent_cut[bid]
-        if parent is not None:
-            if order[-1] == parent:
-                order = order[::-1]
-            elif order[0] != parent:
-                return SumFailure(
-                    2, block=bid, cut_vertex=parent,
-                    detail="parent cut vertex is interior to the block order",
-                )
-        block_order[bid] = order
+    block_order, failure = rooted_block_orders(g, rooted, sum, _UNDER, SumFailure)
+    if failure is not None:
+        return failure
 
     bentries = {}
     centries = {}

@@ -13,12 +13,11 @@ import json
 from fractions import Fraction
 
 from . import seq
-from .blocks import block_outer_cycle
 from .embedding import BookEmbedding, validate_minres_supporting
-from .errors import NotOuterplanarError, PreconditionError
+from .errors import GraphFormatError, NotOuterplanarError, PreconditionError
 from .exact import format_rational, parse_rational
 from .graph import BlockCutTree, WeightedGraph, component_subgraphs
-from .outerplanar import nesting_forest, outerplane_embedding
+from .outerplanar import block_outer_cycle, nesting_forest, outerplane_embedding, span
 
 
 class TwoDimEmbedding:
@@ -65,25 +64,37 @@ class TwoDimEmbedding:
 
     @staticmethod
     def from_json(text):
-        """Parse the serialized form; returns ``(graph, embedding)``."""
+        """Parse the serialized form; returns ``(graph, embedding)``.
+
+        Raises :class:`GraphFormatError` when a member is missing, has the
+        wrong type or names an unknown vertex, a number is not a rational
+        string, or a rectangle does not have four coordinates.
+        """
         doc = json.loads(text)
-        labels = [entry["id"] for entry in doc["vertices"]]
-        index = {lab: i for i, lab in enumerate(labels)}
-        g = WeightedGraph(
-            labels,
-            [
-                (index[entry["u"]], index[entry["v"]], parse_rational(entry["w"]))
-                for entry in doc["edges"]
-            ],
-        )
+        try:
+            labels = [entry["id"] for entry in doc["vertices"]]
+            index = {lab: i for i, lab in enumerate(labels)}
+            g = WeightedGraph(
+                labels,
+                [
+                    (index[entry["u"]], index[entry["v"]], parse_rational(entry["w"]))
+                    for entry in doc["edges"]
+                ],
+            )
+            x = {
+                index[entry["id"]]: parse_rational(entry["x"])
+                for entry in doc["vertices"]
+            }
+            rects = {}
+            for eid, entry in enumerate(doc["edges"]):
+                rects[eid] = tuple(parse_rational(c) for c in entry["rect"])
+                if len(rects[eid]) != 4:
+                    raise GraphFormatError(f"edges[{eid}]: rect needs four coordinates")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GraphFormatError(
+                f"malformed 2-D embedding document ({type(exc).__name__}: {exc})"
+            ) from None
         order = list(range(g.n))  # vertices are serialized in support order
-        x = {
-            index[entry["id"]]: parse_rational(entry["x"])
-            for entry in doc["vertices"]
-        }
-        rects = {}
-        for eid, entry in enumerate(doc["edges"]):
-            rects[eid] = tuple(parse_rational(c) for c in entry["rect"])
         return g, TwoDimEmbedding(BookEmbedding(order), x, rects)
 
 
@@ -91,13 +102,8 @@ def _forest_for(order, edge_list):
     """Nesting forest over ``edge_list`` of (u, v, w, key); returns
     (spans, children, roots) with spans aligned to edge_list indices."""
     pos = {v: i for i, v in enumerate(order)}
-    spans = []
-    for u, v, _w, _key in edge_list:
-        a, b = pos[u], pos[v]
-        if a > b:
-            a, b = b, a
-        spans.append((a, b, _key))
-    parent, children, roots = nesting_forest(len(order), spans)
+    spans = [span(pos, u, v) + (key,) for u, v, _w, key in edge_list]
+    _parent, children, roots = nesting_forest(len(order), spans)
     children = [sorted(kids, key=lambda k: spans[k][0]) for kids in children]
     return pos, spans, children, roots
 
@@ -237,9 +243,7 @@ def twodim_general(g, eps=Fraction(1), length=None):
     pos = {v: i for i, v in enumerate(order_all)}
     dummy_w = eps / n
     edge_list = [(u, v, w, eid) for eid, (u, v, w) in enumerate(g.edges)]
-    present = {
-        (min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v, _, _ in edge_list
-    }
+    present = {span(pos, u, v) for u, v, _, _ in edge_list}
     for i in range(n - 1):
         if (i, i + 1) not in present:
             edge_list.append(
@@ -316,14 +320,14 @@ def check_twodim(g, emb, *, exact_box=None, require_minres=False):
     for a, b in zip(order, order[1:]):
         if not emb.x[a] < emb.x[b]:
             problems.append(f"x not strictly increasing at {g.labels[b]}")
-    for eid, (u, v, w) in enumerate(g.edges):
+    norm = [span(pos, u, v) for u, v, _w in g.edges]
+    for eid, (_u, _v, w) in enumerate(g.edges):
         if eid not in emb.rects:
             problems.append(f"edge {eid} has no rectangle")
             continue
         xmin, xmax, ymin, ymax = emb.rects[eid]
-        if pos[u] > pos[v]:
-            u, v = v, u
-        if xmin != emb.x[u] or xmax != emb.x[v]:
+        a, b = norm[eid]
+        if xmin != emb.x[order[a]] or xmax != emb.x[order[b]]:
             problems.append(f"edge {eid}: rectangle ends differ from endpoint x")
         if ymin < 0 or xmax <= xmin or ymax <= ymin:
             problems.append(f"edge {eid}: degenerate rectangle")
@@ -344,12 +348,6 @@ def check_twodim(g, emb, *, exact_box=None, require_minres=False):
     # nesting condition: y_min = max y_max over nested edges (0 if none)
     rect = emb.rects
     m = g.m
-    norm = []
-    for eid, (u, v, _w) in enumerate(g.edges):
-        a, b = pos[u], pos[v]
-        if a > b:
-            a, b = b, a
-        norm.append((a, b))
     for i in range(m):
         if i not in rect:
             continue

@@ -9,6 +9,8 @@ import pytest
 import bookembed._fast
 from bookembed.cli import main
 
+from conftest import MALFORMED_2D
+
 TRI111 = '{"edges":[["a","b","1"],["b","c","1"],["a","c","1"]]}'
 TRI_5_6_11 = '{"edges":[["a","b","5"],["b","c","6"],["a","c","11"]]}'
 
@@ -270,3 +272,92 @@ def test_repeated_calls_match_a_fresh_parser(tmp_path, monkeypatch):
     assert ("exit", 2) in [result for result, _ in fresh]
     assert fresh[3][0][:2] == (1, '{"ok": false, "reason": "not a 1-page embedding"}\n')
     assert fresh[4][0][0] == 2 and "not a permutation" in fresh[4][0][2]
+
+
+# One small graph per failure the max and sum drawers report.  The last
+# one is random_outerplanar(6, (1, 9), seed=9063), the smallest a seeded
+# search found for a failing cut vertex.
+_SQUARE_HEAVY_CHORD = (
+    '{"edges":[["a","b","1"],["b","c","2"],["c","d","3"],["d","a","4"],["a","c","5"]]}'
+)
+_SQUARE_LIGHT_CHORD = (
+    '{"edges":[["a","b","2"],["b","c","1"],["c","d","3"],["d","a","10"],["a","c","1"]]}'
+)
+_CUT_INSIDE = '{"edges":[["x","y","100"],["y","p","1"],["y","q","2"],["p","q","10"]]}'
+_HEAVY_PENDANT = '{"edges":[["a","b","10"],["b","c","3"],["a","c","2"],["c","d","5"]]}'
+_CROWDED_CUT = (
+    '{"vertices": ["0", "1", "2", "3", "4", "5"], "edges": [["1", "4", "9"], '
+    '["0", "2", "4"], ["3", "4", "5"], ["4", "2", "4"], ["5", "4", "5"]]}'
+)
+
+
+@pytest.mark.parametrize(
+    "cls,graph,condition,reason",
+    [
+        ("max", TRI111, 1, "no unique maximum-weight edge"),
+        ("max", _SQUARE_HEAVY_CHORD, 1, "maximum-weight edge is not on the outer face"),
+        ("max", _SQUARE_LIGHT_CHORD, 1, "an edge does not outweigh an edge it wraps"),
+        ("max", _CUT_INSIDE, 2, "parent cut vertex is interior to the block order"),
+        ("max", _HEAVY_PENDANT, 3, "subtree fits on neither side of its cut vertex"),
+        ("sum", TRI111, 1, "no unique maximum-weight edge"),
+        ("sum", _SQUARE_HEAVY_CHORD, 1, "maximum-weight edge is not on the outer face"),
+        ("sum", _SQUARE_LIGHT_CHORD, 1,
+         "an edge does not outweigh the edges directly under it"),
+        ("sum", _CUT_INSIDE, 2, "parent cut vertex is interior to the block order"),
+        ("sum", _HEAVY_PENDANT, "empty-pareto", "no feasible block extension"),
+        ("sum", _CROWDED_CUT, "empty-pareto",
+         "no feasible combination at a cut vertex"),
+    ],
+)
+def test_failure_documents(cls, graph, condition, reason):
+    code, out, err = run_cli(["embed-" + cls], stdin_text=graph)
+    assert (code, err) == (1, "")
+    doc = {"exists": False, "class": cls, "reason": reason}
+    assert out == json.dumps({**doc, "failure_condition": condition}) + "\n"
+
+
+MALFORMED = {
+    "bad-json": '{"edges": [',
+    "not-an-object": '[["a", "b", "1"]]',
+    "vertices-not-array": '{"vertices": 5, "edges": []}',
+    "edges-not-array": '{"edges": 5}',
+    "weight-syntax": '{"edges": [["a", "b", "x"]]}',
+    "weight-float": '{"edges": [["a", "b", 1.5]]}',
+    "weight-zero": '{"edges": [["a", "b", "0"]]}',
+    **MALFORMED_2D,
+}
+SUBCOMMANDS = {
+    "check": ["check", "max", "--order", '["a", "b"]'],
+    "embed-max": ["embed-max"],
+    "embed-sum": ["embed-sum"],
+    "embed-minres": ["embed-minres"],
+    "embed-2d": ["embed-2d"],
+    "render": ["render"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv,stdin_text",
+    [
+        pytest.param(argv, MALFORMED[doc], id=f"{command}-{doc}")
+        for command, argv in SUBCOMMANDS.items()
+        for doc in MALFORMED
+    ]
+    + [
+        pytest.param(
+            ["check", "max", "--order", '["a", "zz", "c"]'], TRI_5_6_11,
+            id="check-unknown-order-label",
+        ),
+        pytest.param(
+            ["render", "--style", "arc", "--graph", "GRAPH"], '["a", "zz", "c"]',
+            id="render-unknown-order-label",
+        ),
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, argv, stdin_text):
+    graph = tmp_path / "g.json"
+    graph.write_text(TRI_5_6_11)
+    argv = [str(graph) if a == "GRAPH" else a for a in argv]
+    code, out, err = run_cli(argv, stdin_text=stdin_text)
+    assert (code, out) == (2, "")
+    assert err.startswith("bookembed: ") and "Traceback" not in err

@@ -18,6 +18,9 @@ from bookembed.graph import (
     parse_graph,
     serialize_graph,
 )
+from bookembed.maxdraw import max_be_drawer
+from bookembed.minres import minres_be_drawer, minres_be_drawer_anchor
+from bookembed.sumdraw import sum_be_drawer
 
 from conftest import graph_from, small_corpus
 
@@ -47,6 +50,8 @@ def test_parse_rational_forms():
         ('{"edges":[["a","a","1"]]}', "self-loop"),
         ('{"edges":[["a","b","1"],["b","a","2"]]}', "duplicate-edge"),
         ('{"edges":[["a","b","x"]]}', "syntax"),
+        ('{"vertices":5,"edges":[]}', "syntax"),
+        ('{"vertices":"ab","edges":[]}', "syntax"),
     ],
 )
 def test_parse_errors(text, kind):
@@ -192,6 +197,29 @@ def test_bc_tree_root_policy_star():
 def test_bc_tree_requires_connected():
     with pytest.raises(PreconditionError):
         BlockCutTree(graph_from([("a", "b", 1), ("c", "d", 1)]))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"edges":[["a","b","1"],["c","d","1"]]}',
+        '{"vertices":["z"],"edges":[["a","b","1"]]}',
+    ],
+)
+@pytest.mark.parametrize(
+    "build",
+    [
+        BlockCutTree,
+        max_be_drawer,
+        sum_be_drawer,
+        minres_be_drawer,
+        lambda g: minres_be_drawer_anchor(g, 0),
+    ],
+    ids=["BlockCutTree", "max", "sum", "minres", "minres-anchor"],
+)
+def test_disconnected_input_raises(build, text):
+    with pytest.raises(PreconditionError):
+        build(parse_graph(text))
 
 
 def test_bc_tree_reconstruction_identity():

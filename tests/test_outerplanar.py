@@ -1,12 +1,11 @@
-"""Outerplane embeddings and the extended dual tree."""
+"""Outerplanarity recognition and outerplane embeddings."""
 
 import pytest
 
 from bookembed.embedding import BookEmbedding, is_one_page
 from bookembed.errors import PreconditionError
-from bookembed.graph import parse_graph
 from bookembed.oracle import enumerate_one_page, random_outerplanar
-from bookembed.outerplanar import extended_dual_tree, outerplane_embedding
+from bookembed.outerplanar import outerplane_embedding
 
 from conftest import graph_from
 
@@ -95,66 +94,6 @@ def test_recognition_agrees_with_oracle_on_densified_graphs():
         assert got == want, (seed, g.edges)
         verdicts[got] += 1
     assert verdicts[True] and verdicts[False], "both verdicts must occur"
-
-
-def test_dual_tree_triangle():
-    g = parse_graph('{"edges":[["a","b","5"],["b","c","6"],["a","c","11"]]}')
-    emb = outerplane_embedding(g)
-    dt = extended_dual_tree(g, emb, g.edge_between(0, 2))
-    assert dt.node_count == 1 + 3  # one internal face + n leaves
-    assert dt.edge_count == 3
-    assert dt.subtree_weight[g.edge_between(0, 1)] == 5
-    assert dt.subtree_weight[g.edge_between(0, 2)] == 22
-    assert set(dt.leaf_edges) == {0, 1, 2}
-
-
-def test_dual_tree_single_edge():
-    g = graph_from([("a", "b", 4)])
-    emb = outerplane_embedding(g)
-    dt = extended_dual_tree(g, emb, 0)
-    assert dt.node_count == 2 and dt.edge_count == 1
-
-
-def test_dual_tree_rejects_chord_root():
-    g = graph_from(
-        [("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("d", "a", 1), ("a", "c", 5)]
-    )
-    emb = outerplane_embedding(g)
-    chord = g.edge_between(0, 2)
-    with pytest.raises(PreconditionError):
-        extended_dual_tree(g, emb, chord)
-
-
-def test_dual_tree_fan():
-    # outer path + apex chords: one internal node per triangle
-    g = graph_from(
-        [("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("d", "e", 1),
-         ("a", "c", 2), ("a", "d", 3), ("a", "e", 4)]
-    )
-    emb = outerplane_embedding(g)
-    dt = extended_dual_tree(g, emb, g.edge_between(0, 4))
-    internal = dt.node_count - g.n
-    assert internal == 3  # three triangular faces
-    assert dt.node_count == internal + g.n
-
-
-def test_dual_tree_invariants_random():
-    for seed in range(40):
-        g = random_outerplanar(3 + seed % 7, (1, 9), seed=seed * 3 + 1, biconnected=True)
-        emb = outerplane_embedding(g)
-        dt = extended_dual_tree(g, emb)
-        # A(e) = w(e) + sum of A over nested children; root subtree = total
-        for eid in range(g.m):
-            want = g.weight(eid) + sum(dt.subtree_weight[k] for k in dt.children[eid])
-            assert dt.subtree_weight[eid] == want
-        assert dt.subtree_weight[dt.root_edge] == g.total_weight()
-        # leaves are exactly the outer-face edges
-        pos = {v: i for i, v in enumerate(dt.order)}
-        for eid, (u, v, _) in enumerate(g.edges):
-            span = abs(pos[u] - pos[v])
-            on_outer = span == 1 or eid == dt.root_edge
-            assert (eid in dt.leaf_edges) == on_outer
-        assert dt.node_count == (dt.node_count - g.n) + g.n
 
 
 def test_face_cycles_canonical():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bookembed.errors import PreconditionError
+from bookembed.errors import GraphFormatError, PreconditionError
 from bookembed.minres import minres_be_drawer
 from bookembed.oracle import random_outerplanar
 from bookembed.outerplanar import outerplane_embedding
@@ -18,7 +18,7 @@ from bookembed.twodim import (
     twodim_general,
 )
 
-from conftest import graph_from
+from conftest import MALFORMED_2D, graph_from
 
 
 def test_k2_box():
@@ -142,6 +142,12 @@ def test_serialization_round_trip():
     assert [g2.labels[v] for v in t2.support.order] == [
         g.labels[v] for v in t.support.order
     ]
+
+
+@pytest.mark.parametrize("text", MALFORMED_2D.values(), ids=MALFORMED_2D.keys())
+def test_from_json_rejects_malformed_documents(text):
+    with pytest.raises(GraphFormatError):
+        TwoDimEmbedding.from_json(text)
 
 
 def test_one_page_order_always_works():
