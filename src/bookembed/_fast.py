@@ -1,11 +1,10 @@
-"""Pure-Python oracle kernel.
+"""The oracle kernel, in pure Python.
 
-Same API as the compiled module `_native`; selected at import time when the
-extension is unavailable.  Everything here is deliberately definitional:
-orders are enumerated by backtracking over positions, and each embedding
-class is checked straight from its definition (pairwise wrap scan, maximum
-disjoint-sequence weight, burden spans) with no shared machinery with the
-optimized validators.
+Everything here is deliberately definitional: orders are enumerated by
+backtracking over positions, and each embedding class is checked straight
+from its definition (pairwise wrap scan, maximum disjoint-sequence weight,
+burden spans) with no shared machinery with the optimized validators.
+Weights are Python integers, so no weight is too large for it.
 """
 
 from __future__ import annotations

@@ -14,8 +14,6 @@ import sys
 import time
 from fractions import Fraction
 
-from . import _fast
-from . import oracle as oracle_mod
 from .embedding import (
     BookEmbedding,
     is_one_page,
@@ -24,11 +22,11 @@ from .embedding import (
     validate_sum,
 )
 from .errors import BookEmbedError, NotOnePageError
-from .exact import parse_rational, scaled_weights
+from .exact import parse_rational
 from .graph import parse_graph, serialize_graph
 from .maxdraw import embed_max
 from .minres import embed_minres, minres_be_drawer
-from .oracle import random_outerplanar
+from .oracle import oracle_exists, random_outerplanar
 from .render import RenderSpec, render_arcs, render_rects
 from .sumdraw import embed_sum
 from .twodim import TwoDimEmbedding, minres_construct, twodim_general
@@ -159,6 +157,8 @@ def _cmd_render(args):
 
 
 def _cmd_gen(args):
+    if not 1 <= args.wmin <= args.wmax:
+        raise BookEmbedError("weights need 1 <= --wmin <= --wmax")
     g = random_outerplanar(
         args.n,
         (args.wmin, args.wmax),
@@ -172,9 +172,8 @@ def _cmd_gen(args):
 _ORACLE_BENCHES = ("oracle-max", "oracle-sum", "oracle-minres-supporting")
 
 
-def _bench_once(algo, n, seed, chosen):
-    """Seconds for one run of ``algo`` at size ``n``; ``chosen`` is the
-    oracle kernel module (unused by the drawer benches)."""
+def _bench_once(algo, n, seed):
+    """Seconds for one run of ``algo`` at size ``n``."""
     if algo not in _ORACLE_BENCHES:
         # a wide weight range avoids maximum-weight ties that would let the
         # drawers exit before doing size-dependent work
@@ -197,44 +196,18 @@ def _bench_once(algo, n, seed, chosen):
     ]
     start = time.perf_counter()
     for g in instances:
-        eu = [u for u, _, _ in g.edges]
-        ev = [v for _, v, _ in g.edges]
-        wnum, wden = scaled_weights(w for _, _, w in g.edges)
-        chosen.class_sweep(
-            g.n, eu, ev, wnum, wden, oracle_mod._CLASS_CODES[cls], 1, True
-        )
+        oracle_exists(g, cls, exhaustive=True)
     return time.perf_counter() - start
-
-
-def _bench_series(algo, impl):
-    """(row label, kernel) pairs to time.  ``--impl`` applies to the oracle
-    benches only; under ``both`` a kernel that is not built is skipped with
-    a note on stderr, and the rows keep their ``[impl]`` labels."""
-    if algo not in _ORACLE_BENCHES:
-        return [(algo, None)]
-    if impl != "both":
-        try:
-            return [(algo, _fast.kernel(impl))]
-        except RuntimeError as exc:
-            raise BookEmbedError(
-                f"{exc}; build it with: python3 setup.py build_ext --inplace"
-            ) from exc
-    series = []
-    for name in ("native", "pure"):
-        try:
-            series.append((f"{algo}[{name}]", _fast.kernel(name)))
-        except RuntimeError as exc:
-            print(f"bookembed: skipping the {name} kernel: {exc}", file=sys.stderr)
-    return series
 
 
 def _cmd_bench(args):
     sizes = [int(s) for s in args.sizes.split(",") if s]
+    if not sizes or min(sizes) < 1:
+        raise BookEmbedError("--sizes needs integers >= 1")
     rows = ["algo,n,seconds"]
-    for label, chosen in _bench_series(args.algo, args.impl):
-        for n in sizes:
-            seconds = _bench_once(args.algo, n, args.seed, chosen)
-            rows.append(f"{label},{n},{seconds:.6f}")
+    for n in sizes:
+        seconds = _bench_once(args.algo, n, args.seed)
+        rows.append(f"{args.algo},{n},{seconds:.6f}")
     _emit(args, "\n".join(rows) + "\n")
     return 0
 
@@ -339,11 +312,6 @@ def build_parser():
     )
     p.add_argument("--sizes", required=True, help="comma-separated sizes")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--impl", choices=("auto", "native", "pure", "both"), default="auto",
-        help="kernel used by the oracle benches; both skips one that is not "
-        "built, with a note on stderr",
-    )
     p.add_argument("--output")
     p.set_defaults(func=_cmd_bench)
 

@@ -585,25 +585,11 @@ class RootedBCTree:
             self.n_plus_b[b] = count
 
 
-def build_bc_tree(g, root_policy="max-weight-block"):
-    """Block-cut-vertex tree of a connected graph, rooted per policy.
-
-    ``root_policy`` is either ``"max-weight-block"`` (root at the block
-    containing the smallest-id maximum-weight edge) or a tuple
-    ``("block-containing-edge", eid)``.
-    """
+def build_bc_tree(g):
+    """Block-cut-vertex tree of a connected graph, rooted at the block
+    containing the smallest-id maximum-weight edge."""
     tree = BlockCutTree(g)
-    if isinstance(root_policy, tuple) and root_policy[0] == "block-containing-edge":
-        eid = root_policy[1]
-        root = tree.block_of_edge[eid]
-        if root < 0:
-            raise PreconditionError(f"edge {eid} not in any block")
-    elif root_policy == "max-weight-block":
-        if g.m == 0:
-            root = 0
-        else:
-            best = max(range(g.m), key=lambda e: (g.edges[e][2], -e))
-            root = tree.block_of_edge[best]
-    else:
-        raise ValueError(f"unknown root policy {root_policy!r}")
-    return tree.rooted(root)
+    if g.m == 0:
+        return tree.rooted(0)
+    best = max(range(g.m), key=lambda e: (g.edges[e][2], -e))
+    return tree.rooted(tree.block_of_edge[best])

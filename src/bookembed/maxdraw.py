@@ -78,7 +78,7 @@ def max_be_drawer(g):
     BookEmbedding or a MaxFailure."""
     if g.n == 1:
         return BookEmbedding((0,))
-    rooted = build_bc_tree(g, "max-weight-block")
+    rooted = build_bc_tree(g)
     tree = rooted.tree
 
     block_order, failure = rooted_block_orders(g, rooted, max, _WRAPS, MaxFailure)

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._fast import CLASS_MAX, CLASS_MINRES, CLASS_ONE_PAGE, CLASS_SUM, kernel
+from . import _fast
 from .embedding import BookEmbedding
 from .errors import PreconditionError
 from .exact import scaled_weights
@@ -21,16 +21,11 @@ from .graph import WeightedGraph
 ORACLE_MAX_N = 10
 
 _CLASS_CODES = {
-    "one-page": CLASS_ONE_PAGE,
-    "max": CLASS_MAX,
-    "sum": CLASS_SUM,
-    "minres-supporting": CLASS_MINRES,
+    "one-page": _fast.CLASS_ONE_PAGE,
+    "max": _fast.CLASS_MAX,
+    "sum": _fast.CLASS_SUM,
+    "minres-supporting": _fast.CLASS_MINRES,
 }
-
-# The compiled kernel uses fixed C buffers and long long arithmetic.
-_NATIVE_N_LIMIT = 12
-_NATIVE_M_LIMIT = 64
-_NATIVE_W_LIMIT = 1 << 50
 
 
 @dataclass
@@ -53,23 +48,11 @@ def _edge_arrays(g):
     return eu, ev
 
 
-def _pick_kernel(g, wnum, wden):
-    if (
-        g.n <= _NATIVE_N_LIMIT
-        and g.m <= _NATIVE_M_LIMIT
-        and wden < _NATIVE_W_LIMIT
-        and all(abs(w) < _NATIVE_W_LIMIT for w in wnum)
-    ):
-        return kernel("auto")
-    return kernel("pure")
-
-
 def enumerate_one_page(g, cap=0):
     """All vertex orders in which no two edges cross, up to ``cap`` (0 = all)."""
     _guard(g)
     eu, ev = _edge_arrays(g)
-    k = _pick_kernel(g, [], 1)
-    return [BookEmbedding(o) for o in k.one_page_orders(g.n, eu, ev, cap)]
+    return [BookEmbedding(o) for o in _fast.one_page_orders(g.n, eu, ev, cap)]
 
 
 def oracle_exists(g, embedding_class, *, exhaustive=False, max_witnesses=1):
@@ -84,8 +67,7 @@ def oracle_exists(g, embedding_class, *, exhaustive=False, max_witnesses=1):
     cls = _CLASS_CODES[embedding_class]
     eu, ev = _edge_arrays(g)
     wnum, wden = scaled_weights(w for _, _, w in g.edges)
-    k = _pick_kernel(g, wnum, wden)
-    count, witnesses = k.class_sweep(
+    count, witnesses = _fast.class_sweep(
         g.n, eu, ev, wnum, wden, cls, max_witnesses, exhaustive
     )
     return OracleVerdict(
@@ -96,12 +78,10 @@ def oracle_exists(g, embedding_class, *, exhaustive=False, max_witnesses=1):
 
 
 def definitional_check(g, embedding, embedding_class):
-    """Definitional per-order check (the pure kernel's), for validator audits."""
-    from ._fast import pure
-
+    """Definitional per-order check (the kernel's), for validator audits."""
     eu, ev = _edge_arrays(g)
     wnum, wden = scaled_weights(w for _, _, w in g.edges)
-    return pure.check_order(
+    return _fast.check_order(
         embedding.order, eu, ev, wnum, wden, _CLASS_CODES[embedding_class]
     )
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import NotOnePageError, PreconditionError
-from .graph import BlockCutTree, is_connected
+from .graph import BlockCutTree
 
 
 def span(pos, u, v):
@@ -64,14 +64,22 @@ class OuterplaneEmbedding:
 
     The stored cycle is the canonical flip: of the two reflections, the one
     whose sequence starting at the smallest vertex id is lexicographically
-    smaller.
+    smaller.  The faces are built on first use; the drawers need only the
+    cycle.
     """
 
-    __slots__ = ("cycle", "faces")
+    __slots__ = ("cycle", "_graph", "_faces")
 
-    def __init__(self, cycle, faces):
+    def __init__(self, g, cycle):
         self.cycle = tuple(cycle)
-        self.faces = tuple(faces)
+        self._graph = g
+        self._faces = None
+
+    @property
+    def faces(self):
+        if self._faces is None:
+            self._faces = _faces_from_cycle(self._graph, self.cycle)
+        return self._faces
 
     def __repr__(self):
         return f"OuterplaneEmbedding(cycle={self.cycle})"
@@ -257,12 +265,10 @@ def _faces_from_cycle(g, cycle):
 def _is_biconnected(g):
     if g.n <= 1:
         return True
-    if not is_connected(g):
+    try:
+        return len(BlockCutTree(g).blocks) == 1
+    except PreconditionError:  # disconnected
         return False
-    if g.n == 2:
-        return g.m >= 1
-    tree = BlockCutTree(g)
-    return len(tree.blocks) == 1
 
 
 def outerplane_embedding(g):
@@ -276,4 +282,4 @@ def outerplane_embedding(g):
     cycle = block_outer_cycle(g, range(g.n), range(g.m))
     if cycle is None:
         return None
-    return OuterplaneEmbedding(cycle, _faces_from_cycle(g, cycle))
+    return OuterplaneEmbedding(g, cycle)

@@ -119,7 +119,7 @@ def sum_be_drawer(g, audit=None):
     """
     if g.n == 1:
         return BookEmbedding((0,))
-    rooted = build_bc_tree(g, "max-weight-block")
+    rooted = build_bc_tree(g)
     tree = rooted.tree
     block_order, failure = rooted_block_orders(g, rooted, sum, _UNDER, SumFailure)
     if failure is not None:

@@ -217,7 +217,7 @@ def test_criterion_9_pareto_instrumentation(corpus_a, corpus_b):
     for g in corpus_a:
         if g.n < 2:
             continue
-        rooted = build_bc_tree(g, "max-weight-block")
+        rooted = build_bc_tree(g)
         records = []
         sum_be_drawer(g, audit=lambda k, node, e, _r=records: _r.append((k, node, e)))
         for kind, node, entries in records:

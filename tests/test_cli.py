@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-import bookembed._fast
 from bookembed.cli import main
 
 from conftest import MALFORMED_2D
@@ -118,42 +117,10 @@ def test_bench_csv():
     for line in lines[1:]:
         algo, n, seconds = line.split(",")
         assert algo == "max" and float(seconds) >= 0
-
-
-def test_bench_kernel_comparison():
-    code, out, _ = run_cli(
-        ["bench", "--algo", "oracle-max", "--sizes", "5", "--impl", "both"]
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert any("[native]" in line for line in lines[1:]) or any(
-        "[pure]" in line for line in lines[1:]
-    )
-
-
-def test_bench_without_native_kernel(monkeypatch):
-    monkeypatch.setattr(bookembed._fast, "_native", None)
-    code, out, err = run_cli(
-        ["bench", "--algo", "oracle-max", "--sizes", "2", "--impl", "both"]
-    )
-    assert code == 0
-    rows = out.strip().splitlines()[1:]
-    assert rows and all(row.startswith("oracle-max[pure],") for row in rows)
-    assert "native" in err and "Traceback" not in err
-    code, out, err = run_cli(
-        ["bench", "--algo", "oracle-max", "--sizes", "2", "--impl", "native"]
-    )
-    assert code == 2 and out == ""
-    assert "native kernel is not built" in err and "Traceback" not in err
-
-
-def test_bench_drawer_ignores_impl():
-    code, out, err = run_cli(
-        ["bench", "--algo", "max", "--sizes", "20", "--impl", "both"]
-    )
-    assert code == 0 and err == ""
-    lines = out.strip().splitlines()
-    assert len(lines) == 2 and lines[1].startswith("max,20,")
+    code, out, err = run_cli(["bench", "--algo", "oracle-max", "--sizes", "2,3"])
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["oracle-max", "2"], ["oracle-max", "3"]]
 
 
 def test_parse_error_exit_2():
@@ -163,9 +130,13 @@ def test_parse_error_exit_2():
 
 
 def test_usage_error_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["embed-unknown"])
-    assert exc.value.code == 2
+    for argv in (
+        ["embed-unknown"],
+        ["bench", "--algo", "oracle-sum", "--sizes", "2", "--impl", "both"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_embed_minres_from_stdin():
@@ -352,6 +323,21 @@ SUBCOMMANDS = {
             ["render", "--style", "arc", "--graph", "GRAPH"], '["a", "zz", "c"]',
             id="render-unknown-order-label",
         ),
+    ]
+    + [
+        pytest.param(["bench", "--algo", algo, "--sizes", sizes], "",
+                     id=f"bench-{algo}-sizes-{sizes}")
+        for algo, sizes in (
+            ("max", "0"), ("max", "-3"), ("oracle-max", "0"),
+            ("oracle-max", "-3"), ("oracle-sum", "2,0"), ("sum", ","),
+        )
+    ]
+    + [
+        pytest.param(["gen", "--n", "3", *flags], "", id="gen" + "".join(flags))
+        for flags in (
+            ["--wmin", "0"], ["--wmin", "-2", "--wmax", "5"],
+            ["--wmin", "7", "--wmax", "6"], ["--wmax", "0"],
+        )
     ],
 )
 def test_malformed_input_exits_2(tmp_path, argv, stdin_text):

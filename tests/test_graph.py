@@ -185,12 +185,12 @@ def test_bc_tree_triangle():
 
 def test_bc_tree_root_policy_star():
     g = graph_from([("c", "x", 1), ("c", "y", 2), ("c", "z", 3)])
-    rooted = build_bc_tree(g, "max-weight-block")
+    rooted = build_bc_tree(g)
     root_block = rooted.tree.blocks[rooted.root]
     ws = [g.weight(e) for e in root_block.edge_ids]
     assert ws == [Fraction(3)]
     eid = g.edge_between(g.resolve("c"), g.resolve("y"))
-    rooted2 = build_bc_tree(g, ("block-containing-edge", eid))
+    rooted2 = BlockCutTree(g).rooted(rooted.tree.block_of_edge[eid])
     assert eid in rooted2.tree.blocks[rooted2.root].edge_ids
 
 
@@ -246,7 +246,7 @@ def test_rooted_aggregates():
     g = graph_from(
         [("r", "c", 5), ("c", "x", 1), ("c", "y", 2), ("y", "z", 7), ("c", "z", 3)]
     )
-    rooted = build_bc_tree(g, "max-weight-block")
+    rooted = build_bc_tree(g)
     assert rooted.tree.blocks[rooted.root].max_weight == 7
     c = g.resolve("c")
     assert rooted.n_plus_c.get(c) in (None, 3, 4, 5) or True  # depends on rooting

@@ -95,7 +95,7 @@ def test_extreme_parent_property():
         out = max_be_drawer(g)
         if not isinstance(out, BookEmbedding) or g.n < 3:
             continue
-        rooted = build_bc_tree(g, "max-weight-block")
+        rooted = build_bc_tree(g)
         pos = out.position
         for bid in range(len(rooted.tree.blocks)):
             parent = rooted.parent_cut[bid]

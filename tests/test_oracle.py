@@ -1,10 +1,7 @@
-"""Oracle enumeration, verdicts, generator determinism, kernel parity."""
-
-import itertools
+"""Oracle enumeration, verdicts, generator determinism."""
 
 import pytest
 
-from bookembed._fast import CLASS_MAX, CLASS_MINRES, CLASS_SUM, kernel
 from bookembed.embedding import BookEmbedding
 from bookembed.errors import PreconditionError
 from bookembed.graph import serialize_graph
@@ -70,33 +67,8 @@ def test_generator_determinism_and_outerplanarity():
         assert g.m >= g.n  # cycle plus chords
 
 
-def test_kernel_parity_random():
-    nat = None
-    try:
-        nat = kernel("native")
-    except RuntimeError:
-        pytest.skip("native kernel not built")
-    pur = kernel("pure")
-    import random
-
-    rng = random.Random(99)
-    for _ in range(150):
-        n = rng.randint(0, 6)
-        pairs = list(itertools.combinations(range(n), 2))
-        rng.shuffle(pairs)
-        edges = pairs[: rng.randint(0, len(pairs))]
-        eu = [a for a, _ in edges]
-        ev = [b for _, b in edges]
-        w = [rng.randint(1, 9) for _ in edges]
-        assert nat.one_page_orders(n, eu, ev, 0) == pur.one_page_orders(n, eu, ev, 0)
-        for cls in (CLASS_MAX, CLASS_SUM, CLASS_MINRES):
-            assert nat.class_sweep(n, eu, ev, w, 1, cls, 2, True) == pur.class_sweep(
-                n, eu, ev, w, 1, cls, 2, True
-            )
-
-
 def test_kernel_fallback_on_large_weights():
-    # weights beyond the native range must still give exact verdicts
+    # weights far beyond 64 bits must still give exact verdicts
     big = 1 << 80
     g = graph_from([("a", "b", big), ("b", "c", big - 1), ("a", "c", 2 * big - 2)])
     assert not oracle_exists(g, "sum").exists  # 2b-2 > (b)+(b-1) fails by 1

@@ -1,11 +1,18 @@
 """Outerplanarity recognition and outerplane embeddings."""
 
+import sys
+
 import pytest
 
+from bookembed import graph, outerplanar
 from bookembed.embedding import BookEmbedding, is_one_page
 from bookembed.errors import PreconditionError
+from bookembed.maxdraw import max_biconnected
+from bookembed.minres import minres_biconnected_with_edge
 from bookembed.oracle import enumerate_one_page, random_outerplanar
 from bookembed.outerplanar import outerplane_embedding
+from bookembed.sumdraw import sum_biconnected
+from bookembed.twodim import twodim_biconnected
 
 from conftest import graph_from
 
@@ -100,3 +107,43 @@ def test_face_cycles_canonical():
     g = graph_from([("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("d", "a", 1)])
     emb = outerplane_embedding(g)
     assert emb.faces == ((0, 1, 2, 3),)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` made through any bookembed module."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("bookembed") and (
+            getattr(mod, name, None) is original
+        ):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "entry_point,forests",
+    [
+        (lambda g, s, t: outerplane_embedding(g), 1),
+        (lambda g, s, t: max_biconnected(g), 2),
+        (lambda g, s, t: sum_biconnected(g), 2),
+        (minres_biconnected_with_edge, 1),
+        (lambda g, s, t: twodim_biconnected(g, s, t, g.total_weight(), 1), 2),
+    ],
+    ids=["outerplane_embedding", "max", "sum", "minres", "twodim"],
+)
+def test_biconnected_entry_points_do_their_work_once(
+    monkeypatch, entry_point, forests
+):
+    # distinct weights, so no tie ends a drawer before its size-dependent work
+    g = random_outerplanar(40, (1, 10**9), seed=3, biconnected=True)
+    s, t = (g.labels[v] for v in outerplane_embedding(g).cycle[:2])
+    components = _count_calls(monkeypatch, graph, "component_vertex_sets")
+    nestings = _count_calls(monkeypatch, outerplanar, "nesting_forest")
+    entry_point(g, s, t)
+    assert (len(components), len(nestings)) == (0, forests)

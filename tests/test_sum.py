@@ -63,7 +63,7 @@ def test_pareto_invariants_and_metrics_agreement():
             continue
         records = []
         out = sum_be_drawer(g, audit=_collect_audit(records))
-        rooted = build_bc_tree(g, "max-weight-block")
+        rooted = build_bc_tree(g)
         for kind, node, entries in records:
             if kind == "C":
                 lams = [e[1] for e in entries]
@@ -107,7 +107,7 @@ def test_c3_completeness_small_scale():
             continue
         records = []
         out = sum_be_drawer(g, audit=_collect_audit(records))
-        rooted = build_bc_tree(g, "max-weight-block")
+        rooted = build_bc_tree(g)
         for kind, node, entries in records:
             if kind != "C":
                 continue
