@@ -10,6 +10,7 @@ oracle and an SVG renderer.
 from .embedding import (
     BookEmbedding,
     EmbeddingMetrics,
+    Failure,
     MaxViolation,
     MinresViolation,
     SumViolation,
@@ -36,9 +37,8 @@ from .graph import (
     parse_graph,
     serialize_graph,
 )
-from .maxdraw import MaxFailure, embed_max, max_be_drawer, max_biconnected, star_sort_demo
+from .maxdraw import embed_max, max_be_drawer, max_biconnected, star_sort_demo
 from .minres import (
-    MinresFailure,
     embed_minres,
     minres_be_drawer,
     minres_be_drawer_anchor,
@@ -47,7 +47,7 @@ from .minres import (
 from .oracle import OracleVerdict, enumerate_one_page, oracle_exists, random_outerplanar
 from .outerplanar import OuterplaneEmbedding, outerplane_embedding
 from .render import RenderSpec, render_arcs, render_rects
-from .sumdraw import SumFailure, embed_sum, sum_be_drawer, sum_biconnected
+from .sumdraw import embed_sum, sum_be_drawer, sum_biconnected
 from .twodim import (
     TwoDimEmbedding,
     check_twodim,

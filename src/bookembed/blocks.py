@@ -3,6 +3,7 @@ max and sum classes, and the edges of a block around a vertex."""
 
 from __future__ import annotations
 
+from .embedding import Failure
 from .errors import NotOuterplanarError
 from .outerplanar import block_outer_cycle, cut_cycle, nesting_forest, span
 
@@ -47,27 +48,27 @@ def forced_block_order(g, vertices, edge_ids, under, reason, cycle=None):
     return order, None
 
 
-def rooted_block_orders(g, rooted, under, reason, failure):
+def rooted_block_orders(g, rooted, under, reason):
     """Forced orders of every block of ``rooted``, each with its parent cut
     vertex first: ``(orders by block id, None)``, or ``(None, failure)`` for
-    the first block without one.  ``failure`` is the drawer's failure class;
-    condition 1 carries the detail of :func:`forced_block_order`, condition 2
-    a parent cut vertex inside the order."""
+    the first block without one.  The :class:`Failure` has condition 1 and
+    the detail of :func:`forced_block_order`, or condition 2 for a parent
+    cut vertex inside the order."""
     orders = {}
     for bid, block in enumerate(rooted.tree.blocks):
         order, detail = forced_block_order(
             g, block.vertices, block.edge_ids, under, reason
         )
         if order is None:
-            return None, failure(1, block=bid, detail=detail)
+            return None, Failure(1, detail, block=bid)
         parent = rooted.parent_cut[bid]
         if parent is not None:
             if order[-1] == parent:
                 order = order[::-1]
             elif order[0] != parent:
-                return None, failure(
-                    2, block=bid, cut_vertex=parent,
-                    detail="parent cut vertex is interior to the block order",
+                return None, Failure(
+                    2, "parent cut vertex is interior to the block order",
+                    block=bid, cut_vertex=parent,
                 )
         orders[bid] = order
     return orders, None

@@ -88,38 +88,19 @@ def _cmd_embed(args, driver, class_name):
     if isinstance(result, BookEmbedding):
         _emit(args, result.to_json(g) + "\n")
         return 0
-    reason = getattr(result, "detail", "") or "no embedding exists"
-    doc = {"exists": False, "class": class_name, "reason": reason}
-    if result is not None and hasattr(result, "condition"):
+    doc = {"exists": False, "class": class_name, "reason": result.detail}
+    if result.condition is not None:
         doc["failure_condition"] = result.condition
     _emit(args, json.dumps(doc) + "\n")
     return 1
 
 
-def _supporting_embedding(args, g, failure):
-    """``embed_minres(g)``; when it is None, ``failure`` goes out first,
-    completed with the reason every minres command gives."""
-    result = embed_minres(g)
-    if result is None:
-        doc = {**failure, "reason": "no supporting embedding"}
-        _emit(args, json.dumps(doc) + "\n")
-    return result
-
-
-def _cmd_embed_minres(args):
-    g = _load_graph(args)
-    result = _supporting_embedding(args, g, {"exists": False, "class": "minres"})
-    if result is None:
-        return 1
-    _emit(args, result.to_json(g) + "\n")
-    return 0
-
-
 def _cmd_embed_2d(args):
     g = _load_graph(args)
     if args.minres:
-        result = _supporting_embedding(args, g, {"exists": False})
-        if result is None:
+        result = embed_minres(g)
+        if not isinstance(result, BookEmbedding):
+            _emit(args, json.dumps({"exists": False, "reason": result.detail}) + "\n")
             return 1
         emb2d = minres_construct(g, result)
     else:
@@ -275,7 +256,7 @@ def build_parser():
 
     p = sub.add_parser("embed-minres", help="resolution-supporting 1-page embedding")
     _add_io(p)
-    p.set_defaults(func=_cmd_embed_minres)
+    p.set_defaults(func=lambda a: _cmd_embed(a, embed_minres, "minres"))
 
     p = sub.add_parser("embed-2d", help="two-dimensional book embedding (JSON)")
     _add_io(p)

@@ -50,6 +50,25 @@ class BookEmbedding:
         return BookEmbedding(g.resolve_labels(json.loads(text)))
 
 
+@dataclass(frozen=True)
+class Failure:
+    """Why a drawer found no embedding of its class.
+
+    ``condition`` names the rule that failed, as each drawer documents it
+    (None when the drawer gives no finer reason); ``detail`` says it in
+    words.  ``block`` and ``cut_vertex`` locate it in the block-cut-vertex
+    tree, ``anchor`` is the anchored edge of a minres attempt, and
+    ``weights`` holds the weights a failed comparison read.
+    """
+
+    condition: object
+    detail: str
+    block: int = None
+    cut_vertex: int = None
+    anchor: int = None
+    weights: tuple = ()
+
+
 def per_component(g, drawer):
     """Run ``drawer`` on every component with two or more vertices, in order
     of smallest vertex id, and concatenate the orders; single-vertex

@@ -7,38 +7,10 @@ import math
 from fractions import Fraction
 
 
-class _Infinity:
-    """Top element of the rational order.
-
-    Compares strictly above every ``Fraction`` so that "undefined" residuals
-    and lowest-edge weights never need a sentinel number.
-    """
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is INF
-
-    def __gt__(self, other):
-        return other is not INF
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return other is INF
-
-    def __hash__(self):
-        return hash("bookembed-INF")
-
-    def __repr__(self):
-        return "INF"
-
-
-INF = _Infinity()
+# Top element of the rational order: ints and Fractions compare exactly
+# with it, so "undefined" residuals and lowest-edge weights need no
+# sentinel number.
+INF = math.inf
 
 
 def parse_rational(text: str) -> Fraction:

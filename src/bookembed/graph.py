@@ -101,9 +101,6 @@ class WeightedGraph:
         """Edge id joining u and v, or None."""
         return self._edge_lookup.get((u, v) if u < v else (v, u))
 
-    def degree(self, v):
-        return len(self.adjacency[v])
-
     def resolve(self, vertex):
         """Accept either a dense id (int) or a label (str)."""
         if isinstance(vertex, int):
@@ -471,10 +468,9 @@ class BlockCutTree:
     rooting-dependent aggregates.
     """
 
-    __slots__ = ("graph", "blocks", "cut_vertices", "blocks_of_vertex", "block_of_edge")
+    __slots__ = ("blocks", "cut_vertices", "blocks_of_vertex", "block_of_edge")
 
     def __init__(self, g):
-        self.graph = g
         raw_blocks, is_cut = _biconnected_components(g)
         blocks = []
         block_of_edge = [-1] * g.m
@@ -517,16 +513,14 @@ class RootedBCTree:
     For every B-node ``b``: ``parent_cut[b]`` (vertex id or None),
     ``child_cuts[b]``, ``w_plus[b]`` (max edge weight in the rooted subgraph),
     ``n_plus_b[b]`` (vertex count of the rooted subgraph).  For every C-node
-    ``c``: ``parent_block[c]``, ``child_blocks[c]``, ``n_plus_c[c]``.
+    ``c``: ``child_blocks[c]``, ``n_plus_c[c]``.
     """
 
     __slots__ = (
         "tree",
-        "graph",
         "root",
         "parent_cut",
         "child_cuts",
-        "parent_block",
         "child_blocks",
         "w_plus",
         "n_plus_b",
@@ -536,13 +530,11 @@ class RootedBCTree:
 
     def __init__(self, tree, root_block):
         self.tree = tree
-        self.graph = tree.graph
         self.root = root_block
         nb = len(tree.blocks)
         cuts = set(tree.cut_vertices)
         self.parent_cut = [None] * nb
         self.child_cuts = [[] for _ in range(nb)]
-        self.parent_block = {}
         self.child_blocks = {c: [] for c in tree.cut_vertices}
         order = []
         seen_block = [False] * nb
@@ -554,14 +546,12 @@ class RootedBCTree:
             for v in tree.blocks[b].vertices:
                 if v in cuts and v != self.parent_cut[b]:
                     self.child_cuts[b].append(v)
-                    if v not in self.parent_block:
-                        self.parent_block[v] = b
-                        for nb2 in tree.blocks_of_vertex[v]:
-                            if nb2 != b and not seen_block[nb2]:
-                                seen_block[nb2] = True
-                                self.parent_cut[nb2] = v
-                                self.child_blocks[v].append(nb2)
-                                queue.append(nb2)
+                    for nb2 in tree.blocks_of_vertex[v]:
+                        if not seen_block[nb2]:
+                            seen_block[nb2] = True
+                            self.parent_cut[nb2] = v
+                            self.child_blocks[v].append(nb2)
+                            queue.append(nb2)
         # `order` is a DFS preorder over B-nodes; reversed it is a postorder.
         self.block_postorder = tuple(reversed(order))
         self.w_plus = [None] * nb

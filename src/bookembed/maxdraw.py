@@ -3,7 +3,6 @@ outweighs each edge it wraps (the "max" class)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import seq
@@ -13,7 +12,7 @@ from .blocks import (
     lowest_edges,
     rooted_block_orders,
 )
-from .embedding import BookEmbedding, per_component
+from .embedding import BookEmbedding, Failure, per_component
 from .errors import NotOuterplanarError
 from .exact import INF
 from .graph import build_bc_tree
@@ -22,29 +21,9 @@ from .outerplanar import outerplane_embedding
 _WRAPS = "an edge does not outweigh an edge it wraps"
 
 
-@dataclass
-class MaxFailure:
-    """Why no embedding of the class exists.
-
-    condition 1: some block admits no embedding of the class.
-    condition 2: a block's forced order has its parent cut vertex inside.
-    condition 3: a block subtree fits on neither side of its cut vertex.
-    """
-
-    condition: int
-    block: int
-    cut_vertex: int = None
-    child_block: int = None
-    weights: tuple = ()
-    detail: str = ""
-
-    def to_json(self, g=None):
-        doc = {"condition": self.condition, "block": self.block, "detail": self.detail}
-        if self.cut_vertex is not None and g is not None:
-            doc["cut_vertex"] = g.labels[self.cut_vertex]
-        if self.weights:
-            doc["weights"] = [str(w) for w in self.weights]
-        return doc
+# The benchmark tracer (perfbench/tracer.py) counts max rejections through
+# isinstance(result, maxdraw.MaxFailure).
+MaxFailure = Failure
 
 
 def max_biconnected(g, require_first_last=None):
@@ -75,13 +54,18 @@ def max_biconnected(g, require_first_last=None):
 
 def max_be_drawer(g):
     """Test and construct over a connected outerplanar graph; returns a
-    BookEmbedding or a MaxFailure."""
+    BookEmbedding or a Failure.
+
+    condition 1: some block admits no embedding of the class.
+    condition 2: a block's forced order has its parent cut vertex inside.
+    condition 3: a block subtree fits on neither side of its cut vertex.
+    """
     if g.n == 1:
         return BookEmbedding((0,))
     rooted = build_bc_tree(g)
     tree = rooted.tree
 
-    block_order, failure = rooted_block_orders(g, rooted, max, _WRAPS, MaxFailure)
+    block_order, failure = rooted_block_orders(g, rooted, max, _WRAPS)
     if failure is not None:
         return failure
     block_lr = {}
@@ -115,10 +99,9 @@ def max_be_drawer(g):
             for b2 in kids:
                 w_plus = rooted.w_plus[b2]
                 if w_plus >= left_w and w_plus >= right_w:
-                    return MaxFailure(
-                        3, bid, cut_vertex=ci, child_block=b2,
-                        weights=(w_plus, left_w, right_w),
-                        detail="subtree fits on neither side of its cut vertex",
+                    return Failure(
+                        3, "subtree fits on neither side of its cut vertex",
+                        block=bid, cut_vertex=ci, weights=(w_plus, left_w, right_w),
                     )
                 child = seq.skipping(ropes[b2], ci)
                 r_child = block_lr[b2][ci][1]

@@ -17,33 +17,16 @@ common denominator; residuals leave the module as exact Fractions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from math import inf
 
 from . import seq
-from .embedding import BookEmbedding, per_component
+from .embedding import BookEmbedding, Failure, per_component
 from .errors import NotOuterplanarError, PreconditionError
 from .exact import scaled_weights
 from .graph import BlockCutTree
 from .outerplanar import block_outer_cycle, cut_cycle, outerplane_embedding, span
-
-
-@dataclass
-class MinresFailure:
-    """Per-anchor failure.
-
-    condition 1: the anchor's own block has no supporting order with the
-    anchor outermost; condition 2: some other block has no supporting order
-    with its parent cut extreme; condition 3: a cut vertex's fold came up
-    empty; condition 4: a block extension failed for every stored order.
-    """
-
-    condition: int
-    anchor: int
-    block: int = None
-    cut_vertex: int = None
-    detail: str = ""
 
 
 def _forced_supporting(g, w, den, cycle, edge_ids, s, t):
@@ -78,6 +61,12 @@ def minres_biconnected_with_edge(g, s, t):
 class _AnchorSearch:
     """Anchor runs over one graph that share their subtree results.
 
+    An anchor's :class:`Failure` has condition 1 when the anchor's own block
+    has no supporting order with the anchor outermost, 2 when some other
+    block has no supporting order with its parent cut extreme, 3 when a cut
+    vertex's fold came up empty, and 4 when a block extension failed for
+    every stored order.
+
     A node below the root is ``("B", block, parent cut)`` or
     ``("C", cut, parent block)``.  A block result is ``(rope, residual,
     vertex count)``; a cut result is the front ``(ropes, nls, nrs)`` sorted
@@ -98,7 +87,7 @@ class _AnchorSearch:
         self.results = {"B": {}, "C": {}}  # kind -> (node, parent) -> result
 
     def run(self, e_star):
-        """Supporting embedding with ``e_star`` unnested, or a MinresFailure."""
+        """Supporting embedding with ``e_star`` unnested, or a Failure."""
         g, tree = self.g, self.tree
         root = tree.block_of_edge[e_star]
         u, v = g.endpoints(e_star)
@@ -108,9 +97,9 @@ class _AnchorSearch:
             g, self.w, self.den, self.cycles[root], tree.blocks[root].edge_ids, u, v
         )
         if order is None:
-            return MinresFailure(
-                1, e_star, block=root,
-                detail="anchor block has no supporting order with the anchor outermost",
+            return Failure(
+                1, "anchor block has no supporting order with the anchor outermost",
+                block=root, anchor=e_star,
             )
 
         # uncached nodes below the root, every parent before its children
@@ -122,11 +111,11 @@ class _AnchorSearch:
             kind, x, parent = node
             known = self.results[kind].get((x, parent))
             if known is None and kind == "B" and not self._candidates(x, parent):
-                return self._fail(
-                    e_star, node, up, 2, block=x, cut_vertex=parent,
-                    detail="no supporting order keeps the parent cut extreme",
-                )
-            if isinstance(known, MinresFailure):
+                return self._fail(e_star, node, up, Failure(
+                    2, "no supporting order keeps the parent cut extreme",
+                    block=x, cut_vertex=parent,
+                ))
+            if isinstance(known, Failure):
                 return replace(known, anchor=e_star)
             if known is not None:
                 continue
@@ -144,30 +133,27 @@ class _AnchorSearch:
             if kind == "C":
                 result = self._process_cut(x, parent)
                 if result is None:
-                    return self._fail(
-                        e_star, node, up, 3, cut_vertex=x,
-                        detail="no feasible combination at a cut vertex",
-                    )
+                    return self._fail(e_star, node, up, Failure(
+                        3, "no feasible combination at a cut vertex", cut_vertex=x,
+                    ))
             else:
                 result = self._process_block(x, parent, self.candidates[x, parent])
                 if result is None:
-                    return self._fail(
-                        e_star, node, up, 4, block=x,
-                        detail="no supporting extension of the block",
-                    )
+                    return self._fail(e_star, node, up, Failure(
+                        4, "no supporting extension of the block", block=x,
+                    ))
             self.results[kind][x, parent] = result
 
         result = self._process_block(root, None, [order])
         if result is None:
-            return MinresFailure(
-                4, e_star, block=root, detail="no supporting extension of the block",
+            return Failure(
+                4, "no supporting extension of the block", block=root, anchor=e_star,
             )
         return BookEmbedding(seq.materialize(result[0]))
 
-    def _fail(self, e_star, node, up, condition, **where):
-        """Cache one failure for ``node`` and every uncached ancestor; the
+    def _fail(self, e_star, node, up, failure):
+        """Cache ``failure`` for ``node`` and every uncached ancestor; the
         failure of anchor ``e_star``."""
-        failure = MinresFailure(condition, None, **where)
         while node is not None:
             kind, x, parent = node
             self.results[kind][x, parent] = failure
@@ -307,7 +293,7 @@ class _AnchorSearch:
 
 def minres_be_drawer_anchor(g, e_star, *, decomposition=None, cycles=None, audit=None):
     """Supporting embedding in which ``e_star`` is nested under no edge, or a
-    MinresFailure.  Each call starts from empty caches, so ``audit`` sees
+    Failure.  Each call starts from empty caches, so ``audit`` sees
     every node it solves."""
     tree = decomposition or BlockCutTree(g)
     if cycles is None:
@@ -318,7 +304,8 @@ def minres_be_drawer_anchor(g, e_star, *, decomposition=None, cycles=None, audit
 
 
 def minres_be_drawer(g):
-    """Supporting embedding of a connected outerplanar graph, or None.
+    """Supporting embedding of a connected outerplanar graph, or a Failure
+    that gives no condition.
 
     Anchors are tried in edge-id order and the first success wins.  They
     share one search, so each subtree result is computed once.
@@ -332,9 +319,9 @@ def minres_be_drawer(g):
         result = search.run(e_star)
         if isinstance(result, BookEmbedding):
             return result
-    return None
+    return Failure(None, "no supporting embedding")
 
 
 def embed_minres(g):
-    """Per-component driver; None when some component admits no embedding."""
+    """Per-component driver (components concatenated side by side)."""
     return per_component(g, minres_be_drawer)

@@ -10,37 +10,16 @@ space and total extension.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import seq
 from .blocks import forced_block_order, rooted_block_orders
-from .embedding import BookEmbedding, per_component
+from .embedding import BookEmbedding, Failure, per_component
 from .errors import NotOuterplanarError
 from .graph import build_bc_tree
 from .outerplanar import outerplane_embedding
 
 _UNDER = "an edge does not outweigh the edges directly under it"
-
-
-@dataclass
-class SumFailure:
-    """condition 1: a block admits no embedding of the class;
-    condition 2: a block's forced order has its parent cut inside;
-    "empty-pareto": some tree node ended with no feasible partial embedding."""
-
-    condition: object
-    block: int = None
-    cut_vertex: int = None
-    detail: str = ""
-
-    def to_json(self, g=None):
-        doc = {"condition": self.condition, "detail": self.detail}
-        if self.block is not None:
-            doc["block"] = self.block
-        if self.cut_vertex is not None and g is not None:
-            doc["cut_vertex"] = g.labels[self.cut_vertex]
-        return doc
 
 
 def sum_biconnected(g):
@@ -111,7 +90,11 @@ def _greedy(g, order, ell, cuts, centries, forced_first=None):
 
 def sum_be_drawer(g, audit=None):
     """Test and construct over a connected outerplanar graph; returns a
-    BookEmbedding or a SumFailure.
+    BookEmbedding or a Failure.
+
+    condition 1: a block admits no embedding of the class;
+    condition 2: a block's forced order has its parent cut inside;
+    "empty-pareto": some tree node ended with no feasible partial embedding.
 
     ``audit(kind, node, entries)`` is called with every finished Pareto front
     ("C" nodes: (rope, lambda, rho); "B" nodes: (rope, alpha, tau)) so tests
@@ -121,7 +104,7 @@ def sum_be_drawer(g, audit=None):
         return BookEmbedding((0,))
     rooted = build_bc_tree(g)
     tree = rooted.tree
-    block_order, failure = rooted_block_orders(g, rooted, sum, _UNDER, SumFailure)
+    block_order, failure = rooted_block_orders(g, rooted, sum, _UNDER)
     if failure is not None:
         return failure
 
@@ -232,15 +215,14 @@ def sum_be_drawer(g, audit=None):
     for kind, node in schedule:
         if kind == "C":
             if process_cut(node) is None:
-                return SumFailure(
-                    "empty-pareto", cut_vertex=node,
-                    detail="no feasible combination at a cut vertex",
+                return Failure(
+                    "empty-pareto", "no feasible combination at a cut vertex",
+                    cut_vertex=node,
                 )
         else:
             if process_block(node) is None:
-                return SumFailure(
-                    "empty-pareto", block=node,
-                    detail="no feasible block extension",
+                return Failure(
+                    "empty-pareto", "no feasible block extension", block=node
                 )
 
     return BookEmbedding(seq.materialize(bentries[rooted.root][0][0]))

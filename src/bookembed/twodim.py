@@ -10,6 +10,7 @@ supporting 1-page embedding.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from . import seq
@@ -301,11 +302,16 @@ def minres_construct(g, embedding):
 
 def default_box_width(total_weight):
     """Near-square default: the denominator<=64 rational closest to the
-    square root of the total weight."""
+    square root of the total weight.  A total too large for a float gets
+    the integer square root of its integer part."""
     total_weight = Fraction(total_weight)
     if total_weight <= 0:
         return Fraction(1)
-    root = Fraction(float(total_weight) ** 0.5).limit_denominator(64)
+    try:
+        approx = float(total_weight)
+    except OverflowError:
+        return Fraction(math.isqrt(math.floor(total_weight)))
+    root = Fraction(approx ** 0.5).limit_denominator(64)
     return root if root > 0 else Fraction(1)
 
 

@@ -89,8 +89,9 @@ def test_criterion_3_oracle_agreement_minres(corpus_b):
     start = time.perf_counter()
     for g in corpus_b:
         got = minres_be_drawer(g)
-        assert (got is not None) == oracle_exists(g, "minres-supporting").exists
-        if got is not None:
+        ok = isinstance(got, BookEmbedding)
+        assert ok == oracle_exists(g, "minres-supporting").exists
+        if ok:
             assert validate_minres_supporting(g, got) is None
             drawing = minres_construct(g, got)
             assert check_twodim(g, drawing, require_minres=True) == []

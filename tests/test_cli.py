@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from bookembed.cli import main
+from bookembed.twodim import TwoDimEmbedding, check_twodim
 
 from conftest import MALFORMED_2D
 
@@ -145,6 +146,28 @@ def test_embed_minres_from_stdin():
     )
     assert code == 0
     assert sorted(json.loads(out)) == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["embed-minres"], {"exists": False, "class": "minres"}),
+        (["embed-2d", "--minres"], {"exists": False}),
+    ],
+)
+def test_minres_failure_documents(argv, expected):
+    code, out, err = run_cli(argv, stdin_text=TRI111)
+    assert (code, err) == (1, "")
+    assert out == json.dumps({**expected, "reason": "no supporting embedding"}) + "\n"
+
+
+def test_embed_2d_weight_beyond_float_range():
+    # the total weight does not fit a float, which the default box width
+    # must not need
+    code, out, err = run_cli(["embed-2d"], stdin_text='{"edges":[["a","b","1e400"]]}')
+    assert (code, err) == (0, "")
+    g, drawing = TwoDimEmbedding.from_json(out)
+    assert check_twodim(g, drawing) == []
 
 
 def test_disconnected_input_handled():

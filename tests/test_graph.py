@@ -249,8 +249,10 @@ def test_rooted_aggregates():
     rooted = build_bc_tree(g)
     assert rooted.tree.blocks[rooted.root].max_weight == 7
     c = g.resolve("c")
-    assert rooted.n_plus_c.get(c) in (None, 3, 4, 5) or True  # depends on rooting
+    # the root block is {c, y, z}; {r, c} and {c, x} hang below c
+    assert rooted.n_plus_c[c] == 3
     # subtree counts and weights agree with a direct recomputation
+    checked_cuts = set()
     for bid in range(len(rooted.tree.blocks)):
         seen_vertices = set()
         w_best = None
@@ -266,6 +268,17 @@ def test_rooted_aggregates():
                 stack.extend(rooted.child_blocks[cc])
         assert rooted.n_plus_b[bid] == len(seen_vertices)
         assert rooted.w_plus[bid] == w_best
+        for cc in rooted.child_cuts[bid]:
+            below = {cc}
+            stack = list(rooted.child_blocks[cc])
+            while stack:
+                b = stack.pop()
+                below.update(rooted.tree.blocks[b].vertices)
+                for c2 in rooted.child_cuts[b]:
+                    stack.extend(rooted.child_blocks[c2])
+            assert rooted.n_plus_c[cc] == len(below)
+            checked_cuts.add(cc)
+    assert checked_cuts == set(rooted.tree.cut_vertices)
 
 
 def test_is_connected():

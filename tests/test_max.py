@@ -4,16 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from bookembed.embedding import BookEmbedding, validate_max
+from bookembed.embedding import BookEmbedding, Failure, validate_max
 from bookembed.errors import NotOuterplanarError
 from bookembed.graph import build_bc_tree
-from bookembed.maxdraw import (
-    MaxFailure,
-    embed_max,
-    max_be_drawer,
-    max_biconnected,
-    star_sort_demo,
-)
+from bookembed.maxdraw import embed_max, max_be_drawer, max_biconnected, star_sort_demo
 from bookembed.oracle import oracle_exists
 
 from conftest import graph_from, small_corpus
@@ -40,7 +34,7 @@ def test_biconnected_k2(k2):
 def test_drawer_star_examples():
     eq = graph_from([("c", "a", 1), ("c", "b", 1), ("c", "d", 1)])
     res = max_be_drawer(eq)
-    assert isinstance(res, MaxFailure) and res.condition == 3
+    assert isinstance(res, Failure) and res.condition == 3
     ok = graph_from([("c", "a", 1), ("c", "b", 2), ("c", "d", 3)])
     out = max_be_drawer(ok)
     assert isinstance(out, BookEmbedding)

@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from bookembed.embedding import BookEmbedding, validate_minres_supporting
+from bookembed.embedding import BookEmbedding, Failure, validate_minres_supporting
 from bookembed.errors import PreconditionError
 from bookembed.graph import BlockCutTree, WeightedGraph
 from bookembed.minres import (
-    MinresFailure,
     minres_be_drawer,
     minres_be_drawer_anchor,
     minres_biconnected_with_edge,
@@ -24,7 +23,7 @@ from conftest import graph_from, small_corpus
 def test_biconnected_with_edge_examples():
     t211 = graph_from([("a", "b", 2), ("b", "c", 1), ("a", "c", 1)])
     out = minres_biconnected_with_edge(t211, "a", "b")
-    assert out is not None
+    assert isinstance(out, BookEmbedding)
     assert validate_minres_supporting(t211, out) is None
     t111 = graph_from([("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
     for s, t in (("a", "b"), ("b", "c"), ("a", "c")):
@@ -37,18 +36,19 @@ def test_biconnected_with_edge_examples():
 
 def test_drawer_examples():
     t211 = graph_from([("a", "b", 2), ("b", "c", 1), ("a", "c", 1)])
-    assert minres_be_drawer(t211) is not None
+    assert isinstance(minres_be_drawer(t211), BookEmbedding)
     t111 = graph_from([("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
-    assert minres_be_drawer(t111) is None
+    assert isinstance(minres_be_drawer(t111), Failure)
     path = graph_from([("a", "b", 1), ("b", "c", 1), ("c", "d", 1)])
     out = minres_be_drawer(path)
-    assert out is not None and validate_minres_supporting(path, out) is None
+    assert isinstance(out, BookEmbedding)
+    assert validate_minres_supporting(path, out) is None
     pendant = graph_from(
         [("a", "b", 1), ("b", "c", 1), ("a", "c", 1), ("a", "p", 1)]
     )
-    assert minres_be_drawer(pendant) is None
+    assert isinstance(minres_be_drawer(pendant), Failure)
     star = graph_from([("c", "a", 1), ("c", "b", 1), ("c", "d", 1)])
-    assert (minres_be_drawer(star) is not None) == oracle_exists(
+    assert isinstance(minres_be_drawer(star), BookEmbedding) == oracle_exists(
         star, "minres-supporting"
     ).exists
 
@@ -56,10 +56,10 @@ def test_drawer_examples():
 def test_anchor_failure_conditions():
     t111 = graph_from([("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
     res = minres_be_drawer_anchor(t111, 0)
-    assert isinstance(res, MinresFailure) and res.condition == 1
+    assert isinstance(res, Failure) and res.condition == 1
     star = graph_from([("c", "a", 1), ("c", "b", 1), ("c", "d", 1)])
     res = minres_be_drawer_anchor(star, 0)
-    assert isinstance(res, MinresFailure)
+    assert isinstance(res, Failure)
 
 
 def test_anchor_success_leaves_anchor_unnested():
@@ -90,9 +90,10 @@ def _assert_oracle_agreement(corpus):
     verdicts = set()
     for g in corpus:
         got = minres_be_drawer(g)
-        verdicts.add(got is not None)
-        assert (got is not None) == oracle_exists(g, "minres-supporting").exists
-        if got is not None:
+        ok = isinstance(got, BookEmbedding)
+        verdicts.add(ok)
+        assert ok == oracle_exists(g, "minres-supporting").exists
+        if ok:
             assert validate_minres_supporting(g, got) is None
     assert verdicts == {True, False}
 
@@ -184,7 +185,7 @@ def _residual(g, embedding):
 def test_end_to_end_construction():
     for g in small_corpus(150, weights=(1, 6), seed0=51):
         out = minres_be_drawer(g)
-        if out is None:
+        if not isinstance(out, BookEmbedding):
             continue
         drawing = minres_construct(g, out)
         assert check_twodim(g, drawing, require_minres=True) == []
@@ -199,13 +200,15 @@ def test_drawer_is_first_anchor_success():
     for g in corpus:
         if g.n < 2:
             continue
-        expected = None
+        expected = Failure(None, "no supporting embedding")
         for e_star in range(g.m):
             result = minres_be_drawer_anchor(g, e_star)
             if isinstance(result, BookEmbedding):
                 expected = result
                 break
-        outcomes.add((expected is not None, len(BlockCutTree(g).blocks) > 1))
+        outcomes.add(
+            (isinstance(expected, BookEmbedding), len(BlockCutTree(g).blocks) > 1)
+        )
         assert minres_be_drawer(g) == expected
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -216,4 +219,5 @@ def test_long_path_draws_without_recursion():
         [str(i) for i in range(n)], [(i, i + 1, Fraction(1)) for i in range(n - 1)]
     )
     out = minres_be_drawer(g)
-    assert out is not None and validate_minres_supporting(g, out) is None
+    assert isinstance(out, BookEmbedding)
+    assert validate_minres_supporting(g, out) is None

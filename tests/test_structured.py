@@ -4,16 +4,17 @@ from fractions import Fraction
 
 from bookembed.embedding import (
     BookEmbedding,
+    Failure,
     validate_max,
     validate_minres_supporting,
     validate_sum,
 )
 from bookembed.maxdraw import max_be_drawer
-from bookembed.minres import minres_be_drawer
+from bookembed.minres import minres_be_drawer, minres_be_drawer_anchor
 from bookembed.oracle import random_outerplanar
 from bookembed.sumdraw import sum_be_drawer
 
-from conftest import graph_from
+from conftest import graph_from, small_corpus
 
 
 def test_max_star_distinct_weights_succeeds():
@@ -45,7 +46,7 @@ def test_sum_geometric_caterpillar_succeeds():
 def test_minres_unit_path_succeeds():
     path = graph_from([(f"v{i}", f"v{i+1}", 1) for i in range(150)])
     out = minres_be_drawer(path)
-    assert out is not None
+    assert isinstance(out, BookEmbedding)
     assert validate_minres_supporting(path, out) is None
 
 
@@ -53,7 +54,7 @@ def test_minres_heavy_star_succeeds():
     n = 60
     star = graph_from([("c", f"u{i}", n) for i in range(n - 1)])
     out = minres_be_drawer(star)
-    assert out is not None
+    assert isinstance(out, BookEmbedding)
     assert validate_minres_supporting(star, out) is None
 
 
@@ -68,7 +69,7 @@ def test_medium_random_outputs_always_validate():
         if isinstance(got, BookEmbedding):
             assert validate_sum(g, got) is None
         got = minres_be_drawer(g)
-        if got is not None:
+        if isinstance(got, BookEmbedding):
             assert validate_minres_supporting(g, got) is None
 
 
@@ -98,6 +99,24 @@ def test_fractional_weights_agree_with_oracle():
             assert ok == oracle_exists(g, cls).exists
             if ok:
                 assert val(g, got) is None
+
+
+def test_drawers_return_embedding_or_failure():
+    drawers = {
+        "max": max_be_drawer,
+        "sum": sum_be_drawer,
+        "minres": minres_be_drawer,
+        "minres-anchor": lambda g: minres_be_drawer_anchor(g, 0),
+    }
+    kinds = {name: set() for name in drawers}
+    for g in small_corpus(60, weights=(1, 4), seed0=2024):
+        for name, drawer in drawers.items():
+            if name == "minres-anchor" and g.m == 0:
+                continue
+            result = drawer(g)
+            assert isinstance(result, (BookEmbedding, Failure)), (name, result)
+            kinds[name].add(type(result))
+    assert all(found == {BookEmbedding, Failure} for found in kinds.values()), kinds
 
 
 def test_nested_triangle_tower_sum():

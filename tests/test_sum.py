@@ -1,10 +1,10 @@
 """The sum-class drawer: oracle agreement, Pareto invariants, completeness."""
 
-from bookembed.embedding import BookEmbedding, metrics, validate_sum
+from bookembed.embedding import BookEmbedding, Failure, metrics, validate_sum
 from bookembed.graph import build_bc_tree
 from bookembed.oracle import enumerate_one_page, oracle_exists
 from bookembed.seq import materialize
-from bookembed.sumdraw import SumFailure, sum_be_drawer, sum_biconnected
+from bookembed.sumdraw import sum_be_drawer, sum_biconnected
 
 from conftest import graph_from, small_corpus
 
@@ -25,7 +25,7 @@ def test_forced_heavy_antichain_rejected():
         [("3", "4", 3), ("4", "5", 1), ("5", "7", 11), ("3", "7", 12)]
     )
     res = sum_be_drawer(g)
-    assert isinstance(res, SumFailure)
+    assert isinstance(res, Failure)
     assert not oracle_exists(g, "sum").exists
 
 
