@@ -37,17 +37,12 @@ from .graph import (
     parse_graph,
     serialize_graph,
 )
-from .maxdraw import embed_max, max_be_drawer, max_biconnected, star_sort_demo
-from .minres import (
-    embed_minres,
-    minres_be_drawer,
-    minres_be_drawer_anchor,
-    minres_biconnected_with_edge,
-)
+from .maxdraw import embed_max, max_be_drawer, star_sort_demo
+from .minres import embed_minres, minres_be_drawer, minres_be_drawer_anchor
 from .oracle import OracleVerdict, enumerate_one_page, oracle_exists, random_outerplanar
-from .outerplanar import OuterplaneEmbedding, outerplane_embedding
+from .outerplanar import outerplane_embedding
 from .render import RenderSpec, render_arcs, render_rects
-from .sumdraw import embed_sum, sum_be_drawer, sum_biconnected
+from .sumdraw import embed_sum, sum_be_drawer
 from .twodim import (
     TwoDimEmbedding,
     check_twodim,

@@ -8,27 +8,25 @@ from .errors import NotOuterplanarError
 from .outerplanar import block_outer_cycle, cut_cycle, nesting_forest, span
 
 
-def forced_block_order(g, vertices, edge_ids, under, reason, cycle=None):
+def forced_block_order(g, vertices, edge_ids, under, reason):
     """The one order of a block that the max and sum classes allow:
     ``(order, None)``, or ``(None, detail)`` when the block has none.
 
     The block's unique maximum-weight edge must lie on its outer cycle; the
     cycle is cut there (canonical flip).  Every edge must then strictly
     outweigh ``under`` (``max`` or ``sum``) of the weights of the edges
-    directly under it, else the detail is ``reason``.  ``cycle`` is the
-    block's outer cycle when the caller has it; otherwise it is searched
-    after the maximum-edge test, and :class:`NotOuterplanarError` is raised
-    when there is none.
+    directly under it, else the detail is ``reason``.  The outer cycle is
+    searched after the maximum-edge test; :class:`NotOuterplanarError` is
+    raised when there is none.
     """
     if len(vertices) == 2:
         return sorted(vertices), None
     e_m = unique_max_edge(g, edge_ids)
     if e_m is None:
         return None, "no unique maximum-weight edge"
+    cycle = block_outer_cycle(g, vertices, edge_ids)
     if cycle is None:
-        cycle = block_outer_cycle(g, vertices, edge_ids)
-        if cycle is None:
-            raise NotOuterplanarError("block is not outerplanar")
+        raise NotOuterplanarError("block is not outerplanar")
     s, t = g.endpoints(e_m)
     order = cut_cycle(cycle, s, t)
     if order is None:

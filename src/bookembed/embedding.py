@@ -323,7 +323,7 @@ def metrics(g, embedding):
     right_residual = tuple(gap_min[i] if i < n - 1 else INF for i in range(n))
     left_residual = tuple(INF if i == 0 else gap_min[i - 1] for i in range(n))
 
-    root_spans = sorted((spans[i] for i in roots), key=lambda s: s[0])
+    root_spans = [spans[i] for i in roots]  # left to right
     total = sum((g.weight(s[2]) for s in root_spans), Fraction(0))
 
     covered = [False] * n

@@ -6,17 +6,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import seq
-from .blocks import (
-    forced_block_order,
-    incident_in_block,
-    lowest_edges,
-    rooted_block_orders,
-)
+from .blocks import incident_in_block, lowest_edges, rooted_block_orders
 from .embedding import BookEmbedding, Failure, per_component
-from .errors import NotOuterplanarError
 from .exact import INF
 from .graph import build_bc_tree
-from .outerplanar import outerplane_embedding
 
 _WRAPS = "an edge does not outweigh an edge it wraps"
 
@@ -24,32 +17,6 @@ _WRAPS = "an edge does not outweigh an edge it wraps"
 # The benchmark tracer (perfbench/tracer.py) counts max rejections through
 # isinstance(result, maxdraw.MaxFailure).
 MaxFailure = Failure
-
-
-def max_biconnected(g, require_first_last=None):
-    """Unique embedding of a biconnected outerplanar graph for the max class,
-    or None if it admits none.
-
-    With ``require_first_last=(s, t)`` the result is additionally required to
-    start at s and end at t (so (s, t) must be the maximum-weight edge).
-    """
-    if g.n == 1:
-        return BookEmbedding((0,))
-    emb = outerplane_embedding(g)
-    if emb is None:
-        raise NotOuterplanarError("graph is not outerplanar")
-    order, _reason = forced_block_order(
-        g, range(g.n), range(g.m), max, _WRAPS, emb.cycle
-    )
-    if order is None:
-        return None
-    if require_first_last is not None:
-        s, t = (g.resolve(v) for v in require_first_last)
-        if {order[0], order[-1]} != {s, t}:
-            return None
-        if order[0] != s:
-            order = order[::-1]
-    return BookEmbedding(order)
 
 
 def max_be_drawer(g):

@@ -23,10 +23,10 @@ from math import inf
 
 from . import seq
 from .embedding import BookEmbedding, Failure, per_component
-from .errors import NotOuterplanarError, PreconditionError
+from .errors import NotOuterplanarError
 from .exact import scaled_weights
 from .graph import BlockCutTree
-from .outerplanar import block_outer_cycle, cut_cycle, outerplane_embedding, span
+from .outerplanar import block_outer_cycle, cut_cycle, span
 
 
 def _forced_supporting(g, w, den, cycle, edge_ids, s, t):
@@ -42,20 +42,6 @@ def _forced_supporting(g, w, den, cycle, edge_ids, s, t):
         if w[eid] < den * abs(pos[u] - pos[v]):
             return None
     return order
-
-
-def minres_biconnected_with_edge(g, s, t):
-    """Supporting embedding of a biconnected outerplanar graph with the edge
-    (s, t) outermost (s first, t last), or None."""
-    s, t = g.resolve(s), g.resolve(t)
-    if g.edge_between(s, t) is None:
-        raise PreconditionError("(s, t) must be an edge")
-    emb = outerplane_embedding(g)
-    if emb is None:
-        raise NotOuterplanarError("graph is not outerplanar")
-    w, den = scaled_weights(wt for _, _, wt in g.edges)
-    order = _forced_supporting(g, w, den, list(emb.cycle), range(g.m), s, t)
-    return BookEmbedding(order) if order is not None else None
 
 
 class _AnchorSearch:

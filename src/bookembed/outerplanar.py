@@ -1,6 +1,6 @@
 """Outerplanarity recognition: the outer cycle of a biconnected block, the
-cut of that cycle into a linear order, the unique outerplane embedding, and
-the nesting forest of edge spans over a linear order."""
+cut of that cycle into a linear order, and the nesting forest of edge spans
+over a linear order."""
 
 from __future__ import annotations
 
@@ -58,41 +58,6 @@ def nesting_forest(num_positions, edge_spans):
     return parent, children, roots
 
 
-class OuterplaneEmbedding:
-    """The unique (up to flip) outerplane embedding of a biconnected
-    outerplanar graph: the clockwise outer cycle plus the internal face cycles.
-
-    The stored cycle is the canonical flip: of the two reflections, the one
-    whose sequence starting at the smallest vertex id is lexicographically
-    smaller.  The faces are built on first use; the drawers need only the
-    cycle.
-    """
-
-    __slots__ = ("cycle", "_graph", "_faces")
-
-    def __init__(self, g, cycle):
-        self.cycle = tuple(cycle)
-        self._graph = g
-        self._faces = None
-
-    @property
-    def faces(self):
-        if self._faces is None:
-            self._faces = _faces_from_cycle(self._graph, self.cycle)
-        return self._faces
-
-    def __repr__(self):
-        return f"OuterplaneEmbedding(cycle={self.cycle})"
-
-    def linear_order(self, s, t):
-        """The unique 1-page order with ``s`` first and ``t`` last.
-
-        Requires (s, t) to be consecutive on the outer cycle (in either
-        direction); returns None otherwise.
-        """
-        return cut_cycle(self.cycle, s, t)
-
-
 def cut_cycle(cycle, s, t):
     """Linear order with s first and t last, cutting the cycle at edge (s,t).
 
@@ -121,17 +86,6 @@ def _canonical_cycle(cycle):
     fwd = tuple(cycle[(start + k) % n] for k in range(n))
     bwd = tuple(cycle[(start - k) % n] for k in range(n))
     return min(fwd, bwd)
-
-
-def _canonical_face(face):
-    n = len(face)
-    best = None
-    for seq in (face, face[::-1]):
-        start = seq.index(min(seq))
-        rot = tuple(seq[(start + k) % n] for k in range(n))
-        if best is None or rot < best:
-            best = rot
-    return best
 
 
 def _reduce_to_outer_cycle(n, neighbor_sets):
@@ -245,23 +199,6 @@ def block_outer_cycle(g, vertices, edge_ids):
     return list(_canonical_cycle(cycle))
 
 
-def _faces_from_cycle(g, cycle):
-    """Internal face cycles given the outer cycle, via the nesting forest."""
-    pos = {v: i for i, v in enumerate(cycle)}
-    spans = [span(pos, u, v) + (eid,) for eid, (u, v, _) in enumerate(g.edges)]
-    _parent, children, _roots = nesting_forest(len(cycle), spans)
-    faces = []
-    for idx, kids in enumerate(children):
-        if not kids:
-            continue
-        a = spans[idx][0]
-        face = [cycle[a]]
-        for k in sorted(kids, key=lambda i: spans[i][0]):
-            face.append(cycle[spans[k][1]])
-        faces.append(_canonical_face(tuple(face)))
-    return tuple(sorted(faces))
-
-
 def _is_biconnected(g):
     if g.n <= 1:
         return True
@@ -272,14 +209,14 @@ def _is_biconnected(g):
 
 
 def outerplane_embedding(g):
-    """Unique outerplane embedding of a biconnected graph, or None if the
-    graph is not outerplanar.
+    """Outer cycle of the unique outerplane embedding of a biconnected graph
+    as a tuple of vertex ids (canonical flip: of the two reflections, the
+    one that reads smaller from the smallest id), or None if the graph is
+    not outerplanar.
 
     Raises :class:`PreconditionError` on non-biconnected input.
     """
     if not _is_biconnected(g):
         raise PreconditionError("outerplane embedding requires a biconnected graph")
     cycle = block_outer_cycle(g, range(g.n), range(g.m))
-    if cycle is None:
-        return None
-    return OuterplaneEmbedding(g, cycle)
+    return tuple(cycle) if cycle is not None else None

@@ -3,6 +3,7 @@ rectangle/lune diagrams for two-dimensional embeddings."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .embedding import is_one_page
@@ -20,6 +21,8 @@ class RenderSpec:
     def __post_init__(self):
         if self.scale <= 0:
             raise ValueError("scale must be positive")
+        if not math.isfinite(self.scale):
+            raise ValueError("scale must be finite")
         if self.style not in ("arc", "rect", "disk"):
             raise ValueError(f"unknown style {self.style!r}")
 

@@ -13,27 +13,11 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from . import seq
-from .blocks import forced_block_order, rooted_block_orders
+from .blocks import rooted_block_orders
 from .embedding import BookEmbedding, Failure, per_component
-from .errors import NotOuterplanarError
 from .graph import build_bc_tree
-from .outerplanar import outerplane_embedding
 
 _UNDER = "an edge does not outweigh the edges directly under it"
-
-
-def sum_biconnected(g):
-    """Unique embedding of a biconnected outerplanar graph for the sum class,
-    or None."""
-    if g.n == 1:
-        return BookEmbedding((0,))
-    emb = outerplane_embedding(g)
-    if emb is None:
-        raise NotOuterplanarError("graph is not outerplanar")
-    order, _reason = forced_block_order(
-        g, range(g.n), range(g.m), sum, _UNDER, emb.cycle
-    )
-    return BookEmbedding(order) if order is not None else None
 
 
 def _polish_left_right(entries):

@@ -18,7 +18,13 @@ from .embedding import BookEmbedding, validate_minres_supporting
 from .errors import GraphFormatError, NotOuterplanarError, PreconditionError
 from .exact import format_rational, parse_rational
 from .graph import BlockCutTree, WeightedGraph, component_subgraphs
-from .outerplanar import block_outer_cycle, nesting_forest, outerplane_embedding, span
+from .outerplanar import (
+    block_outer_cycle,
+    cut_cycle,
+    nesting_forest,
+    outerplane_embedding,
+    span,
+)
 
 
 class TwoDimEmbedding:
@@ -101,11 +107,11 @@ class TwoDimEmbedding:
 
 def _forest_for(order, edge_list):
     """Nesting forest over ``edge_list`` of (u, v, w, key); returns
-    (spans, children, roots) with spans aligned to edge_list indices."""
+    (pos, spans, children, roots) with spans aligned to edge_list indices,
+    children and roots left to right."""
     pos = {v: i for i, v in enumerate(order)}
     spans = [span(pos, u, v) + (key,) for u, v, _w, key in edge_list]
     _parent, children, roots = nesting_forest(len(order), spans)
-    children = [sorted(kids, key=lambda k: spans[k][0]) for kids in children]
     return pos, spans, children, roots
 
 
@@ -175,10 +181,10 @@ def twodim_biconnected(g, s, t, length, height):
         raise PreconditionError("box area must equal the total edge weight")
     if g.edge_between(s, t) is None:
         raise PreconditionError("(s, t) must be an edge")
-    emb = outerplane_embedding(g)
-    if emb is None:
+    cycle = outerplane_embedding(g)
+    if cycle is None:
         raise NotOuterplanarError("graph is not outerplanar")
-    order = emb.linear_order(s, t)
+    order = cut_cycle(cycle, s, t)
     if order is None:
         raise PreconditionError("(s, t) is not on the outer face")
     edge_list = [(u, v, w, eid) for eid, (u, v, w) in enumerate(g.edges)]

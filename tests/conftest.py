@@ -58,21 +58,21 @@ def small_corpus(count, *, max_n=8, weights=(1, 20), seed0=0):
     return out
 
 
-_K2_2D = {
+K2_2D = {
     "vertices": [{"id": "a", "x": "0"}, {"id": "b", "x": "1"}],
     "edges": [{"u": "a", "v": "b", "w": "1", "rect": ["0", "1", "0", "1"]}],
 }
 # 2-D embedding documents (the ``embed-2d`` output form) that are malformed
 MALFORMED_2D = {
-    "2d-unknown-vertex": json.dumps({**_K2_2D, "vertices": _K2_2D["vertices"][:1]}),
+    "2d-unknown-vertex": json.dumps({**K2_2D, "vertices": K2_2D["vertices"][:1]}),
     "2d-missing-rect": json.dumps(
-        {**_K2_2D, "edges": [{"u": "a", "v": "b", "w": "1"}]}
+        {**K2_2D, "edges": [{"u": "a", "v": "b", "w": "1"}]}
     ),
-    "2d-vertices-not-array": json.dumps({**_K2_2D, "vertices": "ab"}),
+    "2d-vertices-not-array": json.dumps({**K2_2D, "vertices": "ab"}),
     "2d-three-coordinates": json.dumps(
-        {**_K2_2D, "edges": [{"u": "a", "v": "b", "w": "1", "rect": ["0", "1", "0"]}]}
+        {**K2_2D, "edges": [{"u": "a", "v": "b", "w": "1", "rect": ["0", "1", "0"]}]}
     ),
     "2d-number-coordinate": json.dumps(
-        {**_K2_2D, "edges": [{"u": "a", "v": "b", "w": "1", "rect": [0, 1, 0, 1]}]}
+        {**K2_2D, "edges": [{"u": "a", "v": "b", "w": "1", "rect": [0, 1, 0, 1]}]}
     ),
 }

@@ -123,8 +123,7 @@ def test_criterion_4_exact_area():
     for i in range(count):
         n = 3 + (i * 7) % 48
         g = random_outerplanar(n, (1, 50), seed=300_000 + i, biconnected=True)
-        emb = outerplane_embedding(g)
-        s, t = emb.cycle[0], emb.cycle[1]
+        s, t = outerplane_embedding(g)[:2]
         total = g.total_weight()
         length = default_box_width(total)
         height = total / length

@@ -9,7 +9,7 @@ import pytest
 from bookembed.cli import main
 from bookembed.twodim import TwoDimEmbedding, check_twodim
 
-from conftest import MALFORMED_2D
+from conftest import K2_2D, MALFORMED_2D
 
 TRI111 = '{"edges":[["a","b","1"],["b","c","1"],["a","c","1"]]}'
 TRI_5_6_11 = '{"edges":[["a","b","5"],["b","c","6"],["a","c","11"]]}'
@@ -346,6 +346,11 @@ SUBCOMMANDS = {
             ["render", "--style", "arc", "--graph", "GRAPH"], '["a", "zz", "c"]',
             id="render-unknown-order-label",
         ),
+    ]
+    + [
+        pytest.param(["render", "--scale", scale], json.dumps(K2_2D),
+                     id=f"render-scale-{scale}")
+        for scale in ("nan", "inf", "1e309")
     ]
     + [
         pytest.param(["bench", "--algo", algo, "--sizes", sizes], "",

@@ -7,7 +7,7 @@ import pytest
 from bookembed.embedding import BookEmbedding, Failure, validate_max
 from bookembed.errors import NotOuterplanarError
 from bookembed.graph import build_bc_tree
-from bookembed.maxdraw import embed_max, max_be_drawer, max_biconnected, star_sort_demo
+from bookembed.maxdraw import embed_max, max_be_drawer, star_sort_demo
 from bookembed.oracle import oracle_exists
 
 from conftest import graph_from, small_corpus
@@ -15,20 +15,20 @@ from conftest import graph_from, small_corpus
 
 def test_biconnected_triangle(triangle_5_6_11):
     g = triangle_5_6_11
-    L = max_biconnected(g)
-    assert L is not None
+    L = max_be_drawer(g)
+    assert isinstance(L, BookEmbedding)
     heavy = g.edge_between(0, 2)
     assert {L.order[0], L.order[-1]} == set(g.endpoints(heavy))
-    assert max_biconnected(g, require_first_last=("a", "c")).order[0] == 0
-    assert max_biconnected(g, require_first_last=("a", "b")) is None
+    assert L.order == (0, 1, 2)
 
 
 def test_biconnected_equal_triangle(triangle_equal):
-    assert max_biconnected(triangle_equal) is None
+    res = max_be_drawer(triangle_equal)
+    assert isinstance(res, Failure) and res.condition == 1
 
 
 def test_biconnected_k2(k2):
-    assert max_biconnected(k2).order == (0, 1)
+    assert max_be_drawer(k2).order == (0, 1)
 
 
 def test_drawer_star_examples():
@@ -46,14 +46,6 @@ def test_drawer_path():
     out = max_be_drawer(g)
     assert isinstance(out, BookEmbedding)
     assert validate_max(g, out) is None
-
-
-def test_biconnected_requires_biconnected():
-    from bookembed.errors import PreconditionError
-
-    path = graph_from([("a", "b", 2), ("b", "c", 1)])
-    with pytest.raises(PreconditionError):
-        max_biconnected(path)
 
 
 def test_drawer_not_outerplanar():

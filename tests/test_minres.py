@@ -3,16 +3,9 @@ residual optimality, end-to-end construction."""
 
 from fractions import Fraction
 
-import pytest
-
 from bookembed.embedding import BookEmbedding, Failure, validate_minres_supporting
-from bookembed.errors import PreconditionError
 from bookembed.graph import BlockCutTree, WeightedGraph
-from bookembed.minres import (
-    minres_be_drawer,
-    minres_be_drawer_anchor,
-    minres_biconnected_with_edge,
-)
+from bookembed.minres import minres_be_drawer, minres_be_drawer_anchor
 from bookembed.oracle import enumerate_one_page, oracle_exists, random_outerplanar
 from bookembed.seq import materialize
 from bookembed.twodim import check_twodim, minres_construct
@@ -22,16 +15,16 @@ from conftest import graph_from, small_corpus
 
 def test_biconnected_with_edge_examples():
     t211 = graph_from([("a", "b", 2), ("b", "c", 1), ("a", "c", 1)])
-    out = minres_biconnected_with_edge(t211, "a", "b")
+    out = minres_be_drawer_anchor(t211, t211.edge_between(0, 1))
     assert isinstance(out, BookEmbedding)
+    assert (out.order[0], out.order[-1]) == (0, 1)
     assert validate_minres_supporting(t211, out) is None
     t111 = graph_from([("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
-    for s, t in (("a", "b"), ("b", "c"), ("a", "c")):
-        assert minres_biconnected_with_edge(t111, s, t) is None
+    for eid in range(t111.m):
+        res = minres_be_drawer_anchor(t111, eid)
+        assert isinstance(res, Failure) and res.condition == 1
     k2 = graph_from([("a", "b", 1)])
-    assert minres_biconnected_with_edge(k2, "a", "b").order == (0, 1)
-    with pytest.raises(PreconditionError):
-        minres_biconnected_with_edge(t211, "b", "b")
+    assert minres_be_drawer_anchor(k2, 0).order == (0, 1)
 
 
 def test_drawer_examples():

@@ -7,21 +7,19 @@ import pytest
 from bookembed import graph, outerplanar
 from bookembed.embedding import BookEmbedding, is_one_page
 from bookembed.errors import PreconditionError
-from bookembed.maxdraw import max_biconnected
-from bookembed.minres import minres_biconnected_with_edge
-from bookembed.oracle import enumerate_one_page, random_outerplanar
-from bookembed.outerplanar import outerplane_embedding
-from bookembed.sumdraw import sum_biconnected
-from bookembed.twodim import twodim_biconnected
+from bookembed.maxdraw import max_be_drawer
+from bookembed.minres import minres_be_drawer_anchor
+from bookembed.oracle import enumerate_one_page, oracle_exists, random_outerplanar
+from bookembed.outerplanar import cut_cycle, outerplane_embedding
+from bookembed.sumdraw import sum_be_drawer
+from bookembed.twodim import one_page_order, twodim_biconnected
 
-from conftest import graph_from
+from conftest import graph_from, small_corpus
 
 
 def test_triangle_cycle():
     g = graph_from([("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
-    emb = outerplane_embedding(g)
-    assert emb.cycle == (0, 1, 2)
-    assert emb.faces == ((0, 1, 2),)
+    assert outerplane_embedding(g) == (0, 1, 2)
 
 
 def test_k4_not_outerplanar():
@@ -46,12 +44,12 @@ def test_square_with_chord():
     g = graph_from(
         [("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("d", "a", 1), ("a", "c", 5)]
     )
-    emb = outerplane_embedding(g)
-    assert [g.labels[v] for v in emb.cycle] == ["a", "b", "c", "d"]
+    cycle = outerplane_embedding(g)
+    assert [g.labels[v] for v in cycle] == ["a", "b", "c", "d"]
     # exhaustively: 1-page orders are exactly the cycle's cuts (and flips)
     orders = {e.order for e in enumerate_one_page(g)}
     expected = set()
-    cyc = list(emb.cycle)
+    cyc = list(cycle)
     for i in range(4):
         rot = tuple(cyc[i:] + cyc[:i])
         expected.add(rot)
@@ -71,9 +69,9 @@ def test_embedding_matches_oracle_existence():
     # for biconnected instances: embedding found <=> some 1-page order exists
     for seed in range(60):
         g = random_outerplanar(3 + seed % 6, (1, 5), seed=seed, biconnected=True)
-        emb = outerplane_embedding(g)
-        assert emb is not None
-        order = emb.linear_order(emb.cycle[0], emb.cycle[-1])
+        cycle = outerplane_embedding(g)
+        assert cycle is not None
+        order = cut_cycle(cycle, cycle[0], cycle[-1])
         assert is_one_page(g, BookEmbedding(order))
 
 
@@ -103,12 +101,6 @@ def test_recognition_agrees_with_oracle_on_densified_graphs():
     assert verdicts[True] and verdicts[False], "both verdicts must occur"
 
 
-def test_face_cycles_canonical():
-    g = graph_from([("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("d", "a", 1)])
-    emb = outerplane_embedding(g)
-    assert emb.faces == ((0, 1, 2, 3),)
-
-
 def _count_calls(monkeypatch, module, name):
     """Count calls of ``module.name`` made through any bookembed module."""
     original = getattr(module, name)
@@ -130,9 +122,9 @@ def _count_calls(monkeypatch, module, name):
     "entry_point,forests",
     [
         (lambda g, s, t: outerplane_embedding(g), 1),
-        (lambda g, s, t: max_biconnected(g), 2),
-        (lambda g, s, t: sum_biconnected(g), 2),
-        (minres_biconnected_with_edge, 1),
+        (lambda g, s, t: max_be_drawer(g), 2),
+        (lambda g, s, t: sum_be_drawer(g), 2),
+        (lambda g, s, t: minres_be_drawer_anchor(g, g.edge_between(s, t)), 1),
         (lambda g, s, t: twodim_biconnected(g, s, t, g.total_weight(), 1), 2),
     ],
     ids=["outerplane_embedding", "max", "sum", "minres", "twodim"],
@@ -142,8 +134,41 @@ def test_biconnected_entry_points_do_their_work_once(
 ):
     # distinct weights, so no tie ends a drawer before its size-dependent work
     g = random_outerplanar(40, (1, 10**9), seed=3, biconnected=True)
-    s, t = (g.labels[v] for v in outerplane_embedding(g).cycle[:2])
+    s, t = outerplane_embedding(g)[:2]
     components = _count_calls(monkeypatch, graph, "component_vertex_sets")
     nestings = _count_calls(monkeypatch, outerplanar, "nesting_forest")
     entry_point(g, s, t)
     assert (len(components), len(nestings)) == (0, forests)
+
+
+def test_nesting_forest_lists_children_and_roots_left_to_right():
+    lists = 0
+    for g in small_corpus(400, max_n=24):
+        order = one_page_order(g)
+        pos = {v: i for i, v in enumerate(order)}
+        spans = [
+            outerplanar.span(pos, u, v) + (eid,) for eid, (u, v, _) in enumerate(g.edges)
+        ]
+        _parent, children, roots = outerplanar.nesting_forest(g.n, spans)
+        for kids in [roots, *children]:
+            lefts = [spans[k][0] for k in kids]
+            assert lefts == sorted(set(lefts)), (g.edges, kids)
+            lists += 1
+    assert lists > 6000
+
+
+def test_biconnected_drawers_answer_the_forced_order():
+    # a biconnected outerplanar graph has one outer cycle, so a max or sum
+    # embedding, when one exists, is unique up to its flip
+    answers = {"max": 0, "sum": 0}
+    for i in range(280):
+        g = random_outerplanar(2 + i % 7, (1, 20), seed=i, biconnected=True)
+        for cls, drawer in (("max", max_be_drawer), ("sum", sum_be_drawer)):
+            got = drawer(g)
+            want = oracle_exists(g, cls, exhaustive=True, max_witnesses=3)
+            assert isinstance(got, BookEmbedding) == want.exists, (cls, g.edges)
+            if want.exists:
+                answers[cls] += 1
+                assert want.count == 2
+                assert {w.order for w in want.witnesses} == {got.order, got.order[::-1]}
+    assert answers["max"] > 100 and answers["sum"] > 40, answers

@@ -20,6 +20,7 @@ if PERFBENCH not in sys.path:
 
 import harness  # noqa: E402
 import tracer  # noqa: E402
+import workloads  # noqa: E402, F401
 
 
 def test_tracer_counts_max_rejections(tmp_path):

@@ -4,19 +4,19 @@ from bookembed.embedding import BookEmbedding, Failure, metrics, validate_sum
 from bookembed.graph import build_bc_tree
 from bookembed.oracle import enumerate_one_page, oracle_exists
 from bookembed.seq import materialize
-from bookembed.sumdraw import sum_be_drawer, sum_biconnected
+from bookembed.sumdraw import sum_be_drawer
 
 from conftest import graph_from, small_corpus
 
 
 def test_biconnected_triangles():
     t42 = graph_from([("a", "b", 4), ("b", "c", 2), ("a", "c", 1)])
-    out = sum_biconnected(t42)
-    assert out is not None and validate_sum(t42, out) is None
+    out = sum_be_drawer(t42)
+    assert isinstance(out, BookEmbedding) and validate_sum(t42, out) is None
     t32 = graph_from([("a", "b", 3), ("b", "c", 2), ("a", "c", 1)])
-    assert sum_biconnected(t32) is None
+    assert isinstance(sum_be_drawer(t32), Failure)
     k2 = graph_from([("a", "b", 7)])
-    assert sum_biconnected(k2).order == (0, 1)
+    assert sum_be_drawer(k2).order == (0, 1)
 
 
 def test_forced_heavy_antichain_rejected():

@@ -55,8 +55,7 @@ def test_biconnected_preconditions():
 def test_exact_area_random():
     for seed in range(60):
         g = random_outerplanar(3 + seed % 20, (1, 30), seed=seed, biconnected=True)
-        emb = outerplane_embedding(g)
-        s, t = emb.cycle[0], emb.cycle[1]
+        s, t = outerplane_embedding(g)[:2]
         total = g.total_weight()
         length = default_box_width(total)
         height = total / length
