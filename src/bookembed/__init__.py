@@ -13,11 +13,13 @@ from .embedding import (
     Failure,
     MaxViolation,
     MinresViolation,
+    OnePageViolation,
     SumViolation,
     is_one_page,
     metrics,
     validate_max,
     validate_minres_supporting,
+    validate_one_page,
     validate_sum,
 )
 from .errors import (

@@ -32,6 +32,7 @@ def forced_block_order(g, vertices, edge_ids, under, reason):
     if order is None:
         return None, "maximum-weight edge is not on the outer face"
     order = min(order, cut_cycle(cycle, t, s))
+    nums = g.scaled[0]
     pos = {v: i for i, v in enumerate(order)}
     spans = []
     for eid in edge_ids:
@@ -39,9 +40,7 @@ def forced_block_order(g, vertices, edge_ids, under, reason):
         spans.append(span(pos, u, v) + (eid,))
     _parent, children, _roots = nesting_forest(len(order), spans)
     for idx, kids in enumerate(children):
-        if kids and not g.weight(spans[idx][2]) > under(
-            g.weight(spans[k][2]) for k in kids
-        ):
+        if kids and not nums[spans[idx][2]] > under(nums[spans[k][2]] for k in kids):
             return None, reason
     return order, None
 
@@ -74,16 +73,10 @@ def rooted_block_orders(g, rooted, under, reason):
 
 def unique_max_edge(g, edge_ids):
     """The block's unique maximum-weight edge id, or None on a tie."""
-    best = None
-    tie = False
-    for eid in edge_ids:
-        w = g.weight(eid)
-        if best is None or w > g.weight(best):
-            best = eid
-            tie = False
-        elif w == g.weight(best):
-            tie = True
-    return None if tie else best
+    nums = g.scaled[0]
+    top = max(nums[eid] for eid in edge_ids)
+    found = [eid for eid in edge_ids if nums[eid] == top]
+    return found[0] if len(found) == 1 else None
 
 
 def incident_in_block(g, v, block_id, block_of_edge):

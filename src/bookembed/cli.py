@@ -16,9 +16,9 @@ from fractions import Fraction
 
 from .embedding import (
     BookEmbedding,
-    is_one_page,
     validate_max,
     validate_minres_supporting,
+    validate_one_page,
     validate_sum,
 )
 from .errors import BookEmbedError, NotOnePageError
@@ -52,7 +52,7 @@ def _emit(args, text):
 
 
 _VALIDATORS = {
-    "one-page": lambda g, L: None if is_one_page(g, L) else {"crossing": True},
+    "one-page": validate_one_page,
     "max": validate_max,
     "sum": validate_sum,
     "minres": validate_minres_supporting,
@@ -75,9 +75,7 @@ def _cmd_check(args):
     if verdict is None:
         _emit(args, json.dumps({"ok": True}) + "\n")
         return 0
-    record = (
-        verdict.to_json(g, embedding) if hasattr(verdict, "to_json") else verdict
-    )
+    record = verdict.to_json(g, embedding)
     _emit(args, json.dumps({"ok": False, "violation": record}) + "\n")
     return 1
 

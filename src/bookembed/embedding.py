@@ -116,6 +116,19 @@ def _forest_or_raise(g, embedding):
 
 
 @dataclass(frozen=True)
+class OnePageViolation:
+    """Two edges cross in the order."""
+
+    def to_json(self, g, embedding=None):
+        return {"crossing": True}
+
+
+def validate_one_page(g, embedding):
+    """None if no two edges cross, else a :class:`OnePageViolation`."""
+    return None if is_one_page(g, embedding) else OnePageViolation()
+
+
+@dataclass(frozen=True)
 class MaxViolation:
     """An edge pair breaking the strictly-heavier-wrapper rule."""
 
@@ -194,28 +207,29 @@ def validate_max(g, embedding):
     inequality is transitive along nesting chains.
     """
     spans, parent, children, roots = _forest_or_raise(g, embedding)
+    nums = g.scaled[0]
     ordered = sorted(range(g.m), key=lambda i: (spans[i][0], -spans[i][1]))
     for idx in ordered:
         eid = spans[idx][2]
-        w = g.weight(eid)
+        w = nums[eid]
         for kid in children[idx]:
-            if not w > g.weight(spans[kid][2]):
+            if not w > nums[spans[kid][2]]:
                 return MaxViolation(eid, spans[kid][2])
     return None
 
 
-def _max_antichains(g, spans, children):
-    """Per edge: the maximum total weight of disjointly placed edges under it,
-    plus a witness antichain attaining it."""
+def _max_antichains(nums, spans, children):
+    """Per edge: the maximum total weight of disjointly placed edges under it
+    (``nums`` holds the weights), plus a witness antichain attaining it."""
     order_by_depth = sorted(range(len(spans)), key=lambda i: spans[i][1] - spans[i][0])
     best = [None] * len(spans)
     witness = [None] * len(spans)
     for idx in order_by_depth:
-        total = Fraction(0)
+        total = 0
         wit = []
         for kid in children[idx]:
             kid_eid = spans[kid][2]
-            w_kid = g.weight(kid_eid)
+            w_kid = nums[kid_eid]
             if best[kid] is not None and best[kid] > w_kid:
                 total += best[kid]
                 wit.extend(witness[kid])
@@ -232,11 +246,12 @@ def validate_sum(g, embedding):
     placed edges under it, else a violation carrying a maximum-weight witness.
     """
     spans, parent, children, roots = _forest_or_raise(g, embedding)
-    best, witness = _max_antichains(g, spans, children)
+    nums = g.scaled[0]
+    best, witness = _max_antichains(nums, spans, children)
     ordered = sorted(range(g.m), key=lambda i: (spans[i][0], -spans[i][1]))
     for idx in ordered:
         eid = spans[idx][2]
-        if children[idx] and not g.weight(eid) > best[idx]:
+        if children[idx] and not nums[eid] > best[idx]:
             return SumViolation(eid, witness[idx])
     return None
 
@@ -254,10 +269,11 @@ def validate_minres_supporting(g, embedding):
     comparison), else the first violating edge in span order."""
     _forest_or_raise(g, embedding)
     pos = embedding.position
+    nums, den = g.scaled
     worst = None
-    for eid, (u, v, w) in enumerate(g.edges):
+    for eid, (u, v, _) in enumerate(g.edges):
         beta = abs(pos[u] - pos[v]) - 1
-        if w < beta + 1:
+        if nums[eid] < (beta + 1) * den:
             a, b = span(pos, u, v)
             key = (a, -b, eid)
             if worst is None or key < worst[0]:

@@ -1,5 +1,5 @@
-"""Exact rational helpers: parsing, formatting, integer scaling, and the
-+infinity top element."""
+"""Exact rational helpers: parsing, formatting, and the +infinity top
+element."""
 
 from __future__ import annotations
 
@@ -15,9 +15,17 @@ INF = math.inf
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"5"``, ``"3.25"`` or ``"7/2"`` into an exact Fraction;
-    anything else, a non-string included, raises ValueError."""
+    anything else, a non-string included, raises ValueError.  ASCII
+    ``digits`` and ``digits/digits`` skip the ``Fraction(str)`` regex."""
     try:
-        return Fraction(text.strip())
+        stripped = text.strip()
+        if stripped.isascii():
+            if stripped.isdigit():
+                return Fraction(int(stripped))
+            p, _, q = stripped.partition("/")
+            if p.isdigit() and q.isdigit():
+                return Fraction(int(p), int(q))
+        return Fraction(stripped)
     except (AttributeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
@@ -25,13 +33,3 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Canonical string form: ``"5"`` for integers, ``"p/q"`` otherwise."""
     return str(value)
-
-
-def scaled_weights(weights):
-    """Rationals as integers over their least common denominator (exact):
-    ``(numerators, denominator)``."""
-    weights = list(weights)
-    den = 1
-    for w in weights:
-        den = den * w.denominator // math.gcd(den, w.denominator)
-    return [w.numerator * (den // w.denominator) for w in weights], den

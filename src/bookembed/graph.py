@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .errors import GraphFormatError, PreconditionError
@@ -17,7 +18,7 @@ class WeightedGraph:
     immutable after construction and safe to share across threads.
     """
 
-    __slots__ = ("labels", "label_index", "edges", "adjacency", "_edge_lookup")
+    __slots__ = ("labels", "label_index", "edges", "adjacency", "_edge_lookup", "_scaled")
 
     def __init__(self, labels, edges):
         """``labels``: iterable of strings; ``edges``: triples (u, v, w) of dense ids."""
@@ -75,6 +76,7 @@ class WeightedGraph:
         self.edges = tuple(edges)
         self.adjacency = tuple(map(tuple, adjacency))
         self._edge_lookup = lookup
+        self._scaled = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -88,6 +90,20 @@ class WeightedGraph:
 
     def weight(self, eid):
         return self.edges[eid][2]
+
+    @property
+    def scaled(self):
+        """The weights as integers over their least common denominator:
+        ``(nums, den)`` with ``Fraction(nums[e], den) == weight(e)``.
+        Computed on first use; exact comparisons and sums of weights can
+        run on ``nums``."""
+        if self._scaled is None:
+            den = math.lcm(*{w.denominator for _, _, w in self.edges})
+            self._scaled = (
+                tuple(w.numerator * (den // w.denominator) for _, _, w in self.edges),
+                den,
+            )
+        return self._scaled
 
     def endpoints(self, eid):
         u, v, _ = self.edges[eid]
@@ -246,6 +262,14 @@ def _parse_json(text):
     if not isinstance(edges, list):
         raise GraphFormatError('"edges" must be an array')
     for i, entry in enumerate(edges):
+        if type(entry) is list and len(entry) == 3:
+            u, v, w = entry
+            if type(u) is str and type(v) is str and type(w) is str:
+                try:
+                    triples.append((u, v, parse_rational(w)))
+                    continue
+                except ValueError:
+                    pass  # reported below, as for any other entry
         where = f"edges[{i}]"
         if not isinstance(entry, list) or len(entry) != 3:
             raise GraphFormatError(f"edge must be [u, v, w] ({where})", position=where)
@@ -377,7 +401,9 @@ def is_connected(g):
 
 
 class Block:
-    """One biconnected component: a vertex subset plus an edge subset."""
+    """One biconnected component: a vertex subset plus an edge subset.
+    ``max_weight`` is the largest edge weight in units of ``1/g.scaled[1]``
+    (None for the edgeless block of a single vertex)."""
 
     __slots__ = ("vertices", "edge_ids", "max_weight")
 
@@ -472,22 +498,21 @@ class BlockCutTree:
 
     def __init__(self, g):
         raw_blocks, is_cut = _biconnected_components(g)
+        nums = g.scaled[0]
         blocks = []
         block_of_edge = [-1] * g.m
         blocks_of_vertex = [[] for _ in range(g.n)]
         for bid, edge_ids in enumerate(raw_blocks):
             verts = set()
-            best = None
             for eid in edge_ids:
-                u, v, w = g.edges[eid]
+                u, v, _ = g.edges[eid]
                 verts.add(u)
                 verts.add(v)
                 block_of_edge[eid] = bid
-                if best is None or w > best:
-                    best = w
             vertices = tuple(sorted(verts))
             for v in vertices:
                 blocks_of_vertex[v].append(bid)
+            best = max(nums[eid] for eid in edge_ids)
             blocks.append(Block(vertices, tuple(sorted(edge_ids)), best))
         if not blocks and g.n == 1:
             blocks.append(Block((0,), (), None))
@@ -511,7 +536,8 @@ class RootedBCTree:
     """Rooting of a :class:`BlockCutTree` plus the subtree aggregates.
 
     For every B-node ``b``: ``parent_cut[b]`` (vertex id or None),
-    ``child_cuts[b]``, ``w_plus[b]`` (max edge weight in the rooted subgraph),
+    ``child_cuts[b]``, ``w_plus[b]`` (max edge weight in the rooted subgraph,
+    in units of ``1/g.scaled[1]`` as ``Block.max_weight``),
     ``n_plus_b[b]`` (vertex count of the rooted subgraph).  For every C-node
     ``c``: ``child_blocks[c]``, ``n_plus_c[c]``.
     """
@@ -581,5 +607,6 @@ def build_bc_tree(g):
     tree = BlockCutTree(g)
     if g.m == 0:
         return tree.rooted(0)
-    best = max(range(g.m), key=lambda e: (g.edges[e][2], -e))
+    # max returns the first maximum met, so the smallest id on a tie
+    best = max(range(g.m), key=g.scaled[0].__getitem__)
     return tree.rooted(tree.block_of_edge[best])

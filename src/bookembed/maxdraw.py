@@ -31,6 +31,7 @@ def max_be_drawer(g):
         return BookEmbedding((0,))
     rooted = build_bc_tree(g)
     tree = rooted.tree
+    nums, den = g.scaled
 
     block_order, failure = rooted_block_orders(g, rooted, max, _WRAPS)
     if failure is not None:
@@ -48,8 +49,8 @@ def max_be_drawer(g):
                 g, pos, c, incident_in_block(g, c, bid, tree.block_of_edge)
             )
             lr[c] = (
-                g.weight(el) if el is not None else INF,
-                g.weight(er) if er is not None else INF,
+                nums[el] if el is not None else INF,
+                nums[er] if er is not None else INF,
             )
         block_lr[bid] = lr
 
@@ -66,9 +67,11 @@ def max_be_drawer(g):
             for b2 in kids:
                 w_plus = rooted.w_plus[b2]
                 if w_plus >= left_w and w_plus >= right_w:
+                    # both sides are finite here: no int reaches INF
                     return Failure(
                         3, "subtree fits on neither side of its cut vertex",
-                        block=bid, cut_vertex=ci, weights=(w_plus, left_w, right_w),
+                        block=bid, cut_vertex=ci,
+                        weights=tuple(Fraction(x, den) for x in (w_plus, left_w, right_w)),
                     )
                 child = seq.skipping(ropes[b2], ci)
                 r_child = block_lr[b2][ci][1]

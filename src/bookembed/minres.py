@@ -24,7 +24,6 @@ from math import inf
 from . import seq
 from .embedding import BookEmbedding, Failure, per_component
 from .errors import NotOuterplanarError
-from .exact import scaled_weights
 from .graph import BlockCutTree
 from .outerplanar import block_outer_cycle, cut_cycle, span
 
@@ -66,7 +65,7 @@ class _AnchorSearch:
         self.tree = tree
         self.cycles = cycles
         self.audit = audit
-        self.w, self.den = scaled_weights(w for _, _, w in g.edges)
+        self.w, self.den = g.scaled
         cuts = set(tree.cut_vertices)
         self.block_cuts = [[v for v in b.vertices if v in cuts] for b in tree.blocks]
         self.candidates = {}  # (block, parent cut) -> supporting orders

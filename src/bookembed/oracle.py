@@ -1,9 +1,9 @@
 """Brute-force ground truth for small instances plus the seeded random
 outerplanar generator.
 
-The existence checks here are definitional and deliberately share no code
-with the optimized validators: orders come from exhaustive backtracking and
-each class is checked straight from its definition (see ``_fast``).
+The existence checks here are definitional and share only the weights
+(``WeightedGraph.scaled``) with the optimized validators: orders come from
+exhaustive backtracking and each class is checked by definition (``_fast``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from fractions import Fraction
 from . import _fast
 from .embedding import BookEmbedding
 from .errors import PreconditionError
-from .exact import scaled_weights
 from .graph import WeightedGraph
 
 ORACLE_MAX_N = 10
@@ -66,7 +65,7 @@ def oracle_exists(g, embedding_class, *, exhaustive=False, max_witnesses=1):
     _guard(g)
     cls = _CLASS_CODES[embedding_class]
     eu, ev = _edge_arrays(g)
-    wnum, wden = scaled_weights(w for _, _, w in g.edges)
+    wnum, wden = g.scaled
     count, witnesses = _fast.class_sweep(
         g.n, eu, ev, wnum, wden, cls, max_witnesses, exhaustive
     )
@@ -80,7 +79,7 @@ def oracle_exists(g, embedding_class, *, exhaustive=False, max_witnesses=1):
 def definitional_check(g, embedding, embedding_class):
     """Definitional per-order check (the kernel's), for validator audits."""
     eu, ev = _edge_arrays(g)
-    wnum, wden = scaled_weights(w for _, _, w in g.edges)
+    wnum, wden = g.scaled
     return _fast.check_order(
         embedding.order, eu, ev, wnum, wden, _CLASS_CODES[embedding_class]
     )

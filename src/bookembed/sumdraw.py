@@ -4,7 +4,7 @@ sequence of disjointly placed edges under it (the "sum" class).
 The general drawer is a bottom-up dynamic program over the block-cut-vertex
 tree.  Cut vertices carry a Pareto front of partial embeddings keyed by the
 left/right extensions around the cut; blocks carry a front keyed by free
-space and total extension.
+space and total extension.  Fronts hold weights in units of ``1/g.scaled[1]``.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ def _polish_left_right(entries):
     return kept
 
 
-def _consecutive_weight(g, order, x):
+def _consecutive_weight(g, nums, order, x):
     eid = g.edge_between(order[x - 1], order[x])
     if eid is None:
         raise AssertionError("consecutive block vertices must be adjacent")
-    return g.weight(eid)
+    return nums[eid]
 
 
 def _greedy(g, order, ell, cuts, centries, forced_first=None):
@@ -48,8 +48,8 @@ def _greedy(g, order, ell, cuts, centries, forced_first=None):
     """
     k_last = len(order) - 1
     repl = {}
-    alpha_sub = Fraction(0)
-    tau_extra = Fraction(0)
+    alpha_sub = 0
+    tau_extra = 0
     for idx, (x, c) in enumerate(cuts):
         ropes, lams, rhos = centries[c]
         if idx == 0 and forced_first is not None:
@@ -81,8 +81,9 @@ def sum_be_drawer(g, audit=None):
     "empty-pareto": some tree node ended with no feasible partial embedding.
 
     ``audit(kind, node, entries)`` is called with every finished Pareto front
-    ("C" nodes: (rope, lambda, rho); "B" nodes: (rope, alpha, tau)) so tests
-    can assert the structural invariants at every tree node.
+    ("C" nodes: (rope, lambda, rho); "B" nodes: (rope, alpha, tau), as exact
+    Fractions) so tests can assert the structural invariants at every tree
+    node.
     """
     if g.n == 1:
         return BookEmbedding((0,))
@@ -91,6 +92,10 @@ def sum_be_drawer(g, audit=None):
     block_order, failure = rooted_block_orders(g, rooted, sum, _UNDER)
     if failure is not None:
         return failure
+    nums, den = g.scaled
+
+    def report(kind, node, entries):
+        audit(kind, node, [(r, Fraction(a, den), Fraction(b, den)) for r, a, b in entries])
 
     bentries = {}
     centries = {}
@@ -104,10 +109,7 @@ def sum_be_drawer(g, audit=None):
             partial_n += rooted.n_plus_b[b2] - 1
             if entries is None:
                 rope0, _alpha0, tau0 = bent[0]
-                entries = [
-                    (rope0, Fraction(0), tau0),
-                    (seq.flip(rope0), tau0, Fraction(0)),
-                ]
+                entries = [(rope0, 0, tau0), (seq.flip(rope0), tau0, 0)]
             else:
                 new = []
                 for rope_l, lam, rho in entries:
@@ -122,7 +124,7 @@ def sum_be_drawer(g, audit=None):
                 entries = _polish_left_right(new)
             assert len(entries) <= partial_n, "Pareto front exceeds the size bound"
         if audit is not None:
-            audit("C", c, entries)
+            report("C", c, entries)
         centries[c] = (
             [e[0] for e in entries],
             [e[1] for e in entries],
@@ -135,11 +137,11 @@ def sum_be_drawer(g, audit=None):
         k_last = len(order) - 1
         pos = {v: i for i, v in enumerate(order)}
         cuts = sorted((pos[c], c) for c in rooted.child_cuts[bid])
-        w_top = g.weight(g.edge_between(order[0], order[k_last]))
-        w_first = _consecutive_weight(g, order, 1)
+        w_top = nums[g.edge_between(order[0], order[k_last])]
+        w_first = _consecutive_weight(g, nums, order, 1)
 
         def fresh_ell():
-            return {x: _consecutive_weight(g, order, x) for x in range(1, k_last + 1)}
+            return {x: _consecutive_weight(g, nums, order, x) for x in range(1, k_last + 1)}
 
         is_root = bid == rooted.root
         if is_root and cuts and cuts[0][0] == 0:
@@ -180,7 +182,7 @@ def sum_be_drawer(g, audit=None):
                 (seq.blk(order, repl or None), w_first - alpha_sub, w_top + tau_extra)
             ]
         if audit is not None and not is_root:
-            audit("B", bid, entries)
+            report("B", bid, entries)
         bentries[bid] = entries
         return entries
 

@@ -45,6 +45,14 @@ def k2():
     return graph_from([("a", "b", 5)])
 
 
+def fractional(g):
+    """``g`` with the weight ``w / (e + 2)`` on edge ``e``, so that the
+    denominators differ from edge to edge."""
+    return WeightedGraph(
+        g.labels, [(u, v, w / (e + 2)) for e, (u, v, w) in enumerate(g.edges)]
+    )
+
+
 def small_corpus(count, *, max_n=8, weights=(1, 20), seed0=0):
     """Seeded connected outerplanar instances mixing sizes and biconnectivity."""
     out = []

@@ -310,6 +310,30 @@ def test_failure_documents(cls, graph, condition, reason):
     assert out == json.dumps({**doc, "failure_condition": condition}) + "\n"
 
 
+# Edges that miss the parser's all-string fast path or fail in it, with the
+# message every graph-reading subcommand prints for them.
+MALFORMED_EDGE = {
+    "weight-zero-denominator": (
+        '{"edges": [["a", "b", "5/0"]]}',
+        "malformed weight '5/0' (edges[0]) (at edges[0])",
+    ),
+    "weight-space-before-slash": (
+        '{"edges": [["a", "b", "7 /2"]]}',
+        "malformed weight '7 /2' (edges[0]) (at edges[0])",
+    ),
+    "weight-underscore-zero-denominator": (
+        '{"edges": [["a", "b", "1_000/0"]]}',
+        "malformed weight '1_000/0' (edges[0]) (at edges[0])",
+    ),
+    "number-label-bad-weight": (
+        '{"edges": [["a", 2, "5/0"]]}',
+        "malformed weight '5/0' (edges[0]) (at edges[0])",
+    ),
+    "float-label": (
+        '{"edges": [[1.5, "b", "1"]]}',
+        "vertex labels must be strings or integers (edges[0])",
+    ),
+}
 MALFORMED = {
     "bad-json": '{"edges": [',
     "not-an-object": '[["a", "b", "1"]]',
@@ -318,6 +342,7 @@ MALFORMED = {
     "weight-syntax": '{"edges": [["a", "b", "x"]]}',
     "weight-float": '{"edges": [["a", "b", 1.5]]}',
     "weight-zero": '{"edges": [["a", "b", "0"]]}',
+    **{name: doc for name, (doc, _) in MALFORMED_EDGE.items()},
     **MALFORMED_2D,
 }
 SUBCOMMANDS = {
@@ -375,3 +400,6 @@ def test_malformed_input_exits_2(tmp_path, argv, stdin_text):
     code, out, err = run_cli(argv, stdin_text=stdin_text)
     assert (code, out) == (2, "")
     assert err.startswith("bookembed: ") and "Traceback" not in err
+    messages = dict(MALFORMED_EDGE.values())
+    if argv[0] != "render" and stdin_text in messages:
+        assert err == f"bookembed: {messages[stdin_text]}\n"

@@ -1,5 +1,7 @@
 """Graph model, parsing, components, and the block-cut-vertex tree."""
 
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 
 from bookembed.embedding import per_component
 from bookembed.errors import GraphFormatError, PreconditionError
+from bookembed.exact import parse_rational
 from bookembed.graph import (
     BlockCutTree,
     WeightedGraph,
@@ -22,7 +25,7 @@ from bookembed.maxdraw import max_be_drawer
 from bookembed.minres import minres_be_drawer, minres_be_drawer_anchor
 from bookembed.sumdraw import sum_be_drawer
 
-from conftest import graph_from, small_corpus
+from conftest import fractional, graph_from, small_corpus
 
 
 def test_parse_json_triangle():
@@ -41,6 +44,57 @@ def test_parse_rational_forms():
     assert g.weight(0) == Fraction(13, 4)
     assert g.weight(1) == Fraction(7, 2)
     assert g.weight(2) == 4
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["5", "007", "0", "7/2", "14/4", " 7/2 ", "3.25", "1e3",
+     "+5", "-3/4", "1_000", "1_000/3", "\u0663", "\u00b2",
+     "5/0", "5/", "/5", "7 /2", "", "x"],
+    ids=repr,
+)
+def test_parse_rational_matches_fraction(text):
+    # ASCII digits and digits/digits take a fast path; every weight must
+    # parse, or fail, exactly as Fraction's own parser makes it
+    try:
+        expected = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    doc = json.dumps({"edges": [["a", "b", text]]})
+    if expected is None:
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(text)
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(doc)
+        assert err.value.kind == "syntax"
+        assert str(err.value) == f"malformed weight {text!r} (edges[0]) (at edges[0])"
+        return
+    got = parse_rational(text)
+    assert type(got) is Fraction and got == expected
+    if expected > 0:
+        assert parse_graph(doc).weight(0) == expected
+    else:
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(doc)
+        assert err.value.kind == "non-positive-weight"
+
+
+def test_scaled_weights_are_exact():
+    corpus = [fractional(g) for g in small_corpus(60, max_n=12)]
+    graphs = corpus + [
+        _shuffled_union(random.Random(i).sample(corpus, 3), i) for i in range(10)
+    ]
+    edgeless = graph_from([], vertices=["a", "b"])
+    assert edgeless.scaled == ((), 1)
+    for g in graphs:
+        parts = [sub for _, sub in component_subgraphs(g)]
+        parts.append(g.induced(range(0, g.n, 2))[0])
+        for h in [g] + parts:
+            nums, den = h.scaled
+            assert h.scaled is h.scaled
+            assert den == math.lcm(*(w.denominator for _, _, w in h.edges))
+            assert len(nums) == h.m and all(type(x) is int for x in nums)
+            assert all(Fraction(nums[e], den) == h.weight(e) for e in range(h.m))
 
 
 @pytest.mark.parametrize(
@@ -251,34 +305,38 @@ def test_rooted_aggregates():
     c = g.resolve("c")
     # the root block is {c, y, z}; {r, c} and {c, x} hang below c
     assert rooted.n_plus_c[c] == 3
-    # subtree counts and weights agree with a direct recomputation
-    checked_cuts = set()
-    for bid in range(len(rooted.tree.blocks)):
-        seen_vertices = set()
-        w_best = None
-        stack = [bid]
-        while stack:
-            b = stack.pop()
-            seen_vertices.update(rooted.tree.blocks[b].vertices)
-            for e in rooted.tree.blocks[b].edge_ids:
-                w = g.weight(e)
-                if w_best is None or w > w_best:
-                    w_best = w
-            for cc in rooted.child_cuts[b]:
-                stack.extend(rooted.child_blocks[cc])
-        assert rooted.n_plus_b[bid] == len(seen_vertices)
-        assert rooted.w_plus[bid] == w_best
-        for cc in rooted.child_cuts[bid]:
-            below = {cc}
-            stack = list(rooted.child_blocks[cc])
+    # subtree counts and weights agree with a direct recomputation, also
+    # when the weights are held over a common denominator
+    for h, den in ((g, 1), (fractional(g), 30)):
+        assert h.scaled[1] == den
+        rooted = build_bc_tree(h)
+        checked_cuts = set()
+        for bid in range(len(rooted.tree.blocks)):
+            seen_vertices = set()
+            w_best = None
+            stack = [bid]
             while stack:
                 b = stack.pop()
-                below.update(rooted.tree.blocks[b].vertices)
-                for c2 in rooted.child_cuts[b]:
-                    stack.extend(rooted.child_blocks[c2])
-            assert rooted.n_plus_c[cc] == len(below)
-            checked_cuts.add(cc)
-    assert checked_cuts == set(rooted.tree.cut_vertices)
+                seen_vertices.update(rooted.tree.blocks[b].vertices)
+                for e in rooted.tree.blocks[b].edge_ids:
+                    w = h.weight(e)
+                    if w_best is None or w > w_best:
+                        w_best = w
+                for cc in rooted.child_cuts[b]:
+                    stack.extend(rooted.child_blocks[cc])
+            assert rooted.n_plus_b[bid] == len(seen_vertices)
+            assert Fraction(rooted.w_plus[bid], den) == w_best
+            for cc in rooted.child_cuts[bid]:
+                below = {cc}
+                stack = list(rooted.child_blocks[cc])
+                while stack:
+                    b = stack.pop()
+                    below.update(rooted.tree.blocks[b].vertices)
+                    for c2 in rooted.child_cuts[b]:
+                        stack.extend(rooted.child_blocks[c2])
+                assert rooted.n_plus_c[cc] == len(below)
+                checked_cuts.add(cc)
+        assert checked_cuts == set(rooted.tree.cut_vertices)
 
 
 def test_is_connected():

@@ -10,7 +10,7 @@ from bookembed.graph import build_bc_tree
 from bookembed.maxdraw import embed_max, max_be_drawer, star_sort_demo
 from bookembed.oracle import oracle_exists
 
-from conftest import graph_from, small_corpus
+from conftest import fractional, graph_from, small_corpus
 
 
 def test_biconnected_triangle(triangle_5_6_11):
@@ -64,6 +64,16 @@ def test_failure_conditions_witness():
     star = graph_from([("c", "a", 1), ("c", "b", 1), ("c", "d", 1)])
     res = max_be_drawer(star)
     assert res.condition == 3 and len(res.weights) == 3
+    # a-b roots the triangle with c inside its order; the leaf edge c-d
+    # outweighs both triangle edges at c
+    g = graph_from(
+        [("a", "b", 10), ("a", "c", "1/3"), ("c", "b", "1/2"), ("c", "d", "2/3")]
+    )
+    res = max_be_drawer(g)
+    assert res.condition == 3 and res.cut_vertex == g.resolve("c")
+    assert res.weights[0] == Fraction(2, 3)
+    assert sorted(res.weights[1:]) == [Fraction(1, 3), Fraction(1, 2)]
+    assert all(type(w) is Fraction for w in res.weights)
 
 
 def test_oracle_agreement_corpus():
@@ -72,6 +82,23 @@ def test_oracle_agreement_corpus():
         assert isinstance(got, BookEmbedding) == oracle_exists(g, "max").exists
         if isinstance(got, BookEmbedding):
             assert validate_max(g, got) is None
+
+
+def test_oracle_agreement_fractional_weights():
+    # a distinct denominator per edge, so the drawer's scaled integers have
+    # a common denominator above 1
+    seen = set()
+    for g in map(fractional, small_corpus(200, weights=(1, 12), seed0=4242)):
+        got = max_be_drawer(g)
+        exists = oracle_exists(g, "max", exhaustive=True).exists
+        assert isinstance(got, BookEmbedding) == exists
+        if exists:
+            assert validate_max(g, got) is None
+        else:
+            seen.add(got.condition)
+            weights = {w for _, _, w in g.edges}
+            assert all(type(w) is Fraction and w in weights for w in got.weights)
+    assert seen == {1, 2, 3}
 
 
 def test_extreme_parent_property():

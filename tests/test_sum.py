@@ -1,12 +1,14 @@
 """The sum-class drawer: oracle agreement, Pareto invariants, completeness."""
 
+from fractions import Fraction
+
 from bookembed.embedding import BookEmbedding, Failure, metrics, validate_sum
 from bookembed.graph import build_bc_tree
 from bookembed.oracle import enumerate_one_page, oracle_exists
 from bookembed.seq import materialize
 from bookembed.sumdraw import sum_be_drawer
 
-from conftest import graph_from, small_corpus
+from conftest import fractional, graph_from, small_corpus
 
 
 def test_biconnected_triangles():
@@ -49,6 +51,20 @@ def test_oracle_agreement_corpus():
             assert validate_sum(g, got) is None
 
 
+def test_oracle_agreement_fractional_weights():
+    # a distinct denominator per edge, so the fronts' scaled integers have
+    # a common denominator above 1
+    yes = 0
+    for g in map(fractional, small_corpus(200, weights=(1, 12), seed0=4242)):
+        got = sum_be_drawer(g)
+        exists = oracle_exists(g, "sum", exhaustive=True).exists
+        assert isinstance(got, BookEmbedding) == exists
+        if exists:
+            yes += 1
+            assert validate_sum(g, got) is None
+    assert 0 < yes < 200
+
+
 def _collect_audit(records):
     def audit(kind, node, entries):
         records.append((kind, node, entries))
@@ -58,13 +74,23 @@ def _collect_audit(records):
 
 def test_pareto_invariants_and_metrics_agreement():
     # (C1)/(C2), (B1)/(B2), size bounds, and stored values vs metrics()
-    for g in small_corpus(120, weights=(1, 9), seed0=2024):
+    _check_fronts(small_corpus(120, weights=(1, 9), seed0=2024))
+
+
+def test_pareto_fronts_fractional_weights():
+    # the audit converts the fronts' scaled integers back to Fractions
+    _check_fronts(map(fractional, small_corpus(120, weights=(1, 9), seed0=2024)))
+
+
+def _check_fronts(graphs):
+    for g in graphs:
         if g.n < 2:
             continue
         records = []
         out = sum_be_drawer(g, audit=_collect_audit(records))
         rooted = build_bc_tree(g)
         for kind, node, entries in records:
+            assert all(type(x) is Fraction for e in entries for x in e[1:])
             if kind == "C":
                 lams = [e[1] for e in entries]
                 rhos = [e[2] for e in entries]
