@@ -19,12 +19,9 @@ def parse_rational(text: str) -> Fraction:
     ``digits`` and ``digits/digits`` skip the ``Fraction(str)`` regex."""
     try:
         stripped = text.strip()
-        if stripped.isascii():
-            if stripped.isdigit():
-                return Fraction(int(stripped))
-            p, _, q = stripped.partition("/")
-            if p.isdigit() and q.isdigit():
-                return Fraction(int(p), int(q))
+        p, slash, q = stripped.partition("/")
+        if stripped.isascii() and p.isdigit() and (not slash or q.isdigit()):
+            return Fraction(int(p), int(q)) if slash else Fraction(int(p))
         return Fraction(stripped)
     except (AttributeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc

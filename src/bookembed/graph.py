@@ -4,10 +4,25 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from fractions import Fraction
 
 from .errors import GraphFormatError, PreconditionError
 from .exact import format_rational, parse_rational
+
+
+def _word_numerators(edges):
+    """The weights over their least common denominator ``den``, as
+    ``(array("q"), den)`` at 8 bytes an edge; None if a number needs more than
+    64 bits (huge weights, or coprime denominators, whose lcm grows with m)."""
+    den = 1
+    for d in {w.denominator for _, _, w in edges}:
+        if (den := math.lcm(den, d)) >= 2**63:
+            return None
+    try:
+        return array("q", (w.numerator * (den // w.denominator) for _, _, w in edges)), den
+    except OverflowError:
+        return None
 
 
 class WeightedGraph:
@@ -93,16 +108,10 @@ class WeightedGraph:
 
     @property
     def scaled(self):
-        """The weights as integers over their least common denominator:
-        ``(nums, den)`` with ``Fraction(nums[e], den) == weight(e)``.
-        Computed on first use; exact comparisons and sums of weights can
-        run on ``nums``."""
+        """``(nums, den)`` with ``Fraction(nums[e], den) == weight(e)``, computed
+        on first use: :func:`_word_numerators`, or the Fraction weights over 1."""
         if self._scaled is None:
-            den = math.lcm(*{w.denominator for _, _, w in self.edges})
-            self._scaled = (
-                tuple(w.numerator * (den // w.denominator) for _, _, w in self.edges),
-                den,
-            )
+            self._scaled = _word_numerators(self.edges) or (tuple(e[2] for e in self.edges), 1)
         return self._scaled
 
     def endpoints(self, eid):
@@ -262,20 +271,16 @@ def _parse_json(text):
     if not isinstance(edges, list):
         raise GraphFormatError('"edges" must be an array')
     for i, entry in enumerate(edges):
-        if type(entry) is list and len(entry) == 3:
-            u, v, w = entry
-            if type(u) is str and type(v) is str and type(w) is str:
-                try:
-                    triples.append((u, v, parse_rational(w)))
-                    continue
-                except ValueError:
-                    pass  # reported below, as for any other entry
-        where = f"edges[{i}]"
         if not isinstance(entry, list) or len(entry) != 3:
+            where = f"edges[{i}]"
             raise GraphFormatError(f"edge must be [u, v, w] ({where})", position=where)
-        u = _coerce_label(entry[0], where)
-        v = _coerce_label(entry[1], where)
-        w = _coerce_weight(entry[2], where)
+        u, v, w = entry
+        u = u if isinstance(u, str) else _coerce_label(u, f"edges[{i}]")
+        v = v if isinstance(v, str) else _coerce_label(v, f"edges[{i}]")
+        try:
+            w = parse_rational(w)
+        except ValueError:  # not a string, or malformed: reported as before
+            w = _coerce_weight(w, f"edges[{i}]")
         triples.append((u, v, w))
     return _build_from_triples(vertex_labels, triples)
 
@@ -401,9 +406,8 @@ def is_connected(g):
 
 
 class Block:
-    """One biconnected component: a vertex subset plus an edge subset.
-    ``max_weight`` is the largest edge weight in units of ``1/g.scaled[1]``
-    (None for the edgeless block of a single vertex)."""
+    """One biconnected component: a vertex subset, an edge subset and
+    ``max_weight``, the largest edge weight in units of ``1/g.scaled[1]`` (None if edgeless)."""
 
     __slots__ = ("vertices", "edge_ids", "max_weight")
 

@@ -66,8 +66,7 @@ def max_be_drawer(g):
             )
             for b2 in kids:
                 w_plus = rooted.w_plus[b2]
-                if w_plus >= left_w and w_plus >= right_w:
-                    # both sides are finite here: no int reaches INF
+                if w_plus >= left_w and w_plus >= right_w:  # so neither side is INF
                     return Failure(
                         3, "subtree fits on neither side of its cut vertex",
                         block=bid, cut_vertex=ci,

@@ -1,13 +1,14 @@
 """Brute-force ground truth for small instances plus the seeded random
 outerplanar generator.
 
-The existence checks here are definitional and share only the weights
-(``WeightedGraph.scaled``) with the optimized validators: orders come from
-exhaustive backtracking and each class is checked by definition (``_fast``).
+The existence checks here are definitional and deliberately share no code
+with the optimized validators: orders come from exhaustive backtracking and
+each class is checked straight from its definition (see ``_fast``).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +48,12 @@ def _edge_arrays(g):
     return eu, ev
 
 
+def _integer_weights(g):
+    """``(numerators, denominator)``: the weights over their least common one."""
+    den = math.lcm(*(w.denominator for _, _, w in g.edges))
+    return [w.numerator * (den // w.denominator) for _, _, w in g.edges], den
+
+
 def enumerate_one_page(g, cap=0):
     """All vertex orders in which no two edges cross, up to ``cap`` (0 = all)."""
     _guard(g)
@@ -65,7 +72,7 @@ def oracle_exists(g, embedding_class, *, exhaustive=False, max_witnesses=1):
     _guard(g)
     cls = _CLASS_CODES[embedding_class]
     eu, ev = _edge_arrays(g)
-    wnum, wden = g.scaled
+    wnum, wden = _integer_weights(g)
     count, witnesses = _fast.class_sweep(
         g.n, eu, ev, wnum, wden, cls, max_witnesses, exhaustive
     )
@@ -79,7 +86,7 @@ def oracle_exists(g, embedding_class, *, exhaustive=False, max_witnesses=1):
 def definitional_check(g, embedding, embedding_class):
     """Definitional per-order check (the kernel's), for validator audits."""
     eu, ev = _edge_arrays(g)
-    wnum, wden = g.scaled
+    wnum, wden = _integer_weights(g)
     return _fast.check_order(
         embedding.order, eu, ev, wnum, wden, _CLASS_CODES[embedding_class]
     )

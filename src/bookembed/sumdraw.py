@@ -81,9 +81,8 @@ def sum_be_drawer(g, audit=None):
     "empty-pareto": some tree node ended with no feasible partial embedding.
 
     ``audit(kind, node, entries)`` is called with every finished Pareto front
-    ("C" nodes: (rope, lambda, rho); "B" nodes: (rope, alpha, tau), as exact
-    Fractions) so tests can assert the structural invariants at every tree
-    node.
+    ("C": (rope, lambda, rho); "B": (rope, alpha, tau), values as Fractions)
+    so tests can assert the structural invariants at every tree node.
     """
     if g.n == 1:
         return BookEmbedding((0,))
@@ -93,9 +92,6 @@ def sum_be_drawer(g, audit=None):
     if failure is not None:
         return failure
     nums, den = g.scaled
-
-    def report(kind, node, entries):
-        audit(kind, node, [(r, Fraction(a, den), Fraction(b, den)) for r, a, b in entries])
 
     bentries = {}
     centries = {}
@@ -124,7 +120,7 @@ def sum_be_drawer(g, audit=None):
                 entries = _polish_left_right(new)
             assert len(entries) <= partial_n, "Pareto front exceeds the size bound"
         if audit is not None:
-            report("C", c, entries)
+            audit("C", c, [(r, Fraction(a, den), Fraction(b, den)) for r, a, b in entries])
         centries[c] = (
             [e[0] for e in entries],
             [e[1] for e in entries],
@@ -182,7 +178,7 @@ def sum_be_drawer(g, audit=None):
                 (seq.blk(order, repl or None), w_first - alpha_sub, w_top + tau_extra)
             ]
         if audit is not None and not is_root:
-            report("B", bid, entries)
+            audit("B", bid, [(r, Fraction(a, den), Fraction(b, den)) for r, a, b in entries])
         bentries[bid] = entries
         return entries
 

@@ -53,6 +53,17 @@ def fractional(g):
     )
 
 
+def coprime(g):
+    """``g`` with the weight ``w + 1/(2**64 + e)`` on edge ``e``: pairwise
+    near-coprime denominators beyond 64 bits, so ``WeightedGraph.scaled``
+    keeps the Fractions.  The verdicts of integer ``w`` change only where
+    ties break."""
+    return WeightedGraph(
+        g.labels,
+        [(u, v, w + Fraction(1, 2**64 + e)) for e, (u, v, w) in enumerate(g.edges)],
+    )
+
+
 def small_corpus(count, *, max_n=8, weights=(1, 20), seed0=0):
     """Seeded connected outerplanar instances mixing sizes and biconnectivity."""
     out = []

@@ -25,7 +25,7 @@ from bookembed.maxdraw import max_be_drawer
 from bookembed.minres import minres_be_drawer, minres_be_drawer_anchor
 from bookembed.sumdraw import sum_be_drawer
 
-from conftest import fractional, graph_from, small_corpus
+from conftest import coprime, fractional, graph_from, small_corpus
 
 
 def test_parse_json_triangle():
@@ -80,21 +80,46 @@ def test_parse_rational_matches_fraction(text):
 
 
 def test_scaled_weights_are_exact():
-    corpus = [fractional(g) for g in small_corpus(60, max_n=12)]
+    base = small_corpus(60, max_n=12)
+    corpus = [fractional(g) for g in base] + [coprime(g) for g in base]
     graphs = corpus + [
-        _shuffled_union(random.Random(i).sample(corpus, 3), i) for i in range(10)
+        _shuffled_union(random.Random(i).sample(corpus, 3), i) for i in range(20)
     ]
     edgeless = graph_from([], vertices=["a", "b"])
-    assert edgeless.scaled == ((), 1)
+    assert len(edgeless.scaled[0]) == 0 and edgeless.scaled[1] == 1
+    views = set()
     for g in graphs:
         parts = [sub for _, sub in component_subgraphs(g)]
         parts.append(g.induced(range(0, g.n, 2))[0])
         for h in [g] + parts:
             nums, den = h.scaled
             assert h.scaled is h.scaled
-            assert den == math.lcm(*(w.denominator for _, _, w in h.edges))
-            assert len(nums) == h.m and all(type(x) is int for x in nums)
+            assert len(nums) == h.m
             assert all(Fraction(nums[e], den) == h.weight(e) for e in range(h.m))
+            lcm = math.lcm(*(w.denominator for _, _, w in h.edges))
+            if lcm < 2**63:
+                views.add("words")
+                assert den == lcm and nums.typecode == "q"
+            else:
+                # past 64 bits the view is the weights themselves
+                views.add("fractions")
+                assert den == 1 and nums == tuple(w for _, _, w in h.edges)
+    assert views == {"words", "fractions"}
+
+
+@pytest.mark.parametrize(
+    "top, words", [((2**63 - 1) // 3, True), ((2**63 - 1) // 3 + 1, False)]
+)
+def test_scaled_view_holds_64_bit_numerators(top, words):
+    # over den == 3, 3 * top is the largest numerator; one that needs 64
+    # bits sends the whole view to the Fractions
+    g = graph_from([("a", "b", top), ("b", "c", 7), ("a", "c", Fraction(5, 3))])
+    nums, den = g.scaled
+    assert all(Fraction(nums[e], den) == g.weight(e) for e in range(g.m))
+    if words:
+        assert den == 3 and nums.typecode == "q"
+    else:
+        assert den == 1 and nums == tuple(w for _, _, w in g.edges)
 
 
 @pytest.mark.parametrize(
@@ -307,7 +332,7 @@ def test_rooted_aggregates():
     assert rooted.n_plus_c[c] == 3
     # subtree counts and weights agree with a direct recomputation, also
     # when the weights are held over a common denominator
-    for h, den in ((g, 1), (fractional(g), 30)):
+    for h, den in ((g, 1), (fractional(g), 30), (coprime(g), 1)):
         assert h.scaled[1] == den
         rooted = build_bc_tree(h)
         checked_cuts = set()

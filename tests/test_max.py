@@ -10,7 +10,7 @@ from bookembed.graph import build_bc_tree
 from bookembed.maxdraw import embed_max, max_be_drawer, star_sort_demo
 from bookembed.oracle import oracle_exists
 
-from conftest import fractional, graph_from, small_corpus
+from conftest import coprime, fractional, graph_from, small_corpus
 
 
 def test_biconnected_triangle(triangle_5_6_11):
@@ -84,11 +84,13 @@ def test_oracle_agreement_corpus():
             assert validate_max(g, got) is None
 
 
-def test_oracle_agreement_fractional_weights():
-    # a distinct denominator per edge, so the drawer's scaled integers have
-    # a common denominator above 1
+@pytest.mark.parametrize("weighted", [fractional, coprime])
+def test_oracle_agreement_fractional_weights(weighted):
+    # a distinct denominator per edge: the drawer's scaled integers have a
+    # common denominator above 1 (fractional), or past 256 bits the view
+    # holds the Fractions themselves (coprime)
     seen = set()
-    for g in map(fractional, small_corpus(200, weights=(1, 12), seed0=4242)):
+    for g in map(weighted, small_corpus(200, weights=(1, 12), seed0=4242)):
         got = max_be_drawer(g)
         exists = oracle_exists(g, "max", exhaustive=True).exists
         assert isinstance(got, BookEmbedding) == exists

@@ -10,7 +10,7 @@ from bookembed.oracle import enumerate_one_page, oracle_exists, random_outerplan
 from bookembed.seq import materialize
 from bookembed.twodim import check_twodim, minres_construct
 
-from conftest import graph_from, small_corpus
+from conftest import coprime, graph_from, small_corpus
 
 
 def test_biconnected_with_edge_examples():
@@ -99,6 +99,10 @@ def test_oracle_agreement_fractional_weights():
     _assert_oracle_agreement(
         _divided(small_corpus(150, weights=(2, 18), seed0=4242), 3)
     )
+
+
+def test_oracle_agreement_coprime_denominators():
+    _assert_oracle_agreement(map(coprime, small_corpus(150, weights=(1, 6), seed0=4343)))
 
 
 def test_front_invariants_and_b2_optimality():

@@ -2,13 +2,15 @@
 
 from fractions import Fraction
 
+import pytest
+
 from bookembed.embedding import BookEmbedding, Failure, metrics, validate_sum
 from bookembed.graph import build_bc_tree
 from bookembed.oracle import enumerate_one_page, oracle_exists
 from bookembed.seq import materialize
 from bookembed.sumdraw import sum_be_drawer
 
-from conftest import fractional, graph_from, small_corpus
+from conftest import coprime, fractional, graph_from, small_corpus
 
 
 def test_biconnected_triangles():
@@ -51,11 +53,13 @@ def test_oracle_agreement_corpus():
             assert validate_sum(g, got) is None
 
 
-def test_oracle_agreement_fractional_weights():
-    # a distinct denominator per edge, so the fronts' scaled integers have
-    # a common denominator above 1
+@pytest.mark.parametrize("weighted", [fractional, coprime])
+def test_oracle_agreement_fractional_weights(weighted):
+    # a distinct denominator per edge: the fronts' scaled integers have a
+    # common denominator above 1 (fractional), or past 256 bits the view
+    # holds the Fractions themselves (coprime)
     yes = 0
-    for g in map(fractional, small_corpus(200, weights=(1, 12), seed0=4242)):
+    for g in map(weighted, small_corpus(200, weights=(1, 12), seed0=4242)):
         got = sum_be_drawer(g)
         exists = oracle_exists(g, "sum", exhaustive=True).exists
         assert isinstance(got, BookEmbedding) == exists
@@ -77,9 +81,10 @@ def test_pareto_invariants_and_metrics_agreement():
     _check_fronts(small_corpus(120, weights=(1, 9), seed0=2024))
 
 
-def test_pareto_fronts_fractional_weights():
-    # the audit converts the fronts' scaled integers back to Fractions
-    _check_fronts(map(fractional, small_corpus(120, weights=(1, 9), seed0=2024)))
+@pytest.mark.parametrize("weighted", [fractional, coprime])
+def test_pareto_fronts_fractional_weights(weighted):
+    # the audit converts the fronts' scaled numbers back to Fractions
+    _check_fronts(map(weighted, small_corpus(120, weights=(1, 9), seed0=2024)))
 
 
 def _check_fronts(graphs):
