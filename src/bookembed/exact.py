@@ -16,12 +16,16 @@ INF = math.inf
 def parse_rational(text: str) -> Fraction:
     """Parse ``"5"``, ``"3.25"`` or ``"7/2"`` into an exact Fraction;
     anything else, a non-string included, raises ValueError.  ASCII
-    ``digits`` and ``digits/digits`` skip the ``Fraction(str)`` regex."""
+    ``digits`` and ``digits/digits`` skip the ``Fraction(str)`` regex.
+    Interior whitespace and ``_``, which ``Fraction(str)`` accepts from some
+    Python version on, are rejected on every version."""
     try:
         stripped = text.strip()
         p, slash, q = stripped.partition("/")
         if stripped.isascii() and p.isdigit() and (not slash or q.isdigit()):
             return Fraction(int(p), int(q)) if slash else Fraction(int(p))
+        if "_" in stripped or len(stripped.split()) > 1:
+            raise ValueError(text)
         return Fraction(stripped)
     except (AttributeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc

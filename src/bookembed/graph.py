@@ -263,9 +263,10 @@ def _parse_json(text):
     vertices = doc.get("vertices", [])
     if not isinstance(vertices, list):
         raise GraphFormatError('"vertices" must be an array')
-    vertex_labels = []
-    for i, v in enumerate(vertices):
-        vertex_labels.append(_coerce_label(v, f"vertices[{i}]"))
+    vertex_labels = [
+        v if isinstance(v, str) else _coerce_label(v, f"vertices[{i}]")
+        for i, v in enumerate(vertices)
+    ]
     triples = []
     edges = doc["edges"]
     if not isinstance(edges, list):

@@ -52,22 +52,27 @@ class TwoDimEmbedding:
         return w * h
 
     def to_json(self, g):
-        doc = {
-            "vertices": [
-                {"id": g.labels[v], "x": format_rational(self.x[v])}
-                for v in self.support.order
-            ],
-            "edges": [
-                {
-                    "u": g.labels[u],
-                    "v": g.labels[v],
-                    "w": format_rational(w),
-                    "rect": [format_rational(c) for c in self.rects[eid]],
-                }
-                for eid, (u, v, w) in enumerate(g.edges)
-            ],
-        }
-        return json.dumps(doc)
+        """The document ``{"vertices": [{"id", "x"}], "edges": [{"u", "v",
+        "w", "rect"}]}`` as the text ``json.dumps`` gives; each coordinate
+        object is formatted once."""
+        text = {}  # by id: every value formatted is held by self or g meanwhile
+
+        def quoted(value):
+            out = text.get(id(value))
+            if out is None:
+                out = text[id(value)] = f'"{format_rational(value)}"'
+            return out
+
+        labels = [json.dumps(label) for label in g.labels]
+        vertices = ", ".join(
+            f'{{"id": {labels[v]}, "x": {quoted(self.x[v])}}}' for v in self.support.order
+        )
+        edges = ", ".join(
+            f'{{"u": {labels[u]}, "v": {labels[v]}, "w": {quoted(w)}, "rect": '
+            f'[{", ".join(map(quoted, self.rects[eid]))}]}}'
+            for eid, (u, v, w) in enumerate(g.edges)
+        )
+        return f'{{"vertices": [{vertices}], "edges": [{edges}]}}'
 
     @staticmethod
     def from_json(text):
@@ -115,15 +120,25 @@ def _forest_for(order, edge_list):
     return pos, spans, children, roots
 
 
-def _draw_region(order, edge_list, length, height, x_offset=Fraction(0)):
-    """Exact-area drawing of a biconnected structure given its forced order.
+def _draw_region(order, edge_list, length):
+    """Exact-area drawing of a biconnected structure given its forced order,
+    in a box of width ``length`` whose area is the weight total.
 
     ``edge_list`` holds (u, v, w, key); the forest must have a single root
     (the edge joining the order's endpoints).  Returns (vx, rects by key).
+
+    The weights become ints over one denominator D.  A region of width W
+    whose subtree weighs S (in units of 1/D) is S/(D·W) tall; its edge takes
+    the top and leaves C/(D·W) to the children, C being their total, and
+    child k gets the width W·S_k/C.  Widths and the running junction are
+    reduced (num, den) pairs of ints; each new coordinate is one Fraction,
+    shared by ``vx`` and the rectangles.
     """
-    pos, spans, children, roots = _forest_for(order, edge_list)
+    _pos, spans, children, roots = _forest_for(order, edge_list)
     assert len(roots) == 1, "top edge must wrap every other edge"
-    subtree = [None] * len(edge_list)
+    den = math.lcm(*{e[2].denominator for e in edge_list})
+    subtree = [w.numerator * (den // w.denominator) for _u, _v, w, _key in edge_list]
+    rest = [0] * len(edge_list)  # C: the children's total
     post = []
     stack = list(roots)
     while stack:
@@ -131,34 +146,41 @@ def _draw_region(order, edge_list, length, height, x_offset=Fraction(0)):
         post.append(i)
         stack.extend(children[i])
     for i in reversed(post):
-        total = edge_list[i][2]
         for k in children[i]:
-            total += subtree[k]
-        subtree[i] = total
+            rest[i] += subtree[k]
+        subtree[i] += rest[i]
 
-    vx = {order[0]: x_offset, order[-1]: x_offset + length}
+    gcd = math.gcd
+    zero = Fraction(0)
+    length = Fraction(length)
+    ln, ld = length.numerator, length.denominator
+    vx = {order[0]: zero, order[-1]: length}
     rects = {}
-    frames = [(roots[0], x_offset, x_offset + length, height)]
+    frames = [(roots[0], zero, length, ln, ld, Fraction(subtree[roots[0]] * ld, den * ln))]
     while frames:
-        i, x_lo, x_hi, h_region = frames.pop()
-        u, v, w, key = edge_list[i]
-        width = x_hi - x_lo
+        i, x_lo, x_hi, wn, wd, top = frames.pop()
+        key = edge_list[i][3]
         kids = children[i]
         if not kids:
-            rects[key] = (x_lo, x_hi, Fraction(0), h_region)
+            rects[key] = (x_lo, x_hi, zero, top)
             continue
-        h_top = w / width
-        rects[key] = (x_lo, x_hi, h_region - h_top, h_region)
-        h_rest = h_region - h_top
-        cursor = x_lo
+        c = rest[i]
+        y = Fraction(c * wd, den * wn)
+        rects[key] = (x_lo, x_hi, y, top)
+        cursor, xn, xd = x_lo, x_lo.numerator, x_lo.denominator
         for idx, k in enumerate(kids):
+            g = gcd(subtree[k], c)
+            sn, sd = subtree[k] // g, c // g
+            g1, g2 = gcd(wn, sd), gcd(sn, wd)
+            kn, kd = wn // g1 * (sn // g2), wd // g2 * (sd // g1)
             if idx + 1 < len(kids):
-                nxt = cursor + subtree[k] / h_rest
-                junction = order[spans[k][1]]
-                vx[junction] = nxt
+                g = gcd(xd, kd)
+                nxt = Fraction(xn * (kd // g) + kn * (xd // g), xd // g * kd)
+                xn, xd = nxt.numerator, nxt.denominator
+                vx[order[spans[k][1]]] = nxt
             else:
                 nxt = x_hi
-            frames.append((k, cursor, nxt, h_rest))
+            frames.append((k, cursor, nxt, kn, kd, y))
             cursor = nxt
     assert len(vx) == len(order), "every vertex must receive an x-coordinate"
     return vx, rects
@@ -188,7 +210,7 @@ def twodim_biconnected(g, s, t, length, height):
     if order is None:
         raise PreconditionError("(s, t) is not on the outer face")
     edge_list = [(u, v, w, eid) for eid, (u, v, w) in enumerate(g.edges)]
-    vx, rects = _draw_region(order, edge_list, length, height)
+    vx, rects = _draw_region(order, edge_list, length)
     return TwoDimEmbedding(BookEmbedding(order), vx, rects)
 
 
@@ -260,16 +282,16 @@ def twodim_general(g, eps=Fraction(1), length=None):
         edge_list.append(
             (order_all[0], order_all[-1], dummy_w, ("dummy", len(edge_list)))
         )
-    total = sum((e[2] for e in edge_list), Fraction(0))
+    nums, den = g.scaled
+    total = Fraction(sum(nums), den) + dummy_w * (len(edge_list) - g.m)
 
     if length is None:
         length = default_box_width(total)
     length = Fraction(length)
     if length <= 0:
         raise PreconditionError("length must be positive")
-    height = total / length
 
-    vx, all_rects = _draw_region(order_all, edge_list, length, height)
+    vx, all_rects = _draw_region(order_all, edge_list, length)
     rects = {key: rect for key, rect in all_rects.items() if isinstance(key, int)}
     return TwoDimEmbedding(BookEmbedding(order_all), vx, rects)
 

@@ -1,10 +1,15 @@
 """Exact-area and augmented 2-D constructions, plus the serializer."""
 
+import importlib
+import json
+import os
 from fractions import Fraction
 
 import pytest
 
+from bookembed import twodim
 from bookembed.errors import GraphFormatError, PreconditionError
+from bookembed.graph import BlockCutTree, WeightedGraph
 from bookembed.minres import minres_be_drawer
 from bookembed.oracle import random_outerplanar
 from bookembed.outerplanar import outerplane_embedding
@@ -18,7 +23,10 @@ from bookembed.twodim import (
     twodim_general,
 )
 
-from conftest import MALFORMED_2D, graph_from
+from conftest import MALFORMED_2D, coprime, fractional, graph_from, small_corpus
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
 def test_k2_box():
@@ -156,3 +164,141 @@ def test_one_page_order_always_works():
         g = random_outerplanar(1 + seed % 9, (1, 5), seed=seed)
         order = one_page_order(g)
         assert is_one_page(g, BookEmbedding(order))
+
+
+# -- the integer build against a per-operation Fraction reference --------
+
+
+def _reference_draw_region(order, edge_list, length):
+    """Reference drawing with one Fraction operation per step: an edge takes
+    w / width off the top of its region, and a child's width is its
+    subtree total / the height left."""
+    _pos, spans, children, roots = twodim._forest_for(order, edge_list)
+    subtree = [None] * len(edge_list)
+    post = []
+    stack = list(roots)
+    while stack:
+        i = stack.pop()
+        post.append(i)
+        stack.extend(children[i])
+    for i in reversed(post):
+        total = edge_list[i][2]
+        for k in children[i]:
+            total += subtree[k]
+        subtree[i] = total
+
+    length = Fraction(length)
+    vx = {order[0]: Fraction(0), order[-1]: length}
+    rects = {}
+    frames = [(roots[0], Fraction(0), length, subtree[roots[0]] / length)]
+    while frames:
+        i, x_lo, x_hi, h_region = frames.pop()
+        _u, _v, w, key = edge_list[i]
+        width = x_hi - x_lo
+        kids = children[i]
+        if not kids:
+            rects[key] = (x_lo, x_hi, Fraction(0), h_region)
+            continue
+        h_top = w / width
+        rects[key] = (x_lo, x_hi, h_region - h_top, h_region)
+        h_rest = h_region - h_top
+        cursor = x_lo
+        for idx, k in enumerate(kids):
+            if idx + 1 < len(kids):
+                nxt = cursor + subtree[k] / h_rest
+                vx[order[spans[k][1]]] = nxt
+            else:
+                nxt = x_hi
+            frames.append((k, cursor, nxt, h_rest))
+            cursor = nxt
+    return vx, rects
+
+
+def _reference_json(g, emb):
+    return json.dumps({
+        "vertices": [
+            {"id": g.labels[v], "x": str(emb.x[v])} for v in emb.support.order
+        ],
+        "edges": [
+            {"u": g.labels[u], "v": g.labels[v], "w": str(w),
+             "rect": [str(c) for c in emb.rects[eid]]}
+            for eid, (u, v, w) in enumerate(g.edges)
+        ],
+    })
+
+
+def _both_ways(monkeypatch, build):
+    """``build()``, and the same build drawn by the reference."""
+    emb = build()
+    with monkeypatch.context() as patch:
+        patch.setattr(twodim, "_draw_region", _reference_draw_region)
+        return emb, build()
+
+
+ESCAPED_LABELS = ["é", 'b"q', "a\\b", "\n"]
+
+
+def _relabeled(g, labels):
+    names = labels + [f"v{i}" for i in range(len(labels), g.n)]
+    return WeightedGraph(names[: g.n], g.edges)
+
+
+@pytest.mark.parametrize("weights", [lambda g: g, fractional, coprime],
+                         ids=["integer", "fractional", "coprime"])
+def test_integer_build_is_byte_identical_to_the_fraction_reference(
+    monkeypatch, weights
+):
+    base = small_corpus(45, max_n=14, seed0=300)
+    base += [_relabeled(g, ESCAPED_LABELS) for g in base[:15] if g.n >= 4]
+    graphs = [weights(g) for g in base]
+    checked = 0
+    for g in graphs:
+        for eps, length in ((1, None), (Fraction(1, 3), None), (1, Fraction(7, 3))):
+            emb, ref = _both_ways(
+                monkeypatch, lambda: twodim_general(g, eps=eps, length=length))
+            text = emb.to_json(g)
+            assert text == _reference_json(g, ref) == _reference_json(g, emb)
+            g2, emb2 = TwoDimEmbedding.from_json(text)
+            assert list(g2.labels) == [g.labels[v] for v in emb.support.order]
+            assert list(emb2.rects.values()) == [emb.rects[e] for e in range(g.m)]
+            checked += 1
+        if g.m and len(BlockCutTree(g).blocks) == 1:
+            cycle = outerplane_embedding(g)
+            total = g.total_weight()
+            for s, t in (cycle[:2], cycle[1::-1]):
+                emb, ref = _both_ways(
+                    monkeypatch,
+                    lambda: twodim_biconnected(g, s, t, Fraction(5, 2), total / Fraction(5, 2)))
+                assert emb.to_json(g) == _reference_json(g, ref)
+                checked += 1
+    assert checked > 180
+
+
+def test_draw_region_does_no_fraction_arithmetic(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    planted = importlib.import_module("planted")
+    g = planted.planted_yes(120, "sum", seed=4, biconnected=False).graph
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        original = getattr(Fraction, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    drawn = []
+    draw = twodim._draw_region
+
+    def watched(*args):
+        before = len(calls)
+        result = draw(*args)
+        drawn.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(twodim, "_draw_region", watched)
+    emb = twodim_general(g, eps=Fraction(1, 3))
+    assert drawn == [0]
+    monkeypatch.undo()
+    assert check_twodim(g, emb) == []
