@@ -4,6 +4,7 @@ element."""
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -32,5 +33,10 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical string form: ``"5"`` for integers, ``"p/q"`` otherwise."""
-    return str(value)
+    """Canonical string form: ``"5"`` for integers, ``"p/q"`` otherwise.
+    ``Decimal`` writes the numbers past Python's int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        p, q = Decimal(value.numerator), Decimal(value.denominator)
+        return f"{p}/{q}" if q != 1 else str(p)

@@ -179,8 +179,6 @@ class _AnchorSearch:
             partial_n += size - 1
             if entries is None:
                 entries = [(rope_b, 0, size - 1), (seq.flip(rope_b), size - 1, 0)]
-                if size == 1:
-                    entries = entries[:1]
             else:
                 new = []
                 tail = seq.skipping(rope_b, c)

@@ -80,8 +80,6 @@ def cut_cycle(cycle, s, t):
 
 def _canonical_cycle(cycle):
     n = len(cycle)
-    if n <= 2:
-        return tuple(sorted(cycle))
     start = cycle.index(min(cycle))
     fwd = tuple(cycle[(start + k) % n] for k in range(n))
     bwd = tuple(cycle[(start - k) % n] for k in range(n))
@@ -91,8 +89,8 @@ def _canonical_cycle(cycle):
 def _reduce_to_outer_cycle(n, neighbor_sets):
     """Degree-2 elimination. Returns the Hamiltonian outer cycle or None.
 
-    ``neighbor_sets`` is consumed.  Works for n >= 3; the caller validates
-    the result against the original edges.
+    ``neighbor_sets`` is consumed.  Needs n >= 3 and every degree >= 2; the
+    caller validates the result against the original edges.
     """
     alive = n
     dead = [False] * n
@@ -119,44 +117,22 @@ def _reduce_to_outer_cycle(n, neighbor_sets):
                 queue.append(x)
         if len(neighbor_sets[u]) < 2 or len(neighbor_sets[w]) < 2:
             return None
+    # Every live vertex keeps two live neighbours, so the three left form a
+    # triangle; each reinsertion below grows the ring by one vertex.
     core = [v for v in range(n) if not dead[v]]
-    for a in core:
-        for b in core:
-            if a != b and b not in neighbor_sets[a]:
-                return None
-    nxt = {}
-    prv = {}
-    if len(core) == 3:
-        a, b, c = core
-        ring = [a, b, c]
-    else:
-        ring = core
-    for i, v in enumerate(ring):
-        nxt[v] = ring[(i + 1) % len(ring)]
-        prv[v] = ring[(i - 1) % len(ring)]
+    nxt = {v: core[(i + 1) % 3] for i, v in enumerate(core)}
     for v, u, w in reversed(removals):
         if nxt.get(u) == w:
             nxt[u] = v
             nxt[v] = w
-            prv[w] = v
-            prv[v] = u
         elif nxt.get(w) == u:
             nxt[w] = v
             nxt[v] = u
-            prv[u] = v
-            prv[v] = w
         else:
             return None
     cycle = [min(nxt)]
-    while True:
-        step = nxt[cycle[-1]]
-        if step == cycle[0]:
-            break
+    while (step := nxt[cycle[-1]]) != cycle[0]:
         cycle.append(step)
-        if len(cycle) > n:
-            return None
-    if len(cycle) != n:
-        return None
     return cycle
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 from . import seq
 from .blocks import rooted_block_orders
 from .embedding import BookEmbedding, Failure, per_component
+from .exact import INF
 from .graph import build_bc_tree
 
 _UNDER = "an edge does not outweigh the edges directly under it"
@@ -44,7 +45,8 @@ def _greedy(g, order, ell, cuts, centries, forced_first=None):
 
     ``cuts``: ascending ``(position, cut)`` pairs; ``ell``: remaining free
     space keyed by position (mutated).  ``forced_first`` pins the entry index
-    used for ``cuts[0]``.  Returns ``(repl, alpha_sub, tau_extra)`` or None.
+    used for ``cuts[0]``, a cut at position 1.  Returns ``(repl, alpha_sub,
+    tau_extra)`` or None.
     """
     k_last = len(order) - 1
     repl = {}
@@ -54,7 +56,7 @@ def _greedy(g, order, ell, cuts, centries, forced_first=None):
         ropes, lams, rhos = centries[c]
         if idx == 0 and forced_first is not None:
             j = forced_first
-            if x > 0 and not lams[j] < ell[x]:
+            if not lams[j] < ell[x]:
                 return None
         else:
             j = bisect_left(lams, ell[x]) - 1
@@ -78,7 +80,9 @@ def sum_be_drawer(g, audit=None):
 
     condition 1: a block admits no embedding of the class;
     condition 2: a block's forced order has its parent cut inside;
-    "empty-pareto": some tree node ended with no feasible partial embedding.
+    "empty-pareto": some tree node ended with no feasible partial embedding;
+    the Failure names the first such node of the bottom-up walk, which
+    visits ``block_postorder`` and each block after its child cuts.
 
     ``audit(kind, node, entries)`` is called with every finished Pareto front
     ("C": (rope, lambda, rho); "B": (rope, alpha, tau), values as Fractions)
@@ -137,16 +141,14 @@ def sum_be_drawer(g, audit=None):
         w_first = _consecutive_weight(g, nums, order, 1)
 
         def fresh_ell():
-            return {x: _consecutive_weight(g, nums, order, x) for x in range(1, k_last + 1)}
+            ell = {x: _consecutive_weight(g, nums, order, x) for x in range(1, k_last + 1)}
+            # only the root can have a cut at position 0, and nothing bounds
+            # its left extension: INF picks the minimum-right-extension entry
+            ell[0] = INF
+            return ell
 
         is_root = bid == rooted.root
-        if is_root and cuts and cuts[0][0] == 0:
-            forced = len(centries[cuts[0][1]][0]) - 1  # minimum right extension
-            res = _greedy(g, order, fresh_ell(), cuts, centries, forced_first=forced)
-            if res is None:
-                return None
-            entries = [(seq.blk(order, res[0] or None), None, None)]
-        elif cuts and cuts[0][0] == 1 and not is_root:
+        if cuts and cuts[0][0] == 1 and not is_root:
             # All entry choices for the first cut trade free space against
             # room on its right; keep the whole front.
             branches = []
@@ -182,30 +184,15 @@ def sum_be_drawer(g, audit=None):
         bentries[bid] = entries
         return entries
 
-    depth = {("B", rooted.root): 0}
-    schedule = []
-    for bid in reversed(rooted.block_postorder):
-        parent = rooted.parent_cut[bid]
-        if parent is not None:
-            depth[("B", bid)] = depth[("C", parent)] + 1
-        schedule.append(("B", bid))
+    for bid in rooted.block_postorder:
         for c in rooted.child_cuts[bid]:
-            depth[("C", c)] = depth[("B", bid)] + 1
-            schedule.append(("C", c))
-    schedule.sort(key=lambda item: (-depth[item], item[0], item[1]))
-
-    for kind, node in schedule:
-        if kind == "C":
-            if process_cut(node) is None:
+            if process_cut(c) is None:
                 return Failure(
                     "empty-pareto", "no feasible combination at a cut vertex",
-                    cut_vertex=node,
+                    cut_vertex=c,
                 )
-        else:
-            if process_block(node) is None:
-                return Failure(
-                    "empty-pareto", "no feasible block extension", block=node
-                )
+        if process_block(bid) is None:
+            return Failure("empty-pareto", "no feasible block extension", block=bid)
 
     return BookEmbedding(seq.materialize(bentries[rooted.root][0][0]))
 

@@ -3,13 +3,16 @@
 import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
 from bookembed.cli import main
-from bookembed.twodim import TwoDimEmbedding, check_twodim
+from bookembed.graph import parse_graph, serialize_graph
+from bookembed.oracle import random_outerplanar
+from bookembed.twodim import TwoDimEmbedding, check_twodim, twodim_general
 
-from conftest import K2_2D, MALFORMED_2D
+from conftest import K2_2D, MALFORMED_2D, coprime
 
 TRI111 = '{"edges":[["a","b","1"],["b","c","1"],["a","c","1"]]}'
 TRI_5_6_11 = '{"edges":[["a","b","5"],["b","c","6"],["a","c","11"]]}'
@@ -79,6 +82,24 @@ def test_check_subcommand(tmp_path):
         ["check", "max", str(path), "--order", '["3","4","5","7"]']
     )
     assert code == 0 and json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize("given", ["inline", "file", "stdin"])
+def test_check_sum_violation_document(tmp_path, given):
+    path = tmp_path / "g.json"
+    path.write_text('{"edges":[["3","4","3"],["5","7","11"],["3","7","12"]]}')
+    order = '["3","4","5","7"]'
+    (tmp_path / "order.json").write_text(order)
+    flag = {"inline": order, "file": f"@{tmp_path / 'order.json'}", "stdin": "-"}
+    code, out, err = run_cli(
+        ["check", "sum", str(path), "--order", flag[given]], stdin_text=order
+    )
+    assert (code, err) == (1, "")
+    assert out == json.dumps({"ok": False, "violation": {
+        "class": "sum", "edge_id": 2, "witness_ids": [0, 1],
+        "edge": ["3", "7", "12"], "witness": [["3", "4", "3"], ["5", "7", "11"]],
+        "positions": [0, 3],
+    }}) + "\n"
 
 
 def test_gen_embed_pipeline_determinism():
@@ -168,6 +189,34 @@ def test_embed_2d_weight_beyond_float_range():
     assert (code, err) == (0, "")
     g, drawing = TwoDimEmbedding.from_json(out)
     assert check_twodim(g, drawing) == []
+
+
+def test_embed_2d_writes_numbers_past_the_digit_limit():
+    # numerators and denominators here pass Python's 4,300-digit limit on
+    # integer-to-string conversion
+    text = serialize_graph(coprime(random_outerplanar(33, (1, 50), seed=0)))
+    code, out, err = run_cli(["embed-2d"], stdin_text=text)
+    assert (code, err) == (0, "")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        g = parse_graph(text)
+        drawing = twodim_general(g)
+        doc = json.loads(out)
+        coordinates = [v["x"] for v in doc["vertices"]]
+        coordinates += [c for e in doc["edges"] for c in e["rect"]]
+        assert max(len(i) for c in coordinates for i in c.split("/")) > limit
+        assert {v["id"]: Fraction(v["x"]) for v in doc["vertices"]} == {
+            g.labels[v]: x for v, x in drawing.x.items()
+        }
+        assert [[Fraction(c) for c in e["rect"]] for e in doc["edges"]] == [
+            list(drawing.rects[eid]) for eid in range(g.m)
+        ]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # readers keep the limit on outside input
+    code, _, err = run_cli(["render"], stdin_text=out)
+    assert code == 2 and "not a rational number" in err
 
 
 def test_disconnected_input_handled():

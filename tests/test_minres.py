@@ -218,3 +218,17 @@ def test_long_path_draws_without_recursion():
     out = minres_be_drawer(g)
     assert isinstance(out, BookEmbedding)
     assert validate_minres_supporting(g, out) is None
+
+
+def test_empty_cut_fold_fails_every_anchor_with_condition_3():
+    # four unit edges meet at "3", and only two neighbours can sit next to it
+    g = random_outerplanar(6, (1, 3), seed=68)
+    cut = g.resolve("3")
+    for e_star in range(g.m):
+        assert minres_be_drawer_anchor(g, e_star) == Failure(
+            3, "no feasible combination at a cut vertex",
+            cut_vertex=cut, anchor=e_star,
+        )
+    # in one shared search the anchor 2-3 reuses the cached failure at "3"
+    assert minres_be_drawer(g) == Failure(None, "no supporting embedding")
+    assert not oracle_exists(g, "minres-supporting").exists

@@ -6,7 +6,7 @@ import pytest
 
 from bookembed.embedding import BookEmbedding, Failure, metrics, validate_sum
 from bookembed.graph import build_bc_tree
-from bookembed.oracle import enumerate_one_page, oracle_exists
+from bookembed.oracle import enumerate_one_page, oracle_exists, random_outerplanar
 from bookembed.seq import materialize
 from bookembed.sumdraw import sum_be_drawer
 
@@ -164,3 +164,13 @@ def test_c3_completeness_small_scale():
                 assert any(fl <= lam and fr <= rho for fl, fr in fronts), (
                     "stored front must dominate every feasible embedding"
                 )
+
+
+def test_empty_pareto_names_the_first_failing_node_of_the_walk():
+    # Several nodes of this graph have empty fronts.  The walk visits
+    # block_postorder with each block after its child cuts, and block 11
+    # comes before the failing cut vertex "15".
+    g = random_outerplanar(26, (1, 6), seed=390)
+    assert sum_be_drawer(g) == Failure(
+        "empty-pareto", "no feasible block extension", block=11
+    )

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from bookembed import twodim
+from bookembed.embedding import BookEmbedding
 from bookembed.errors import GraphFormatError, PreconditionError
 from bookembed.graph import BlockCutTree, WeightedGraph
 from bookembed.minres import minres_be_drawer
@@ -134,10 +135,62 @@ def test_minres_construct_examples():
 
 def test_minres_construct_rejects_non_supporting():
     t111 = graph_from([("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
-    from bookembed.embedding import BookEmbedding
-
     with pytest.raises(PreconditionError):
         minres_construct(t111, BookEmbedding((0, 1, 2)))
+
+
+def _box_triangle():
+    # a=0, b=1/2, c=1; the top edge a-c (id 2) sits on the two lower ones
+    g = graph_from([("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
+    return g, twodim_biconnected(g, "a", "c", 1, 3), {"exact_box": (1, 3)}
+
+
+def _unit_triangle():
+    # order a, c, b at x = 1, 2, 3; edge a-b (id 0, weight 2) over the others
+    g = graph_from([("a", "b", 2), ("b", "c", 1), ("a", "c", 1)])
+    return g, minres_construct(g, minres_be_drawer(g)), {"require_minres": True}
+
+
+def _set(table, key, value):
+    table[key] = value
+
+
+# one mutation of a correct drawing per message check_twodim reports
+_DEFECTS = {
+    "support order is not a permutation":
+        (_box_triangle, lambda t: setattr(t, "support", BookEmbedding((0, 0, 1)))),
+    "x not strictly increasing at b": (_box_triangle, lambda t: _set(t.x, 1, Fraction(0))),
+    "edge 1 has no rectangle": (_box_triangle, lambda t: t.rects.pop(1)),
+    "edge 0: rectangle ends differ from endpoint x":
+        (_box_triangle, lambda t: _set(t.x, 1, Fraction(1, 4))),
+    "edge 0: degenerate rectangle":
+        (_box_triangle, lambda t: _set(t.rects, 0, (0, Fraction(1, 2), 2, 2))),
+    "edge 2: area is not exactly the weight":
+        (_box_triangle, lambda t: _set(t.rects, 2, (0, 1, 2, 4))),
+    "edge 2: width below 1":
+        (_unit_triangle, lambda t: _set(t.rects, 2, (1, Fraction(3, 2), 0, 2))),
+    "edge 0: height below 1":
+        (_unit_triangle, lambda t: _set(t.rects, 0, (1, 3, 1, Fraction(3, 2)))),
+    "vertex spacing below 1": (_unit_triangle, lambda t: _set(t.x, 1, Fraction(5, 2))),
+    "edge 2: bottom does not meet the nested tops":
+        (_box_triangle, lambda t: _set(t.rects, 2, (0, 1, Fraction(5, 2), Fraction(7, 2)))),
+    "edges 0 and 2: rectangles overlap":
+        (_box_triangle, lambda t: _set(t.rects, 2, (0, 1, 1, 2))),
+    "edge 2: connector at x=0 pierces edge 0":
+        (_box_triangle, lambda t: _set(t.rects, 0, (Fraction(-1, 2), Fraction(1, 2), 0, 2))),
+    "bounding box differs from the requested box":
+        (_box_triangle, lambda t: _set(t.rects, 2, (0, 1, 2, 4))),
+    "holes: rectangle areas do not fill the box": (_box_triangle, lambda t: t.rects.pop(1)),
+}
+
+
+@pytest.mark.parametrize("message", _DEFECTS)
+def test_check_twodim_reports_each_defect(message):
+    build, mutate = _DEFECTS[message]
+    g, drawing, options = build()
+    assert check_twodim(g, drawing, **options) == []
+    mutate(drawing)
+    assert message in check_twodim(g, drawing, **options)
 
 
 def test_serialization_round_trip():
