@@ -32,8 +32,12 @@ from .sumdraw import embed_sum
 from .twodim import TwoDimEmbedding, minres_construct, twodim_general
 
 
+def _is_stdin(path):
+    return path in (None, "-")
+
+
 def _read_text(path):
-    if path in (None, "-"):
+    if _is_stdin(path):
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
@@ -60,12 +64,16 @@ _VALIDATORS = {
 
 
 def _cmd_check(args):
-    g = _load_graph(args)
     order_text = args.order
     if order_text.startswith("@"):
-        order_text = _read_text(order_text[1:])
-    elif order_text == "-":
-        order_text = sys.stdin.read()
+        order_path = order_text[1:]
+    else:
+        order_path = "-" if order_text == "-" else None
+    if order_path == "-" and _is_stdin(args.input):
+        raise BookEmbedError("the graph and --order cannot both be read from stdin")
+    g = _load_graph(args)
+    if order_path is not None:
+        order_text = _read_text(order_path)
     embedding = BookEmbedding.from_json(order_text, g)
     try:
         verdict = _VALIDATORS[args.embedding_class](g, embedding)
@@ -129,6 +137,8 @@ def _cmd_render(args):
         raise BookEmbedError("rect/disk rendering needs a 2-D embedding document")
     if not args.graph:
         raise BookEmbedError("arc rendering from a bare order needs --graph")
+    if _is_stdin(args.input) and _is_stdin(args.graph):
+        raise BookEmbedError("the input and --graph cannot both be read from stdin")
     g = parse_graph(_read_text(args.graph), format=args.format)
     embedding = BookEmbedding(g.resolve_labels(doc))
     _emit(args, render_arcs(g, embedding, spec))

@@ -10,8 +10,11 @@ blocks keep a single maximum-residual extension.
 A subtree's result depends only on its top node and that node's parent, so
 one drawer call caches the block result per (block, parent cut) and the cut
 front per (cut, parent block), failures included: anchors share everything
-below their own block.  Weights are scaled once to integers over their
-common denominator; residuals leave the module as exact Fractions.
+below their own block.  Condition 1 (the block order that cuts a given cycle
+edge has ``weight >= span`` everywhere) is answered for every cut of a block
+by one O(k + m) sweep on the block's first use.  Weights are scaled once to
+integers over their common denominator; residuals leave the module as exact
+Fractions.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 from math import inf
 
 from . import seq
@@ -26,21 +30,6 @@ from .embedding import BookEmbedding, Failure, per_component
 from .errors import NotOuterplanarError
 from .graph import BlockCutTree
 from .outerplanar import block_outer_cycle, cut_cycle, span
-
-
-def _forced_supporting(g, w, den, cycle, edge_ids, s, t):
-    """Order with s first / t last if it satisfies weight >= span everywhere;
-    ``w`` holds the edge weights scaled by ``den``."""
-    order = cut_cycle(cycle, s, t)
-    if order is None:
-        return None
-    pos = {v: i for i, v in enumerate(order)}
-    edges = g.edges
-    for eid in edge_ids:
-        u, v, _ = edges[eid]
-        if w[eid] < den * abs(pos[u] - pos[v]):
-            return None
-    return order
 
 
 class _AnchorSearch:
@@ -68,6 +57,7 @@ class _AnchorSearch:
         self.w, self.den = g.scaled
         cuts = set(tree.cut_vertices)
         self.block_cuts = [[v for v in b.vertices if v in cuts] for b in tree.blocks]
+        self.sweeps = {}  # block -> (cycle position of each vertex, passing cuts)
         self.candidates = {}  # (block, parent cut) -> supporting orders
         self.results = {"B": {}, "C": {}}  # kind -> (node, parent) -> result
 
@@ -78,9 +68,7 @@ class _AnchorSearch:
         u, v = g.endpoints(e_star)
         if u > v:
             u, v = v, u
-        order = _forced_supporting(
-            g, self.w, self.den, self.cycles[root], tree.blocks[root].edge_ids, u, v
-        )
+        order = self._cut(root, u, v)
         if order is None:
             return Failure(
                 1, "anchor block has no supporting order with the anchor outermost",
@@ -145,23 +133,64 @@ class _AnchorSearch:
             node = up.get(node)
         return replace(failure, anchor=e_star)
 
+    def _sweep(self, bid):
+        """``(pos, ok)`` for block ``bid``: ``pos`` maps a vertex to its cycle
+        position, and ``ok[j]`` is true when cutting the cycle between
+        positions j and j + 1 leaves weight >= span on every block edge.
+
+        An edge at positions p < q spans k - (q - p) under the cuts p..q-1
+        and q - p under the others, so one difference array counts the
+        failing edges of every cut at once."""
+        cycle = self.cycles[bid]
+        k = len(cycle)
+        pos = {v: i for i, v in enumerate(cycle)}
+        w, den, edges = self.w, self.den, self.g.edges
+        fails = [0] * (k + 1)
+        for eid in self.tree.blocks[bid].edge_ids:
+            u, v, _ = edges[eid]
+            p, q = pos[u], pos[v]
+            if p > q:
+                p, q = q, p
+            outside = w[eid] < den * (q - p)
+            shift = (w[eid] < den * (k - q + p)) - outside  # on cuts p..q-1
+            fails[0] += outside
+            fails[p] += shift
+            fails[q] -= shift
+        return pos, [f == 0 for f in accumulate(fails[:k])]
+
+    def _swept(self, bid):
+        """:meth:`_sweep` of block ``bid``, computed on first use."""
+        found = self.sweeps.get(bid)
+        if found is None:
+            found = self.sweeps[bid] = self._sweep(bid)
+        return found
+
+    def _cut(self, bid, s, t):
+        """``cut_cycle`` of block ``bid`` with s first and t last if that
+        order satisfies weight >= span everywhere, else None."""
+        pos, ok = self._swept(bid)
+        i, j = pos[s], pos[t]
+        k = len(ok)
+        if (i + 1) % k == j:
+            passes = ok[i]
+        elif (j + 1) % k == i:
+            passes = ok[j]
+        else:
+            return None
+        return cut_cycle(self.cycles[bid], s, t) if passes else None
+
     def _candidates(self, bid, c):
         """Supporting orders of block ``bid`` with its parent cut ``c`` first."""
         key = (bid, c)
         found = self.candidates.get(key)
         if found is None:
             cycle = self.cycles[bid]
-            if len(cycle) == 2:
-                ends = [cycle[1] if cycle[0] == c else cycle[0]]
-            else:
-                i = cycle.index(c)
-                ends = {cycle[(i - 1) % len(cycle)], cycle[(i + 1) % len(cycle)]}
-            edge_ids = self.tree.blocks[bid].edge_ids
-            found = []
-            for x in sorted(ends):
-                order = _forced_supporting(self.g, self.w, self.den, cycle, edge_ids, c, x)
-                if order is not None:
-                    found.append(order)
+            pos, _ok = self._swept(bid)
+            i = pos[c]
+            ends = {cycle[i - 1], cycle[(i + 1) % len(cycle)]}
+            found = [
+                order for x in sorted(ends) if (order := self._cut(bid, c, x)) is not None
+            ]
             self.candidates[key] = found
         return found
 

@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
+import sys
 from fractions import Fraction
 
 import pytest
 
 from bookembed.graph import WeightedGraph, parse_graph
 from bookembed.oracle import random_outerplanar
+
+# the benchmark's modules under ``perfbench/`` import as top-level names
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
 
 
 def graph_from(edges, vertices=()):

@@ -422,6 +422,17 @@ SUBCOMMANDS = {
         ),
     ]
     + [
+        pytest.param(argv, stdin_text, id=f"{argv[0]}-two-operands-on-stdin-{i}")
+        for i, (argv, stdin_text) in enumerate((
+            (["check", "max", "--order", "-"], TRI_5_6_11),
+            (["check", "max", "--order", "@-"], TRI_5_6_11),
+            (["check", "max", "-", "--order", "-"], TRI_5_6_11),
+            (["check", "max", "-", "--order", "@-"], TRI_5_6_11),
+            (["render", "--style", "arc", "--graph", "-"], '["a", "b", "c"]'),
+            (["render", "--style", "arc", "--graph", "-", "-"], '["a", "b", "c"]'),
+        ))
+    ]
+    + [
         pytest.param(["render", "--scale", scale], json.dumps(K2_2D),
                      id=f"render-scale-{scale}")
         for scale in ("nan", "inf", "1e309")
@@ -452,3 +463,7 @@ def test_malformed_input_exits_2(tmp_path, argv, stdin_text):
     messages = dict(MALFORMED_EDGE.values())
     if argv[0] != "render" and stdin_text in messages:
         assert err == f"bookembed: {messages[stdin_text]}\n"
+    if "--order" in argv and argv[argv.index("--order") + 1] in ("-", "@-"):
+        assert err == "bookembed: the graph and --order cannot both be read from stdin\n"
+    if "--graph" in argv and argv[argv.index("--graph") + 1] == "-":
+        assert err == "bookembed: the input and --graph cannot both be read from stdin\n"

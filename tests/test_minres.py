@@ -3,14 +3,19 @@ residual optimality, end-to-end construction."""
 
 from fractions import Fraction
 
+import pytest
+
+from bookembed import minres
 from bookembed.embedding import BookEmbedding, Failure, validate_minres_supporting
 from bookembed.graph import BlockCutTree, WeightedGraph
-from bookembed.minres import minres_be_drawer, minres_be_drawer_anchor
+from bookembed.minres import embed_minres, minres_be_drawer, minres_be_drawer_anchor
 from bookembed.oracle import enumerate_one_page, oracle_exists, random_outerplanar
+from bookembed.outerplanar import block_outer_cycle, cut_cycle
 from bookembed.seq import materialize
 from bookembed.twodim import check_twodim, minres_construct
 
-from conftest import coprime, graph_from, small_corpus
+import planted  # the benchmark's generator (perfbench/planted.py)
+from conftest import coprime, fractional, graph_from, small_corpus
 
 
 def test_biconnected_with_edge_examples():
@@ -232,3 +237,91 @@ def test_empty_cut_fold_fails_every_anchor_with_condition_3():
     # in one shared search the anchor 2-3 reuses the cached failure at "3"
     assert minres_be_drawer(g) == Failure(None, "no supporting embedding")
     assert not oracle_exists(g, "minres-supporting").exists
+
+
+def _supporting_cut(g, cycle, edge_ids, s, t):
+    """Definitional condition 1: the cycle cut with s first and t last if
+    every block edge weighs at least its span there, else None."""
+    order = cut_cycle(cycle, s, t)
+    pos = {v: i for i, v in enumerate(order)}
+    for eid in edge_ids:
+        u, v, w = g.edges[eid]
+        if w < abs(pos[u] - pos[v]):
+            return None
+    return order
+
+
+def _assert_sweep_matches_definition(graphs):
+    verdicts = set()
+    for g in graphs:
+        if g.m == 0:
+            continue
+        tree = BlockCutTree(g)
+        cycles = [block_outer_cycle(g, b.vertices, b.edge_ids) for b in tree.blocks]
+        search = minres._AnchorSearch(g, tree, cycles)
+        for bid, block in enumerate(tree.blocks):
+            cycle = cycles[bid]
+            for i, s in enumerate(cycle):
+                t = cycle[(i + 1) % len(cycle)]
+                for first, last in ((s, t), (t, s)):
+                    expected = _supporting_cut(g, cycle, block.edge_ids, first, last)
+                    verdicts.add(expected is not None)
+                    assert search._cut(bid, first, last) == expected
+    assert verdicts == {True, False}
+
+
+def test_sweep_matches_definition_on_corpus():
+    corpus = small_corpus(200, max_n=10, weights=(1, 8), seed0=2024)
+    _assert_sweep_matches_definition(corpus)
+    _assert_sweep_matches_definition(map(fractional, corpus))
+    with_fractions = [coprime(g) for g in corpus]
+    assert all(g.scaled[1] == 1 for g in with_fractions)  # the Fraction view
+    _assert_sweep_matches_definition(with_fractions)
+
+
+def test_sweep_matches_definition_on_planted_instances():
+    _assert_sweep_matches_definition(
+        make(n, "minres", seed, biconnected).graph
+        for make in (planted.planted_yes, planted.planted_no)
+        for n, seed in ((40, 3), (300, 4), (1500, 5))
+        for biconnected in (True, False)
+    )
+
+
+@pytest.mark.parametrize("biconnected", [True, False])
+def test_every_block_is_swept_once_per_drawer_call(monkeypatch, biconnected):
+    # a planted no-instance: every anchor fails, the most anchors a call tries
+    g = planted.planted_no(1000, "minres", 1, biconnected).graph
+    tree = BlockCutTree(g)
+    edge_ids = {frozenset(b.vertices): b.edge_ids for b in tree.blocks}
+    swept, cuts, anchors = [], [], []
+    sweep, run = minres._AnchorSearch._sweep, minres._AnchorSearch.run
+
+    def counted_sweep(self, bid):
+        swept.append(bid)
+        return sweep(self, bid)
+
+    def checked_cut(cycle, s, t):
+        order = cut_cycle(cycle, s, t)
+        assert order == _supporting_cut(g, cycle, edge_ids[frozenset(cycle)], s, t)
+        cuts.append(order)
+        return order
+
+    def counted_run(self, e_star):
+        result = run(self, e_star)
+        assert isinstance(result, Failure)
+        anchors.append(e_star)
+        return result
+
+    monkeypatch.setattr(minres._AnchorSearch, "_sweep", counted_sweep)
+    monkeypatch.setattr(minres._AnchorSearch, "run", counted_run)
+    monkeypatch.setattr(minres, "cut_cycle", checked_cut)
+    for _call in range(2):
+        swept.clear()
+        anchors.clear()
+        assert isinstance(embed_minres(g), Failure)
+        assert anchors == list(range(g.m))
+        assert sorted(swept) == list(range(len(tree.blocks)))
+    if biconnected:
+        # one block whose every cut fails: no order is ever built
+        assert cuts == []

@@ -2,8 +2,6 @@
 reads fields of its results; a rename in ``src`` must fail here, not only
 when the benchmark runs."""
 
-import os
-import sys
 from types import SimpleNamespace
 
 from bookembed import cli
@@ -11,16 +9,10 @@ from bookembed.blocks import block_outer_cycle
 from bookembed.graph import BlockCutTree
 from bookembed.minres import minres_be_drawer_anchor
 
+import harness  # the benchmark's modules; conftest puts perfbench/ on the path
+import tracer
+import workloads  # noqa: F401
 from conftest import graph_from
-
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
-if PERFBENCH not in sys.path:
-    sys.path.insert(0, PERFBENCH)
-
-import harness  # noqa: E402
-import tracer  # noqa: E402
-import workloads  # noqa: E402, F401
 
 
 def test_tracer_counts_max_rejections(tmp_path):
