@@ -35,8 +35,9 @@ def forced_block_order(g, vertices, edge_ids, under, reason):
     nums = g.scaled[0]
     pos = {v: i for i, v in enumerate(order)}
     spans = []
+    ends = g.ends
     for eid in edge_ids:
-        u, v, _ = g.edges[eid]
+        u, v = ends[eid]
         spans.append(span(pos, u, v) + (eid,))
     _parent, children, _roots = nesting_forest(len(order), spans)
     for idx, kids in enumerate(children):
@@ -89,8 +90,10 @@ def lowest_edges(g, pos, v, incident_eids):
     p = pos[v]
     best_l = best_r = None
     bl = br = None
+    ends = g.ends
     for eid in incident_eids:
-        q = pos[g.other_end(eid, v)]
+        a, b = ends[eid]
+        q = pos[b if a == v else a]
         if q < p:
             if bl is None or q > bl:
                 bl, best_l = q, eid

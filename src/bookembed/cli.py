@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -34,6 +35,20 @@ from .twodim import TwoDimEmbedding, minres_construct, twodim_general
 
 def _is_stdin(path):
     return path in (None, "-")
+
+
+def _both_stdin(path, other):
+    """True when reading ``path`` and ``other`` would read stdin twice: one
+    is ``-`` and the other is ``-`` too, or names the file that stdin is,
+    such as ``/dev/stdin``.  That file is looked up only in the second case."""
+    if not _is_stdin(path):
+        path, other = other, path
+    try:
+        return _is_stdin(path) and (
+            _is_stdin(other) or os.path.samestat(os.stat(other), os.fstat(0))
+        )
+    except OSError:
+        return False
 
 
 def _read_text(path):
@@ -69,7 +84,7 @@ def _cmd_check(args):
         order_path = order_text[1:]
     else:
         order_path = "-" if order_text == "-" else None
-    if order_path == "-" and _is_stdin(args.input):
+    if order_path is not None and _both_stdin(args.input, order_path):
         raise BookEmbedError("the graph and --order cannot both be read from stdin")
     g = _load_graph(args)
     if order_path is not None:
@@ -137,7 +152,7 @@ def _cmd_render(args):
         raise BookEmbedError("rect/disk rendering needs a 2-D embedding document")
     if not args.graph:
         raise BookEmbedError("arc rendering from a bare order needs --graph")
-    if _is_stdin(args.input) and _is_stdin(args.graph):
+    if _both_stdin(args.input, args.graph):
         raise BookEmbedError("the input and --graph cannot both be read from stdin")
     g = parse_graph(_read_text(args.graph), format=args.format)
     embedding = BookEmbedding(g.resolve_labels(doc))

@@ -95,7 +95,7 @@ def _check_permutation(g, embedding):
 
 def _edge_spans(g, embedding):
     pos = embedding.position
-    return [span(pos, u, v) + (eid,) for eid, (u, v, _) in enumerate(g.edges)]
+    return [span(pos, u, v) + (eid,) for eid, (u, v) in enumerate(g.ends)]
 
 
 def is_one_page(g, embedding):
@@ -128,6 +128,13 @@ def validate_one_page(g, embedding):
     return None if is_one_page(g, embedding) else OnePageViolation()
 
 
+def _labelled(g, eid):
+    """Edge ``eid`` as the violation documents print it: ``[u, v, w]``
+    with labels and the weight's exact string."""
+    u, v = g.ends[eid]
+    return [g.labels[u], g.labels[v], format_rational(g.weight(eid))]
+
+
 @dataclass(frozen=True)
 class MaxViolation:
     """An edge pair breaking the strictly-heavier-wrapper rule."""
@@ -136,13 +143,13 @@ class MaxViolation:
     inner_edge: int
 
     def to_json(self, g, embedding=None):
-        ou, ov, ow = g.edges[self.outer_edge]
-        iu, iv, iw = g.edges[self.inner_edge]
+        ou, ov = g.ends[self.outer_edge]
+        iu, iv = g.ends[self.inner_edge]
         doc = {
             "class": "max",
             "edge_ids": [self.outer_edge, self.inner_edge],
-            "outer": [g.labels[ou], g.labels[ov], format_rational(ow)],
-            "inner": [g.labels[iu], g.labels[iv], format_rational(iw)],
+            "outer": _labelled(g, self.outer_edge),
+            "inner": _labelled(g, self.inner_edge),
         }
         if embedding is not None:
             pos = embedding.position
@@ -161,16 +168,13 @@ class SumViolation:
     witness: tuple  # edge ids of a maximum-weight antichain under `edge`
 
     def to_json(self, g, embedding=None):
-        u, v, w = g.edges[self.edge]
+        u, v = g.ends[self.edge]
         doc = {
             "class": "sum",
             "edge_id": self.edge,
             "witness_ids": list(self.witness),
-            "edge": [g.labels[u], g.labels[v], format_rational(w)],
-            "witness": [
-                [g.labels[a], g.labels[b], format_rational(wt)]
-                for a, b, wt in (g.edges[e] for e in self.witness)
-            ],
+            "edge": _labelled(g, self.edge),
+            "witness": [_labelled(g, e) for e in self.witness],
         }
         if embedding is not None:
             pos = embedding.position
@@ -186,11 +190,11 @@ class MinresViolation:
     burden: int
 
     def to_json(self, g, embedding=None):
-        u, v, w = g.edges[self.edge]
+        u, v = g.ends[self.edge]
         doc = {
             "class": "minres",
             "edge_id": self.edge,
-            "edge": [g.labels[u], g.labels[v], format_rational(w)],
+            "edge": _labelled(g, self.edge),
             "burden": self.burden,
         }
         if embedding is not None:
@@ -261,7 +265,7 @@ def burdens(g, embedding):
     for a permutation order is the position span minus one."""
     _check_permutation(g, embedding)
     pos = embedding.position
-    return tuple(abs(pos[u] - pos[v]) - 1 for u, v, _ in g.edges)
+    return tuple(abs(pos[u] - pos[v]) - 1 for u, v in g.ends)
 
 
 def validate_minres_supporting(g, embedding):
@@ -271,7 +275,7 @@ def validate_minres_supporting(g, embedding):
     pos = embedding.position
     nums, den = g.scaled
     worst = None
-    for eid, (u, v, _) in enumerate(g.edges):
+    for eid, (u, v) in enumerate(g.ends):
         beta = abs(pos[u] - pos[v]) - 1
         if nums[eid] < (beta + 1) * den:
             a, b = span(pos, u, v)

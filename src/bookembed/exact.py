@@ -14,22 +14,35 @@ from fractions import Fraction
 INF = math.inf
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``"5"``, ``"3.25"`` or ``"7/2"`` into an exact Fraction;
-    anything else, a non-string included, raises ValueError.  ASCII
-    ``digits`` and ``digits/digits`` skip the ``Fraction(str)`` regex.
-    Interior whitespace and ``_``, which ``Fraction(str)`` accepts from some
-    Python version on, are rejected on every version."""
+def parse_ratio(text: str) -> tuple:
+    """Parse ``"5"``, ``"3.25"`` or ``"7/2"`` into ``(p, q)``, the number
+    ``p/q`` in lowest terms with ``q > 0``; anything else, a non-string
+    included, raises ValueError.  ASCII ``digits`` and ``digits/digits``
+    skip the ``Fraction(str)`` regex.  Interior whitespace and ``_``, which
+    ``Fraction(str)`` accepts from some Python version on, are rejected on
+    every version."""
     try:
+        p, slash, q = text.partition("/")
+        if p.isdigit() and (not slash or q.isdigit()) and text.isascii():
+            if not slash:
+                return int(p), 1
+            p, q = int(p), int(q)
+            if not q:
+                raise ZeroDivisionError(text)
+            g = math.gcd(p, q)
+            return (p // g, q // g) if g != 1 else (p, q)
         stripped = text.strip()
-        p, slash, q = stripped.partition("/")
-        if stripped.isascii() and p.isdigit() and (not slash or q.isdigit()):
-            return Fraction(int(p), int(q)) if slash else Fraction(int(p))
         if "_" in stripped or len(stripped.split()) > 1:
             raise ValueError(text)
-        return Fraction(stripped)
+        value = Fraction(stripped)
+        return value.numerator, value.denominator
     except (AttributeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
+
+
+def parse_rational(text: str) -> Fraction:
+    """:func:`parse_ratio` as an exact Fraction."""
+    return Fraction(*parse_ratio(text))
 
 
 def format_rational(value: Fraction) -> str:

@@ -8,32 +8,58 @@ from array import array
 from fractions import Fraction
 
 from .errors import GraphFormatError, PreconditionError
-from .exact import format_rational, parse_rational
+from .exact import format_rational, parse_ratio
 
 
-def _word_numerators(edges):
-    """The weights over their least common denominator ``den``, as
-    ``(array("q"), den)`` at 8 bytes an edge; None if a number needs more than
-    64 bits (huge weights, or coprime denominators, whose lcm grows with m)."""
+def _word_view(nums, dens):
+    """The ratios ``nums[e] / dens[e]`` over their least common denominator
+    ``den``, as ``(array("q"), den)`` at 8 bytes an edge; None if a number
+    needs more than 64 bits (huge weights, or coprime denominators, whose
+    lcm grows with m)."""
     den = 1
-    for d in {w.denominator for _, _, w in edges}:
+    for d in set(dens):
         if (den := math.lcm(den, d)) >= 2**63:
             return None
     try:
-        return array("q", (w.numerator * (den // w.denominator) for _, _, w in edges)), den
+        if den == 1:
+            return array("q", nums), 1
+        return array("q", [p * (den // q) for p, q in zip(nums, dens)]), den
     except OverflowError:
         return None
+
+
+def _self_loop(labels, u):
+    return GraphFormatError(f"self-loop at vertex {labels[u]!r}", kind="self-loop")
+
+
+def _duplicate_edge(labels, u, v):
+    return GraphFormatError(
+        f"duplicate edge {labels[u]!r}--{labels[v]!r}", kind="duplicate-edge"
+    )
+
+
+def _non_positive(labels, u, v, w):
+    return GraphFormatError(
+        f"non-positive weight {w} on edge {labels[u]!r}--{labels[v]!r}",
+        kind="non-positive-weight",
+    )
 
 
 class WeightedGraph:
     """Undirected simple graph with exact positive rational edge weights.
 
     Vertex labels are interned to dense integers ``0..n-1`` in first-seen
-    order; every internal structure works on the dense ids.  Instances are
-    immutable after construction and safe to share across threads.
+    order; every internal structure works on the dense ids.  Edge ``e``
+    joins ``ends[e] == (u, v)``.  Instances are immutable after
+    construction and safe to share across threads.
+
+    A graph holds its weights as ``Fraction``s, as the constructor gets
+    them, or as the integer view :attr:`scaled`, as :func:`parse_graph`
+    reads them; the other form is built on first use.
     """
 
-    __slots__ = ("labels", "label_index", "edges", "adjacency", "_edge_lookup", "_scaled")
+    __slots__ = ("labels", "label_index", "ends", "adjacency", "_edge_lookup",
+                 "_weights", "_scaled")
 
     def __init__(self, labels, edges):
         """``labels``: iterable of strings; ``edges``: triples (u, v, w) of dense ids."""
@@ -43,55 +69,67 @@ class WeightedGraph:
             raise GraphFormatError("duplicate vertex label", kind="syntax")
         n = len(self.labels)
         lookup = {}
-        checked = []
+        ends = []
+        weights = []
         for eid, (u, v, w) in enumerate(edges):
             if u == v:
-                raise GraphFormatError(
-                    f"self-loop at vertex {self.labels[u]!r}", kind="self-loop"
-                )
+                raise _self_loop(self.labels, u)
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError("edge endpoint out of range", kind="syntax")
-            key = (u, v) if u < v else (v, u)
+            end = (u, v)
+            key = end if u < v else (v, u)  # one tuple where u < v
             if key in lookup:
-                raise GraphFormatError(
-                    f"duplicate edge {self.labels[u]!r}--{self.labels[v]!r}",
-                    kind="duplicate-edge",
-                )
+                raise _duplicate_edge(self.labels, u, v)
             if type(w) is not Fraction:
                 w = Fraction(w)
             # exact: a Fraction's denominator is always positive
             if w.numerator <= 0:
-                raise GraphFormatError(
-                    f"non-positive weight {w} on edge "
-                    f"{self.labels[u]!r}--{self.labels[v]!r}",
-                    kind="non-positive-weight",
-                )
+                raise _non_positive(self.labels, u, v, w)
             lookup[key] = eid
-            checked.append((u, v, w))
-        self._link(checked, lookup)
+            ends.append(end)
+            weights.append(w)
+        self._link(ends, lookup, tuple(weights), None)
 
     @classmethod
-    def _of_checked(cls, labels, edges):
-        """Graph over distinct ``labels`` and ``edges`` taken from a graph
+    def _of_checked(cls, labels, ends, weights, scaled):
+        """Graph over distinct ``labels`` and ``ends`` taken from a graph
         that is already checked: dense ids, no self-loops, no duplicate
-        edges, positive ``Fraction`` weights.  Skips the per-edge checks."""
+        edges, positive weights given as ``Fraction``s or as the view
+        :attr:`scaled` (the other one None).  Skips the per-edge checks."""
         g = cls.__new__(cls)
         g.labels = tuple(labels)
         g.label_index = {lab: i for i, lab in enumerate(g.labels)}
-        g._link(edges, {
-            ((u, v) if u < v else (v, u)): eid for eid, (u, v, _) in enumerate(edges)
-        })
+        g._link(ends, {
+            (end if end[0] < end[1] else end[::-1]): eid for eid, end in enumerate(ends)
+        }, weights, scaled)
         return g
 
-    def _link(self, edges, lookup):
+    def _link(self, ends, lookup, weights, scaled):
         adjacency = [[] for _ in self.labels]
-        for eid, (u, v, _) in enumerate(edges):
+        for eid, (u, v) in enumerate(ends):
             adjacency[u].append(eid)
             adjacency[v].append(eid)
-        self.edges = tuple(edges)
+        self.ends = tuple(ends)
         self.adjacency = tuple(map(tuple, adjacency))
         self._edge_lookup = lookup
-        self._scaled = None
+        self._weights = weights
+        self._scaled = scaled
+
+    def _part(self, labels, ends, eids):
+        """Checked subgraph whose edge i is ``ends[i]``, weighing what edge
+        ``eids[i]`` of this graph weighs.  Its view is its own: over its
+        weights' least common denominator, which may fit 64 bits when this
+        graph's does not."""
+        if self._weights is not None:
+            return WeightedGraph._of_checked(
+                labels, ends, tuple(map(self._weights.__getitem__, eids)), None
+            )
+        nums, den = self._scaled
+        nums = array("q", map(nums.__getitem__, eids))
+        common = math.gcd(den, *nums)
+        if common != 1:
+            nums = array("q", [x // common for x in nums])
+        return WeightedGraph._of_checked(labels, ends, None, (nums, den // common))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -101,25 +139,48 @@ class WeightedGraph:
 
     @property
     def m(self):
-        return len(self.edges)
+        return len(self.ends)
+
+    @property
+    def weights(self):
+        """The ``Fraction`` weights by edge id; a parsed graph builds them
+        on first use."""
+        if self._weights is None:
+            nums, den = self._scaled
+            self._weights = tuple(Fraction(x, den) for x in nums)
+        return self._weights
+
+    @property
+    def edges(self):
+        """``(u, v, w)`` triples with ``Fraction`` weights, built anew on
+        every access; the hot paths read :attr:`ends` and :attr:`scaled`."""
+        return tuple((u, v, w) for (u, v), w in zip(self.ends, self.weights))
 
     def weight(self, eid):
-        return self.edges[eid][2]
+        """The weight of edge ``eid`` as a ``Fraction``; a parsed graph that
+        has not built :attr:`weights` makes a new one on every call."""
+        if self._weights is None:
+            nums, den = self._scaled
+            return Fraction(nums[eid], den)
+        return self._weights[eid]
 
     @property
     def scaled(self):
-        """``(nums, den)`` with ``Fraction(nums[e], den) == weight(e)``, computed
-        on first use: :func:`_word_numerators`, or the Fraction weights over 1."""
+        """``(nums, den)`` with ``Fraction(nums[e], den) == weight(e)``:
+        :func:`_word_view`, or the Fraction weights over 1.  A parsed graph
+        gets it from the parser; a constructed one computes it on first use."""
         if self._scaled is None:
-            self._scaled = _word_numerators(self.edges) or (tuple(e[2] for e in self.edges), 1)
+            ws = self._weights
+            self._scaled = _word_view(
+                [w.numerator for w in ws], [w.denominator for w in ws]
+            ) or (ws, 1)
         return self._scaled
 
     def endpoints(self, eid):
-        u, v, _ = self.edges[eid]
-        return u, v
+        return self.ends[eid]
 
     def other_end(self, eid, v):
-        u, w, _ = self.edges[eid]
+        u, w = self.ends[eid]
         return w if v == u else u
 
     def edge_between(self, u, v):
@@ -152,17 +213,19 @@ class WeightedGraph:
         return ids
 
     def total_weight(self):
-        return sum((w for _, _, w in self.edges), Fraction(0))
+        nums, den = self.scaled
+        return Fraction(sum(nums), den)
 
     def __eq__(self, other):
         return (
             isinstance(other, WeightedGraph)
             and self.labels == other.labels
-            and self.edges == other.edges
+            and self.ends == other.ends
+            and self.weights == other.weights
         )
 
     def __hash__(self):
-        return hash((self.labels, self.edges))
+        return hash((self.labels, self.ends, self.weights))
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={self.m})"
@@ -175,33 +238,16 @@ class WeightedGraph:
         """
         verts = sorted(set(vertices))
         to_sub = {v: i for i, v in enumerate(verts)}
-        sub_edges = []
-        for u, v, w in self.edges:
+        ends = []
+        eids = []
+        for eid, (u, v) in enumerate(self.ends):
             if u in to_sub and v in to_sub:
-                sub_edges.append((to_sub[u], to_sub[v], w))
-        sub = WeightedGraph._of_checked([self.labels[v] for v in verts], sub_edges)
-        return sub, to_sub
+                ends.append((to_sub[u], to_sub[v]))
+                eids.append(eid)
+        return self._part([self.labels[v] for v in verts], ends, eids), to_sub
 
 
 # -- parsing / serialization ----------------------------------------------
-
-
-def _build_from_triples(vertex_labels, triples):
-    labels = []
-    index = {}
-
-    def intern(label):
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-        return index[label]
-
-    for lab in vertex_labels:
-        intern(lab)
-    edges = []
-    for u_lab, v_lab, w in triples:
-        edges.append((intern(u_lab), intern(v_lab), w))
-    return WeightedGraph(labels, edges)
 
 
 def _coerce_label(value, where):
@@ -217,22 +263,94 @@ def _coerce_label(value, where):
 
 
 def _coerce_weight(value, where):
+    """``(p, q)`` of a JSON weight that is not a string: an integer, or an
+    error."""
     if isinstance(value, bool):
         raise GraphFormatError(f"weight must be a string rational ({where})")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return parse_rational(value)
-        except ValueError:
-            raise GraphFormatError(
-                f"malformed weight {value!r} ({where})", position=where
-            ) from None
+        return value, 1
     raise GraphFormatError(
         f"weight must be a string rational, not {type(value).__name__} "
         f"(floats are inexact) ({where})",
         position=where,
     )
+
+
+def _build(vertex_labels, rows, fault):
+    """The graph of ``rows``, each ``[u, v, w]``, in one pass.
+
+    Labels are interned in first-seen order, ``vertex_labels`` first.  Each
+    weight is read into ``(p, q)`` in lowest terms, and the view
+    :attr:`WeightedGraph.scaled` is made from those integers; ``Fraction``s
+    are built only when the view needs more than 64 bits.  ``fault(i,
+    text)`` makes the error for row ``i``: the malformed weight ``text``,
+    or, when ``text`` is None, a row that is not ``[u, v, w]``.
+
+    A syntax fault raises at once, so it wins over a structural one in any
+    row.  Of the structural faults the first row's is raised, and within a
+    row a self-loop comes before a duplicate edge and that before a
+    non-positive weight.
+    """
+    labels = []
+    index = {}
+    for lab in vertex_labels:
+        if lab not in index:
+            index[lab] = len(labels)
+            labels.append(lab)
+    ends, nums, dens = [], [], []
+    lookup = {}
+    found = None  # the first structural fault, raised after the last row
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != 3:
+            raise fault(i, None)
+        u, v, w = row
+        if not isinstance(u, str):
+            u = _coerce_label(u, f"edges[{i}]")
+        if not isinstance(v, str):
+            v = _coerce_label(v, f"edges[{i}]")
+        if not isinstance(w, str):
+            p, q = _coerce_weight(w, f"edges[{i}]")
+        elif w.isdigit() and w.isascii():
+            p, q = int(w), 1
+        else:
+            try:
+                p, q = parse_ratio(w)
+            except ValueError:
+                raise fault(i, w) from None
+        a = index.get(u)
+        if a is None:
+            a = index[u] = len(labels)
+            labels.append(u)
+        b = index.get(v)
+        if b is None:
+            b = index[v] = len(labels)
+            labels.append(v)
+        end = (a, b)
+        if found is None:
+            key = end if a < b else (b, a)
+            if a == b:
+                found = _self_loop(labels, a)
+            elif key in lookup:
+                found = _duplicate_edge(labels, a, b)
+            elif p <= 0:
+                found = _non_positive(labels, a, b, Fraction(p, q))
+            else:
+                lookup[key] = i
+        ends.append(end)
+        nums.append(p)
+        dens.append(q)
+    if found is not None:
+        raise found
+    scaled = _word_view(nums, dens)
+    weights = None
+    if scaled is None:
+        weights = tuple(map(Fraction, nums, dens))
+        scaled = (weights, 1)
+    g = WeightedGraph.__new__(WeightedGraph)
+    g.labels = tuple(labels)
+    g.label_index = index
+    g._link(ends, lookup, weights, scaled)
+    return g
 
 
 def parse_graph(text, format="json"):
@@ -251,6 +369,13 @@ def parse_graph(text, format="json"):
     raise ValueError(f"unknown graph format {format!r}")
 
 
+def _json_fault(i, text):
+    where = f"edges[{i}]"
+    if text is None:
+        return GraphFormatError(f"edge must be [u, v, w] ({where})", position=where)
+    return GraphFormatError(f"malformed weight {text!r} ({where})", position=where)
+
+
 def _parse_json(text):
     try:
         doc = json.loads(text)
@@ -267,28 +392,16 @@ def _parse_json(text):
         v if isinstance(v, str) else _coerce_label(v, f"vertices[{i}]")
         for i, v in enumerate(vertices)
     ]
-    triples = []
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise GraphFormatError('"edges" must be an array')
-    for i, entry in enumerate(edges):
-        if not isinstance(entry, list) or len(entry) != 3:
-            where = f"edges[{i}]"
-            raise GraphFormatError(f"edge must be [u, v, w] ({where})", position=where)
-        u, v, w = entry
-        u = u if isinstance(u, str) else _coerce_label(u, f"edges[{i}]")
-        v = v if isinstance(v, str) else _coerce_label(v, f"edges[{i}]")
-        try:
-            w = parse_rational(w)
-        except ValueError:  # not a string, or malformed: reported as before
-            w = _coerce_weight(w, f"edges[{i}]")
-        triples.append((u, v, w))
-    return _build_from_triples(vertex_labels, triples)
+    return _build(vertex_labels, edges, _json_fault)
 
 
 def _parse_edge_list(text):
     vertex_labels = []
-    triples = []
+    rows = []
+    lines = []  # (line number, text) of each row
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -297,41 +410,34 @@ def _parse_edge_list(text):
         if len(parts) == 1:
             vertex_labels.append(parts[0])
             continue
-        if len(parts) != 3:
-            raise GraphFormatError(
-                f"expected 'u v w', got {line!r}", line=lineno
-            )
-        try:
-            w = parse_rational(parts[2])
-        except ValueError:
-            raise GraphFormatError(
-                f"malformed weight {parts[2]!r}", line=lineno
-            ) from None
-        triples.append((parts[0], parts[1], w))
-    return _build_from_triples(vertex_labels, triples)
+        rows.append(parts)
+        lines.append((lineno, line))
+
+    def fault(i, text):
+        lineno, line = lines[i]
+        if text is None:
+            return GraphFormatError(f"expected 'u v w', got {line!r}", line=lineno)
+        return GraphFormatError(f"malformed weight {text!r}", line=lineno)
+
+    return _build(vertex_labels, rows, fault)
 
 
 def serialize_graph(g, format="json"):
     """Inverse of :func:`parse_graph`; round-trips bit-exactly."""
+    labels = g.labels
+    edges = [
+        (labels[u], labels[v], format_rational(w)) for (u, v), w in zip(g.ends, g.weights)
+    ]
     if format == "json":
-        doc = {
-            "vertices": list(g.labels),
-            "edges": [
-                [g.labels[u], g.labels[v], format_rational(w)]
-                for u, v, w in g.edges
-            ],
-        }
+        doc = {"vertices": list(labels), "edges": [list(e) for e in edges]}
         return json.dumps(doc)
     if format == "edge-list":
         used = set()
-        for u, v, _ in g.edges:
+        for u, v in g.ends:
             used.add(u)
             used.add(v)
-        lines = [
-            f"{g.labels[u]} {g.labels[v]} {format_rational(w)}"
-            for u, v, w in g.edges
-        ]
-        lines.extend(g.labels[v] for v in range(g.n) if v not in used)
+        lines = [f"{u} {v} {w}" for u, v, w in edges]
+        lines.extend(labels[v] for v in range(g.n) if v not in used)
         return "\n".join(lines) + ("\n" if lines else "")
     raise ValueError(f"unknown graph format {format!r}")
 
@@ -342,7 +448,7 @@ def serialize_graph(g, format="json"):
 def component_vertex_sets(g):
     """Vertex sets of connected components, ordered by smallest dense id."""
     n = g.n
-    edges = g.edges
+    ends = g.ends
     adjacency = g.adjacency
     seen = [False] * n
     comps = []
@@ -355,7 +461,7 @@ def component_vertex_sets(g):
         while stack:
             v = stack.pop()
             for eid in adjacency[v]:
-                a, b, _ = edges[eid]
+                a, b = ends[eid]
                 u = b if a == v else a
                 if not seen[u]:
                     seen[u] = True
@@ -386,12 +492,15 @@ def component_subgraphs(g):
         for i, v in enumerate(verts):
             comp_of[v] = c
             local[v] = i
-    parts = [[] for _ in comps]
-    for u, v, w in g.edges:
-        parts[comp_of[u]].append((local[u], local[v], w))
+    ends = [[] for _ in comps]
+    eids = [[] for _ in comps]
+    for eid, (u, v) in enumerate(g.ends):
+        c = comp_of[u]
+        ends[c].append((local[u], local[v]))
+        eids[c].append(eid)
     labels = g.labels
-    for verts, edges in zip(comps, parts):
-        yield verts, WeightedGraph._of_checked([labels[v] for v in verts], edges)
+    for c, verts in enumerate(comps):
+        yield verts, g._part([labels[v] for v in verts], ends[c], eids[c])
 
 
 def connected_components(g):
@@ -435,6 +544,7 @@ def _biconnected_components(g):
     blocks = []
     counter = 1
     adjacency = g.adjacency
+    ends = g.ends
     if n == 0:
         return blocks, is_cut
     disc[0] = low[0] = counter
@@ -452,7 +562,9 @@ def _biconnected_components(g):
             cursor += 1
             if eid == parent_eid:
                 continue
-            u = g.other_end(eid, v)
+            a, u = ends[eid]
+            if u == v:
+                u = a
             if not disc[u]:
                 frame[2] = cursor
                 edge_stack.append(eid)
@@ -504,13 +616,14 @@ class BlockCutTree:
     def __init__(self, g):
         raw_blocks, is_cut = _biconnected_components(g)
         nums = g.scaled[0]
+        ends = g.ends
         blocks = []
         block_of_edge = [-1] * g.m
         blocks_of_vertex = [[] for _ in range(g.n)]
         for bid, edge_ids in enumerate(raw_blocks):
             verts = set()
             for eid in edge_ids:
-                u, v, _ = g.edges[eid]
+                u, v = ends[eid]
                 verts.add(u)
                 verts.add(v)
                 block_of_edge[eid] = bid

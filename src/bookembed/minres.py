@@ -144,10 +144,10 @@ class _AnchorSearch:
         cycle = self.cycles[bid]
         k = len(cycle)
         pos = {v: i for i, v in enumerate(cycle)}
-        w, den, edges = self.w, self.den, self.g.edges
+        w, den, ends = self.w, self.den, self.g.ends
         fails = [0] * (k + 1)
         for eid in self.tree.blocks[bid].edge_ids:
-            u, v, _ = edges[eid]
+            u, v = ends[eid]
             p, q = pos[u], pos[v]
             if p > q:
                 p, q = q, p
@@ -246,12 +246,12 @@ class _AnchorSearch:
         return best
 
     def _extend_block(self, bid, parent, order):
-        g, w, den = self.g, self.w, self.den
+        ends, w, den = self.g.ends, self.w, self.den
         pos = {v: i for i, v in enumerate(order)}
         spans = []
         slack = []  # weight - span, scaled
         for eid in self.tree.blocks[bid].edge_ids:
-            u, v, _ = g.edges[eid]
+            u, v = ends[eid]
             a, b = span(pos, u, v)
             spans.append((a, b))
             slack.append(w[eid] - (b - a) * den)

@@ -43,15 +43,15 @@ def _guard(g):
 
 
 def _edge_arrays(g):
-    eu = [u for u, _, _ in g.edges]
-    ev = [v for _, v, _ in g.edges]
+    eu = [u for u, _ in g.ends]
+    ev = [v for _, v in g.ends]
     return eu, ev
 
 
 def _integer_weights(g):
     """``(numerators, denominator)``: the weights over their least common one."""
-    den = math.lcm(*(w.denominator for _, _, w in g.edges))
-    return [w.numerator * (den // w.denominator) for _, _, w in g.edges], den
+    den = math.lcm(*(w.denominator for w in g.weights))
+    return [w.numerator * (den // w.denominator) for w in g.weights], den
 
 
 def enumerate_one_page(g, cap=0):

@@ -147,9 +147,10 @@ def block_outer_cycle(g, vertices, edge_ids):
     if len(edge_ids) > 2 * k - 3:
         return None
     local = {v: i for i, v in enumerate(vertices)}
+    ends = g.ends
     neighbor_sets = [set() for _ in range(k)]
     for eid in edge_ids:
-        u, v, _ = g.edges[eid]
+        u, v = ends[eid]
         neighbor_sets[local[u]].add(local[v])
         neighbor_sets[local[v]].add(local[u])
     if any(len(s) < 2 for s in neighbor_sets):
@@ -161,7 +162,7 @@ def block_outer_cycle(g, vertices, edge_ids):
     pos = {v: i for i, v in enumerate(cycle)}
     spans = []
     for eid in edge_ids:
-        u, v, _ = g.edges[eid]
+        u, v = ends[eid]
         spans.append(span(pos, u, v) + (eid,))
     # Every consecutive cycle pair must be an edge, and the chords must not
     # cross with respect to the cycle order.

@@ -52,7 +52,7 @@ def render_arcs(g, embedding, spec=None):
     margin = gap
     pos = embedding.position
     max_span = max(
-        (abs(pos[u] - pos[v]) for u, v, _ in g.edges), default=0
+        (abs(pos[u] - pos[v]) for u, v in g.ends), default=0
     )
     base_y = margin + max_span * gap / 2.0
     width = margin * 2 + gap * max(n - 1, 0)
@@ -66,7 +66,7 @@ def render_arcs(g, embedding, spec=None):
         f'<line x1="{_fmt(vx(0))}" y1="{_fmt(base_y)}" x2="{_fmt(vx(max(n - 1, 0)))}" '
         f'y2="{_fmt(base_y)}" stroke="#cccccc" stroke-width="1" />\n'
     )
-    for eid, (u, v, w) in enumerate(g.edges):
+    for (u, v), w in zip(g.ends, g.weights):
         a, b = span(pos, u, v)
         r = (b - a) * gap / 2.0
         body.append(
@@ -147,7 +147,7 @@ def render_rects(g, emb2d, spec=None):
                     f'stroke="#1f4e79" stroke-width="0.5" stroke-dasharray="2,2" />\n'
                 )
         if spec.weight_labels:
-            u, v, w = g.edges[eid]
+            w = g.weight(eid)
             body.append(
                 f'<text x="{_fmt((sx(xmin) + sx(xmax)) / 2)}" '
                 f'y="{_fmt((sy(ymin) + sy(ymax)) / 2)}" '

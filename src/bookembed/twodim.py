@@ -70,7 +70,7 @@ class TwoDimEmbedding:
         edges = ", ".join(
             f'{{"u": {labels[u]}, "v": {labels[v]}, "w": {quoted(w)}, "rect": '
             f'[{", ".join(map(quoted, self.rects[eid]))}]}}'
-            for eid, (u, v, w) in enumerate(g.edges)
+            for eid, ((u, v), w) in enumerate(zip(g.ends, g.weights))
         )
         return f'{{"vertices": [{vertices}], "edges": [{edges}]}}'
 
@@ -108,6 +108,12 @@ class TwoDimEmbedding:
             ) from None
         order = list(range(g.n))  # vertices are serialized in support order
         return g, TwoDimEmbedding(BookEmbedding(order), x, rects)
+
+
+def _edge_list(g):
+    """``(u, v, w, eid)`` per edge of ``g``, the form :func:`_draw_region`
+    takes."""
+    return [(u, v, w, eid) for eid, ((u, v), w) in enumerate(zip(g.ends, g.weights))]
 
 
 def _forest_for(order, edge_list):
@@ -209,8 +215,7 @@ def twodim_biconnected(g, s, t, length, height):
     order = cut_cycle(cycle, s, t)
     if order is None:
         raise PreconditionError("(s, t) is not on the outer face")
-    edge_list = [(u, v, w, eid) for eid, (u, v, w) in enumerate(g.edges)]
-    vx, rects = _draw_region(order, edge_list, length)
+    vx, rects = _draw_region(order, _edge_list(g), length)
     return TwoDimEmbedding(BookEmbedding(order), vx, rects)
 
 
@@ -271,7 +276,7 @@ def twodim_general(g, eps=Fraction(1), length=None):
 
     pos = {v: i for i, v in enumerate(order_all)}
     dummy_w = eps / n
-    edge_list = [(u, v, w, eid) for eid, (u, v, w) in enumerate(g.edges)]
+    edge_list = _edge_list(g)
     present = {span(pos, u, v) for u, v, _, _ in edge_list}
     for i in range(n - 1):
         if (i, i + 1) not in present:
@@ -305,7 +310,7 @@ def minres_construct(g, embedding):
             f"order is not a supporting embedding: {violation}"
         )
     pos = embedding.position
-    edge_list = [(u, v, w, eid) for eid, (u, v, w) in enumerate(g.edges)]
+    edge_list = _edge_list(g)
     _pos, spans, children, roots = _forest_for(embedding.order, edge_list)
     x = {v: Fraction(pos[v] + 1) for v in embedding.order}
     rects = {}
@@ -354,8 +359,8 @@ def check_twodim(g, emb, *, exact_box=None, require_minres=False):
     for a, b in zip(order, order[1:]):
         if not emb.x[a] < emb.x[b]:
             problems.append(f"x not strictly increasing at {g.labels[b]}")
-    norm = [span(pos, u, v) for u, v, _w in g.edges]
-    for eid, (_u, _v, w) in enumerate(g.edges):
+    norm = [span(pos, u, v) for u, v in g.ends]
+    for eid, w in enumerate(g.weights):
         if eid not in emb.rects:
             problems.append(f"edge {eid} has no rectangle")
             continue

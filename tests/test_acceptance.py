@@ -293,7 +293,7 @@ def _cand_residual(g, embedding):
     first = embedding.order[0]
     best = None
     for eid in g.adjacency[first]:
-        u, v, w = g.edges[eid]
+        (u, v), w = g.ends[eid], g.weight(eid)
         slack = w - abs(pos[u] - pos[v])
         if best is None or slack < best:
             best = slack

@@ -2,11 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import bookembed
 from bookembed.cli import main
 from bookembed.graph import parse_graph, serialize_graph
 from bookembed.oracle import random_outerplanar
@@ -82,6 +85,34 @@ def test_check_subcommand(tmp_path):
         ["check", "max", str(path), "--order", '["3","4","5","7"]']
     )
     assert code == 0 and json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize(
+    "argv,stdin_text,code,err",
+    [
+        (["check", "max", "/dev/stdin", "--order", "-"], TRI_5_6_11, 2,
+         "bookembed: the graph and --order cannot both be read from stdin\n"),
+        (["check", "max", "-", "--order", "@/dev/fd/0"], TRI_5_6_11, 2,
+         "bookembed: the graph and --order cannot both be read from stdin\n"),
+        (["render", "--style", "arc", "--graph", "/dev/stdin"], '["a", "b", "c"]', 2,
+         "bookembed: the input and --graph cannot both be read from stdin\n"),
+        # a graph file that is not stdin leaves the piped order readable
+        (["check", "max", "GRAPH", "--order", "-"], '["a", "b", "c"]', 0, ""),
+    ],
+    ids=["check-dev-stdin", "check-dev-fd-0", "render-dev-stdin", "check-file"],
+)
+def test_stdin_named_by_path_is_stdin(tmp_path, argv, stdin_text, code, err):
+    graph = tmp_path / "g.json"
+    graph.write_text(TRI_5_6_11)
+    argv = [str(graph) if a == "GRAPH" else a for a in argv]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bookembed.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from bookembed.cli import main; sys.exit(main())",
+         *argv],
+        input=stdin_text, capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (code, err)
 
 
 @pytest.mark.parametrize("given", ["inline", "file", "stdin"])
@@ -382,6 +413,55 @@ MALFORMED_EDGE = {
         '{"edges": [[1.5, "b", "1"]]}',
         "vertex labels must be strings or integers (edges[0])",
     ),
+    # several faults in one document: a syntax fault in any edge wins, then
+    # the first edge with a structural fault, and within one edge a
+    # self-loop, then a duplicate, then a non-positive weight
+    "bad-weight-after-self-loop": (
+        '{"edges": [["a", "a", "1"], ["b", "c", "x"]]}',
+        "malformed weight 'x' (edges[1]) (at edges[1])",
+    ),
+    "bad-shape-after-zero-weight": (
+        '{"edges": [["a", "b", "0"], ["c", "d", "1"], ["x", "y"]]}',
+        "edge must be [u, v, w] (edges[2]) (at edges[2])",
+    ),
+    "float-label-after-duplicate": (
+        '{"edges": [["a", "b", "1"], ["b", "a", "1"], [1.5, "c", "1"]]}',
+        "vertex labels must be strings or integers (edges[2])",
+    ),
+    "float-weight-after-self-loop": (
+        '{"edges": [["a", "a", "1"], ["c", "d", 1.5]]}',
+        "weight must be a string rational, not float (floats are inexact) "
+        "(edges[1]) (at edges[1])",
+    ),
+    "duplicate-before-zero-weight": (
+        '{"edges": [["a", "b", "1"], ["a", "b", "0"]]}',
+        "duplicate edge 'a'--'b'",
+    ),
+    "self-loop-before-zero-weight": (
+        '{"edges": [["a", "b", "1"], ["c", "c", "0"], ["b", "a", "1"]]}',
+        "self-loop at vertex 'c'",
+    ),
+    "first-structural-edge-wins": (
+        '{"edges": [["a", "b", "1"], ["c", "d", "-3/4"], ["e", "e", "1"], '
+        '["b", "a", "1"]]}',
+        "non-positive weight -3/4 on edge 'c'--'d'",
+    ),
+}
+# the same rules for edge-list input, where faults are located by line
+MALFORMED_EDGE_LIST = {
+    "bad-weight-after-self-loop": ("a a 1\nb c x\n", "malformed weight 'x' (line 2)"),
+    "bad-shape-after-zero-weight": (
+        "a b 0\nc d 1\nx y\n", "expected 'u v w', got 'x y' (line 3)"
+    ),
+    "bad-weight-before-bad-shape": (
+        "a b x\nz\nc d\n", "malformed weight 'x' (line 1)"
+    ),
+    "duplicate-before-zero-weight": ("a b 1\nb a 0\n", "duplicate edge 'b'--'a'"),
+    "self-loop-before-zero-weight": ("c c 0\n", "self-loop at vertex 'c'"),
+    "first-structural-edge-wins": (
+        "a b 1\nc d 0  # zero\ne e 1\nb a 1\n",
+        "non-positive weight 0 on edge 'c'--'d'",
+    ),
 }
 MALFORMED = {
     "bad-json": '{"edges": [',
@@ -410,6 +490,12 @@ SUBCOMMANDS = {
         pytest.param(argv, MALFORMED[doc], id=f"{command}-{doc}")
         for command, argv in SUBCOMMANDS.items()
         for doc in MALFORMED
+    ]
+    + [
+        pytest.param(argv + ["--format", "edge-list"], text,
+                     id=f"{command}-edge-list-{name}")
+        for command, argv in SUBCOMMANDS.items() if command != "render"
+        for name, (text, _) in MALFORMED_EDGE_LIST.items()
     ]
     + [
         pytest.param(
@@ -460,7 +546,7 @@ def test_malformed_input_exits_2(tmp_path, argv, stdin_text):
     code, out, err = run_cli(argv, stdin_text=stdin_text)
     assert (code, out) == (2, "")
     assert err.startswith("bookembed: ") and "Traceback" not in err
-    messages = dict(MALFORMED_EDGE.values())
+    messages = dict(MALFORMED_EDGE.values()) | dict(MALFORMED_EDGE_LIST.values())
     if argv[0] != "render" and stdin_text in messages:
         assert err == f"bookembed: {messages[stdin_text]}\n"
     if "--order" in argv and argv[argv.index("--order") + 1] in ("-", "@-"):

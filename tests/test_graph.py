@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import planted  # the benchmark's generator (perfbench/planted.py)
+from bookembed import cli
 from bookembed.embedding import per_component
 from bookembed.errors import GraphFormatError, PreconditionError
 from bookembed.exact import parse_rational
@@ -90,6 +92,9 @@ def test_scaled_weights_are_exact():
     graphs = corpus + [
         _shuffled_union(random.Random(i).sample(corpus, 3), i) for i in range(20)
     ]
+    # a parsed graph gets its view from the parser, and its parts theirs
+    # from its integers
+    graphs += [parse_graph(serialize_graph(g)) for g in graphs]
     edgeless = graph_from([], vertices=["a", "b"])
     assert len(edgeless.scaled[0]) == 0 and edgeless.scaled[1] == 1
     views = set()
@@ -110,6 +115,77 @@ def test_scaled_weights_are_exact():
                 views.add("fractions")
                 assert den == 1 and nums == tuple(w for _, _, w in h.edges)
     assert views == {"words", "fractions"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "edge-list"])
+def test_parsed_graph_matches_the_constructed_one(fmt):
+    base = small_corpus(40, max_n=12)
+    graphs = base + [fractional(g) for g in base] + [coprime(g) for g in base]
+    graphs += [_shuffled_union(random.Random(i).sample(graphs, 3), i) for i in range(10)]
+    for g in graphs:
+        h = parse_graph(serialize_graph(g, fmt), format=fmt)
+        # an edge list lists isolated vertices last but declares them first
+        ids = [h.label_index[lab] for lab in g.labels]
+        g = WeightedGraph(h.labels, [(ids[u], ids[v], w) for u, v, w in g.edges])
+        g_nums, g_den = g.scaled
+        nums, den = h.scaled
+        assert den == g_den and list(nums) == list(g_nums)
+        assert type(nums) is type(g_nums)
+        assert h.labels == g.labels and h.label_index == g.label_index
+        assert h.ends == g.ends and h.adjacency == g.adjacency
+        assert h._edge_lookup == g._edge_lookup
+        assert [h.weight(e) for e in range(h.m)] == list(g.weights)
+        assert h.edges == g.edges and h == g and hash(h) == hash(g)
+        assert all(type(w) is Fraction for w in h.weights)
+
+
+def _counted_fractions(monkeypatch):
+    """Arguments of every Fraction built from here on."""
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return made
+
+
+def test_parse_and_embed_max_build_no_fraction(monkeypatch, tmp_path):
+    texts = [
+        serialize_graph(make(500, "max", 7, biconnected).graph)
+        for make in (planted.planted_yes, planted.planted_no)
+        for biconnected in (False, True)
+    ]
+    path = tmp_path / "no.json"
+    path.write_text(texts[2])  # the connected no-instance
+    out = tmp_path / "out.json"
+    made = _counted_fractions(monkeypatch)
+    for text in texts:
+        g = parse_graph(text)
+        assert g.scaled[0].typecode == "q" and g.scaled[1] > 1
+    assert made == []
+    assert cli.main(["embed-max", str(path), "--output", str(out)]) == 1
+    assert made == []
+    monkeypatch.undo()
+    assert json.loads(out.read_text())["exists"] is False
+
+
+def test_minres_union_takes_the_fraction_view_and_its_parts_words():
+    # the planted-yes minres inputs of the benchmark: 20 parts of 30
+    # vertices, each with its own weight scale, overflow 64 bits together
+    union = planted.disjoint_union([
+        planted.planted_yes(30, "minres", seed, seed % 3 == 2, check=False)
+        for seed in range(20)
+    ]).graph
+    for g in (union, parse_graph(serialize_graph(union))):
+        nums, den = g.scaled
+        assert den == 1 and nums == g.weights
+        parts = [sub for _, sub in component_subgraphs(g)]
+        assert len(parts) == 20
+        for sub in parts:
+            assert sub.scaled[0].typecode == "q" and sub.scaled[1] > 1
 
 
 @pytest.mark.parametrize(
@@ -226,9 +302,9 @@ def test_per_component_builds_no_subgraph_past_a_failure(monkeypatch):
     built = []
     checked = WeightedGraph._of_checked.__func__
 
-    def counting(cls, labels, edges):
+    def counting(cls, labels, *rest):
         built.append(labels)
-        return checked(cls, labels, edges)
+        return checked(cls, labels, *rest)
 
     monkeypatch.setattr(WeightedGraph, "_of_checked", classmethod(counting))
     failure = object()

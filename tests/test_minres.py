@@ -177,7 +177,7 @@ def _residual(g, embedding):
     first = embedding.order[0]
     best = None
     for eid in g.adjacency[first]:
-        u, v, w = g.edges[eid]
+        (u, v), w = g.ends[eid], g.weight(eid)
         slack = w - abs(pos[u] - pos[v])
         if best is None or slack < best:
             best = slack
@@ -245,7 +245,7 @@ def _supporting_cut(g, cycle, edge_ids, s, t):
     order = cut_cycle(cycle, s, t)
     pos = {v: i for i, v in enumerate(order)}
     for eid in edge_ids:
-        u, v, w = g.edges[eid]
+        (u, v), w = g.ends[eid], g.weight(eid)
         if w < abs(pos[u] - pos[v]):
             return None
     return order
