@@ -6,6 +6,7 @@ import json
 import math
 from array import array
 from fractions import Fraction
+from itertools import compress
 
 from .errors import GraphFormatError, PreconditionError
 from .exact import format_rational, parse_ratio
@@ -540,6 +541,8 @@ def _biconnected_components(g):
     disc = [0] * n  # 0 = unvisited, else discovery index + 1
     low = [0] * n
     is_cut = [False] * n
+    # tree_edge_at[v]: edge-stack index of the tree edge that reached v
+    tree_edge_at = [0] * n
     edge_stack = []
     blocks = []
     counter = 1
@@ -550,54 +553,43 @@ def _biconnected_components(g):
     disc[0] = low[0] = counter
     counter += 1
     root_children = 0
-    # frames: [vertex, parent edge id, adjacency cursor]
-    frames = [[0, -1, 0]]
+    frames = [(0, -1, iter(adjacency[0]))]
     while frames:
-        frame = frames[-1]
-        v, parent_eid, cursor = frame
-        adj = adjacency[v]
-        advanced = False
-        while cursor < len(adj):
-            eid = adj[cursor]
-            cursor += 1
+        v, parent_eid, edges = frames[-1]
+        for eid in edges:
             if eid == parent_eid:
                 continue
             a, u = ends[eid]
             if u == v:
                 u = a
             if not disc[u]:
-                frame[2] = cursor
+                tree_edge_at[u] = len(edge_stack)
                 edge_stack.append(eid)
                 disc[u] = low[u] = counter
                 counter += 1
-                frames.append([u, eid, 0])
-                advanced = True
+                frames.append((u, eid, iter(adjacency[u])))
                 break
             if disc[u] < disc[v]:
                 edge_stack.append(eid)
                 if disc[u] < low[v]:
                     low[v] = disc[u]
-        if advanced:
-            continue
-        frames.pop()
-        if frames:
-            parent = frames[-1][0]
-            if low[v] < low[parent]:
-                low[parent] = low[v]
-            if low[v] >= disc[parent]:
-                if parent == 0:
-                    root_children += 1
-                    if root_children > 1:
+        else:
+            frames.pop()
+            if frames:
+                parent = frames[-1][0]
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if low[v] >= disc[parent]:
+                    if parent == 0:
+                        root_children += 1
+                        if root_children > 1:
+                            is_cut[parent] = True
+                    else:
                         is_cut[parent] = True
-                else:
-                    is_cut[parent] = True
-                block = []
-                while True:
-                    top = edge_stack.pop()
-                    block.append(top)
-                    if top == parent_eid:
-                        break
-                blocks.append(block)
+                    # the block is the stack from v's tree edge up, top first
+                    start = tree_edge_at[v]
+                    blocks.append(edge_stack[start:][::-1])
+                    del edge_stack[start:]
     if counter <= n:
         raise PreconditionError("block-cut-vertex tree requires a connected graph")
     return blocks, is_cut
@@ -621,29 +613,34 @@ class BlockCutTree:
         block_of_edge = [-1] * g.m
         blocks_of_vertex = [[] for _ in range(g.n)]
         for bid, edge_ids in enumerate(raw_blocks):
-            verts = set()
-            for eid in edge_ids:
+            if len(edge_ids) == 1:  # a bridge
+                eid = edge_ids[0]
                 u, v = ends[eid]
-                verts.add(u)
-                verts.add(v)
                 block_of_edge[eid] = bid
-            vertices = tuple(sorted(verts))
+                blocks_of_vertex[u].append(bid)
+                blocks_of_vertex[v].append(bid)
+                blocks.append(Block((u, v) if u < v else (v, u), (eid,), nums[eid]))
+                continue
+            for eid in edge_ids:
+                block_of_edge[eid] = bid
+            vertices = tuple(sorted({x for eid in edge_ids for x in ends[eid]}))
             for v in vertices:
                 blocks_of_vertex[v].append(bid)
-            best = max(nums[eid] for eid in edge_ids)
-            blocks.append(Block(vertices, tuple(sorted(edge_ids)), best))
+            edge_ids.sort()
+            best = max(map(nums.__getitem__, edge_ids))
+            blocks.append(Block(vertices, tuple(edge_ids), best))
         if not blocks and g.n == 1:
             blocks.append(Block((0,), (), None))
             blocks_of_vertex[0].append(0)
         self.blocks = tuple(blocks)
         # a vertex is a cut vertex exactly when it lies in several blocks
         self.cut_vertices = tuple(
-            v for v in range(g.n) if len(blocks_of_vertex[v]) > 1
+            v for v, bids in enumerate(blocks_of_vertex) if len(bids) > 1
         )
         assert self.cut_vertices == tuple(
-            v for v in range(g.n) if is_cut[v]
+            compress(range(g.n), is_cut)
         ), "articulation flags disagree with block membership"
-        self.blocks_of_vertex = tuple(tuple(b) for b in blocks_of_vertex)
+        self.blocks_of_vertex = tuple(map(tuple, blocks_of_vertex))
         self.block_of_edge = tuple(block_of_edge)
 
     def rooted(self, root_block):

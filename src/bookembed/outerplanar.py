@@ -4,8 +4,6 @@ over a linear order."""
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import NotOnePageError, PreconditionError
 from .graph import BlockCutTree
 
@@ -18,43 +16,38 @@ def span(pos, u, v):
 
 
 def nesting_forest(num_positions, edge_spans):
-    """Nesting forest of edge intervals over a linear order.
+    """Nesting forest of edge intervals over a linear order, in O(m log m).
 
     ``edge_spans`` is a list of ``(left_pos, right_pos, key)`` with
     ``left_pos < right_pos``; ``key`` identifies the edge to the caller.
     Returns ``(parent, children, roots)`` as parallel structures over the
     input list indices, children ordered left to right.  Raises
     :class:`NotOnePageError` (with the two offending keys) if two spans cross.
+    The spans are sorted once; ``num_positions``, the order's length, is not
+    needed by the sweep.
     """
-    starts = [[] for _ in range(num_positions)]
-    ends = [[] for _ in range(num_positions)]
-    for idx, (a, b, _key) in enumerate(edge_spans):
-        starts[a].append(idx)
-        ends[b].append(idx)
-    for bucket in starts:
-        bucket.sort(key=lambda idx: -edge_spans[idx][1])
     parent = [-1] * len(edge_spans)
-    children = [[] for _ in range(len(edge_spans))]
+    children = [[] for _ in edge_spans]
     roots = []
+    # the open spans, outermost first, and their right ends
     stack = []
-    for p in range(num_positions):
-        enders = ends[p]
-        # In a crossing-free order the spans ending at p are exactly the top
-        # len(enders) stack entries (they share the right endpoint).
-        for _ in enders:
-            top = stack.pop()
-            if edge_spans[top][1] != p:
-                below = next(
-                    i for i in reversed(stack) if edge_spans[i][1] == p
-                )
-                raise NotOnePageError(edge_spans[below][2], edge_spans[top][2])
-        for idx in starts[p]:
-            if stack:
-                parent[idx] = stack[-1]
-                children[stack[-1]].append(idx)
-            else:
-                roots.append(idx)
-            stack.append(idx)
+    rights = []
+    for left, neg_right, idx in sorted(
+        [(a, -b, i) for i, (a, b, _key) in enumerate(edge_spans)]
+    ):
+        while rights and rights[-1] <= left:
+            rights.pop()
+            stack.pop()
+        if stack:
+            top = stack[-1]
+            if -neg_right > rights[-1]:
+                raise NotOnePageError(edge_spans[top][2], edge_spans[idx][2])
+            parent[idx] = top
+            children[top].append(idx)
+        else:
+            roots.append(idx)
+        stack.append(idx)
+        rights.append(-neg_right)
     return parent, children, roots
 
 
@@ -87,51 +80,54 @@ def _canonical_cycle(cycle):
 
 
 def _reduce_to_outer_cycle(n, neighbor_sets):
-    """Degree-2 elimination. Returns the Hamiltonian outer cycle or None.
+    """Degree-2 elimination. Returns the Hamiltonian outer cycle from vertex
+    0, or None.
 
     ``neighbor_sets`` is consumed.  Needs n >= 3 and every degree >= 2; the
-    caller validates the result against the original edges.
+    caller validates the result against the original edges, so the
+    elimination order does not decide the answer.
     """
     alive = n
-    dead = [False] * n
     removals = []
-    queue = deque(v for v in range(n) if len(neighbor_sets[v]) == 2)
+    stack = [v for v in range(n) if len(neighbor_sets[v]) == 2]
     while alive > 3:
-        if not queue:
+        if not stack:
             return None
-        v = queue.popleft()
-        if dead[v] or len(neighbor_sets[v]) != 2:
+        v = stack.pop()
+        around = neighbor_sets[v]
+        if len(around) != 2:  # already removed, or its degree changed
             continue
-        u, w = neighbor_sets[v]
-        dead[v] = True
+        u, w = around
+        around.clear()
         alive -= 1
         removals.append((v, u, w))
-        neighbor_sets[u].discard(v)
-        neighbor_sets[w].discard(v)
-        neighbor_sets[v].clear()
-        if w not in neighbor_sets[u]:
-            neighbor_sets[u].add(w)
-            neighbor_sets[w].add(u)
-        for x in (u, w):
-            if len(neighbor_sets[x]) == 2:
-                queue.append(x)
-        if len(neighbor_sets[u]) < 2 or len(neighbor_sets[w]) < 2:
-            return None
+        at_u, at_w = neighbor_sets[u], neighbor_sets[w]
+        at_u.discard(v)
+        at_w.discard(v)
+        if w not in at_u:
+            at_u.add(w)
+            at_w.add(u)
+        for x, at_x in ((u, at_u), (w, at_w)):
+            if len(at_x) == 2:
+                stack.append(x)
+            elif len(at_x) < 2:
+                return None
     # Every live vertex keeps two live neighbours, so the three left form a
     # triangle; each reinsertion below grows the ring by one vertex.
-    core = [v for v in range(n) if not dead[v]]
-    nxt = {v: core[(i + 1) % 3] for i, v in enumerate(core)}
+    a, b, c = [v for v in range(n) if neighbor_sets[v]]
+    nxt = [-1] * n
+    nxt[a], nxt[b], nxt[c] = b, c, a
     for v, u, w in reversed(removals):
-        if nxt.get(u) == w:
+        if nxt[u] == w:
             nxt[u] = v
             nxt[v] = w
-        elif nxt.get(w) == u:
+        elif nxt[w] == u:
             nxt[w] = v
             nxt[v] = u
         else:
             return None
-    cycle = [min(nxt)]
-    while (step := nxt[cycle[-1]]) != cycle[0]:
+    cycle = [0]
+    while step := nxt[cycle[-1]]:
         cycle.append(step)
     return cycle
 
@@ -144,36 +140,52 @@ def block_outer_cycle(g, vertices, edge_ids):
         return [vertices[0]]
     if k == 2:
         return sorted(vertices)
+    if k == 3:
+        # a simple 3-vertex block is outerplanar exactly when it is a triangle
+        return sorted(vertices) if len(edge_ids) == 3 else None
     if len(edge_ids) > 2 * k - 3:
         return None
     local = {v: i for i, v in enumerate(vertices)}
     ends = g.ends
     neighbor_sets = [set() for _ in range(k)]
+    pairs = []
     for eid in edge_ids:
         u, v = ends[eid]
-        neighbor_sets[local[u]].add(local[v])
-        neighbor_sets[local[v]].add(local[u])
+        a, b = local[u], local[v]
+        neighbor_sets[a].add(b)
+        neighbor_sets[b].add(a)
+        pairs.append((a, b))
     if any(len(s) < 2 for s in neighbor_sets):
         return None
     cycle_local = _reduce_to_outer_cycle(k, neighbor_sets)
     if cycle_local is None:
         return None
-    cycle = [vertices[i] for i in cycle_local]
-    pos = {v: i for i, v in enumerate(cycle)}
-    spans = []
-    for eid in edge_ids:
-        u, v = ends[eid]
-        spans.append(span(pos, u, v) + (eid,))
-    # Every consecutive cycle pair must be an edge, and the chords must not
-    # cross with respect to the cycle order.
-    ring = {(i, i + 1) for i in range(k - 1)} | {(0, k - 1)}
-    if not ring <= {(a, b) for a, b, _ in spans}:
+    pos = [0] * k
+    for i, a in enumerate(cycle_local):
+        pos[a] = i
+    # The block is simple, so k edges joining cyclically consecutive
+    # positions are the whole ring; the rest are chords, which must not cross.
+    ring = 0
+    chords = []
+    for a, b in pairs:
+        a, b = pos[a], pos[b]
+        if a > b:
+            a, b = b, a
+        if b - a == 1 or b - a == k - 1:
+            ring += 1
+        else:
+            chords.append((a, -b))
+    if ring != k:
         return None
-    try:
-        nesting_forest(k, spans)
-    except NotOnePageError:
-        return None
-    return list(_canonical_cycle(cycle))
+    chords.sort()
+    rights = []
+    for a, neg_b in chords:
+        while rights and rights[-1] <= a:
+            rights.pop()
+        if rights and -neg_b > rights[-1]:
+            return None
+        rights.append(-neg_b)
+    return list(_canonical_cycle([vertices[a] for a in cycle_local]))
 
 
 def _is_biconnected(g):

@@ -399,6 +399,12 @@ def test_bc_tree_reconstruction_identity():
         for i, b1 in enumerate(tree.blocks):
             for b2 in tree.blocks[i + 1:]:
                 assert len(set(b1.vertices) & set(b2.vertices)) <= 1
+        # bridges and larger blocks alike: sorted ids, endpoints, largest weight
+        for bid, b in enumerate(tree.blocks):
+            assert b.vertices == tuple(sorted({v for e in b.edge_ids for v in g.ends[e]}))
+            assert b.edge_ids == tuple(sorted(b.edge_ids))
+            assert {tree.block_of_edge[e] for e in b.edge_ids} == {bid}
+            assert b.max_weight == max(g.scaled[0][e] for e in b.edge_ids)
 
 
 def test_rooted_aggregates():

@@ -1,12 +1,15 @@
 """Outerplanarity recognition and outerplane embeddings."""
 
+import itertools
+import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from bookembed import graph, outerplanar
 from bookembed.embedding import BookEmbedding, is_one_page
-from bookembed.errors import PreconditionError
+from bookembed.errors import NotOnePageError, PreconditionError
 from bookembed.maxdraw import max_be_drawer
 from bookembed.minres import minres_be_drawer_anchor
 from bookembed.oracle import enumerate_one_page, oracle_exists, random_outerplanar
@@ -121,11 +124,11 @@ def _count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize(
     "entry_point,forests",
     [
-        (lambda g, s, t: outerplane_embedding(g), 1),
-        (lambda g, s, t: max_be_drawer(g), 2),
-        (lambda g, s, t: sum_be_drawer(g), 2),
-        (lambda g, s, t: minres_be_drawer_anchor(g, g.edge_between(s, t)), 1),
-        (lambda g, s, t: twodim_biconnected(g, s, t, g.total_weight(), 1), 2),
+        (lambda g, s, t: outerplane_embedding(g), 0),
+        (lambda g, s, t: max_be_drawer(g), 1),
+        (lambda g, s, t: sum_be_drawer(g), 1),
+        (lambda g, s, t: minres_be_drawer_anchor(g, g.edge_between(s, t)), 0),
+        (lambda g, s, t: twodim_biconnected(g, s, t, g.total_weight(), 1), 1),
     ],
     ids=["outerplane_embedding", "max", "sum", "minres", "twodim"],
 )
@@ -137,8 +140,166 @@ def test_biconnected_entry_points_do_their_work_once(
     s, t = outerplane_embedding(g)[:2]
     components = _count_calls(monkeypatch, graph, "component_vertex_sets")
     nestings = _count_calls(monkeypatch, outerplanar, "nesting_forest")
+    # the block's outer cycle is searched once
+    reductions = _count_calls(monkeypatch, outerplanar, "_reduce_to_outer_cycle")
     entry_point(g, s, t)
-    assert (len(components), len(nestings)) == (0, forests)
+    assert (len(components), len(nestings), len(reductions)) == (0, forests, 1)
+
+
+def _block_graph(g, vertices, edge_ids):
+    """The block as a graph of its own, vertex ``i`` being ``vertices[i]``."""
+    local = {v: i for i, v in enumerate(vertices)}
+    return graph.WeightedGraph(
+        [str(v) for v in vertices],
+        [(local[u], local[v], Fraction(1)) for u, v in (g.ends[e] for e in edge_ids)],
+    )
+
+
+def _check_outer_cycle(g, block):
+    """``block_outer_cycle`` of ``block`` against the definition; returns
+    whether the block is outerplanar."""
+    vertices, edge_ids = block.vertices, block.edge_ids
+    cycle = outerplanar.block_outer_cycle(g, vertices, edge_ids)
+    if cycle is None:
+        assert enumerate_one_page(_block_graph(g, vertices, edge_ids), cap=1) == []
+        return False
+    k = len(cycle)
+    assert sorted(cycle) == sorted(vertices), (vertices, cycle)
+    pairs = {frozenset(g.ends[e]) for e in edge_ids}
+    assert all(frozenset((cycle[i - 1], cycle[i])) in pairs for i in range(1, k))
+    assert k < 3 or frozenset((cycle[0], cycle[-1])) in pairs
+    pos = {v: i for i, v in enumerate(cycle)}
+    spans = [sorted((pos[u], pos[v])) for u, v in (g.ends[e] for e in edge_ids)]
+    for (a, b), (c, d) in itertools.combinations(spans, 2):
+        assert not (a < c < b < d or c < a < d < b), (cycle, (a, b), (c, d))
+    # the canonical flip: smallest id first, then its smaller neighbour
+    assert cycle[0] == min(cycle) and (k < 3 or cycle[1] < cycle[-1]), cycle
+    return True
+
+
+def _check_outer_cycles(g):
+    found = []
+    for _verts, sub in graph.component_subgraphs(g):
+        for block in graph.BlockCutTree(sub).blocks:
+            found.append((len(block.vertices), _check_outer_cycle(sub, block)))
+    return found
+
+
+def test_outer_cycle_matches_the_definition_on_every_small_graph():
+    verdicts = {True: 0, False: 0}
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [(u, v, Fraction(1)) for i, (u, v) in enumerate(pairs) if mask >> i & 1]
+            g = graph.WeightedGraph([str(v) for v in range(n)], edges)
+            for _k, outer in _check_outer_cycles(g):
+                verdicts[outer] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 100, verdicts
+
+
+def _with_chords(rng, edges, n):
+    """The graph on ``n`` vertices with ``edges`` plus up to two random
+    chords, vertices shuffled."""
+    edges = list(edges)
+    for _ in range(rng.randint(0, 2)):
+        u, v = rng.sample(range(n), 2)
+        if (u, v) not in edges and (v, u) not in edges:
+            edges.append((u, v))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return graph.WeightedGraph(
+        [str(v) for v in range(n)], [(perm[u], perm[v], Fraction(1)) for u, v in edges]
+    )
+
+
+def _subdivided(rng, edges, n):
+    """``edges`` with random edges subdivided until there are ``n`` vertices."""
+    edges = list(edges)
+    top = 1 + max(max(e) for e in edges)
+    while top < n:
+        u, v = edges.pop(rng.randrange(len(edges)))
+        edges += [(u, top), (top, v)]
+        top += 1
+    return edges
+
+
+def test_outer_cycle_matches_the_definition_on_larger_blocks():
+    # K4, K2,3 and their subdivisions are the blocks that are not outerplanar
+    cores = (
+        list(itertools.combinations(range(4), 2)),
+        [(a, b) for a in (0, 1) for b in (2, 3, 4)],
+    )
+    rng = random.Random(14)
+    large = {True: 0, False: 0}
+    for i in range(90):
+        n = 6 + i % 4
+        if i % 3 == 2:
+            edges = random_outerplanar(n, seed=i, biconnected=True).ends
+        else:
+            edges = _subdivided(rng, cores[i % 3], n)
+        for k, outer in _check_outer_cycles(_with_chords(rng, edges, n)):
+            if k >= 6:
+                large[outer] += 1
+    assert large[True] >= 20 and large[False] >= 60, large
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # every ring pair is an edge, but the chords 0-3 and 1-4 cross
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4)],
+        # the chords do not cross, but the ring pair 5-0 is no edge
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2), (3, 5)],
+    ],
+    ids=["crossing-chords", "missing-ring-edge"],
+)
+def test_outer_cycle_checks_the_reduced_ring(monkeypatch, edges):
+    # the degree-2 reduction proposes the ring 0..5; the check alone refuses it
+    g = graph.WeightedGraph([str(v) for v in range(6)], [(u, v, Fraction(1)) for u, v in edges])
+    monkeypatch.setattr(outerplanar, "_reduce_to_outer_cycle", lambda n, sets: list(range(6)))
+    assert outerplanar.block_outer_cycle(g, range(6), range(g.m)) is None
+
+
+def _forest_reference(spans):
+    """Parent of each span as its tightest enclosing span, children and
+    roots by left end: the nesting forest read pairwise."""
+    parent = []
+    for a, b, _key in spans:
+        around = [
+            j for j, (c, d, _k) in enumerate(spans) if c <= a and b <= d and (c, d) != (a, b)
+        ]
+        parent.append(min(around, key=lambda j: spans[j][1] - spans[j][0], default=-1))
+    by_left = sorted(range(len(spans)), key=lambda i: spans[i][0])
+    children = [[i for i in by_left if parent[i] == j] for j in range(len(spans))]
+    roots = [i for i in by_left if parent[i] == -1]
+    return parent, children, roots
+
+
+def _cross(s, t):
+    (a, b, _), (c, d, _) = sorted((s, t))
+    return a < c < b < d
+
+
+def test_nesting_forest_matches_the_pairwise_reference():
+    rng = random.Random(3)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1500):
+        positions = rng.randint(2, 12)
+        pairs = list(itertools.combinations(range(positions), 2))
+        chosen = rng.sample(pairs, rng.randint(0, min(len(pairs), 9)))
+        spans = [(a, b, f"e{i}") for i, (a, b) in enumerate(chosen)]
+        crossing = any(_cross(s, t) for s, t in itertools.combinations(spans, 2))
+        by_key = {key: (a, b, key) for a, b, key in spans}
+        try:
+            got = outerplanar.nesting_forest(positions, spans)
+        except NotOnePageError as exc:
+            assert crossing, spans
+            assert _cross(by_key[exc.edge_a], by_key[exc.edge_b]), (spans, exc)
+        else:
+            assert not crossing, spans
+            assert got == _forest_reference(spans), spans
+        verdicts[crossing] += 1
+    assert verdicts[True] > 300 and verdicts[False] > 300, verdicts
 
 
 def test_nesting_forest_lists_children_and_roots_left_to_right():
