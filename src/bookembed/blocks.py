@@ -1,5 +1,5 @@
 """Internal helpers shared by the drawers: the forced block orders of the
-max and sum classes, and the edges of a block around a vertex."""
+max and sum classes, with the weights of their consecutive edges."""
 
 from __future__ import annotations
 
@@ -8,9 +8,10 @@ from .errors import NotOuterplanarError
 from .outerplanar import block_outer_cycle, cut_cycle, nesting_forest, span
 
 
-def forced_block_order(g, vertices, edge_ids, under, reason):
+def forced_block_order(g, block, under, reason):
     """The one order of a block that the max and sum classes allow:
-    ``(order, None)``, or ``(None, detail)`` when the block has none.
+    ``(order, steps, None)``, or ``(None, None, detail)`` when the block
+    has none.
 
     The block's unique maximum-weight edge must lie on its outer cycle; the
     cycle is cut there (canonical flip).  Every edge must then strictly
@@ -18,19 +19,25 @@ def forced_block_order(g, vertices, edge_ids, under, reason):
     directly under it, else the detail is ``reason``.  The outer cycle is
     searched after the maximum-edge test; :class:`NotOuterplanarError` is
     raised when there is none.
+
+    ``steps[x]`` is the weight, in units of ``1/g.scaled[1]``, of the edge
+    joining ``order[x]`` and ``order[x + 1]``.  Consecutive vertices of a cut
+    outer cycle are adjacent, so these are the lowest edges on either side
+    of every vertex of the order.
     """
+    vertices, edge_ids = block.vertices, block.edge_ids
     if len(vertices) == 2:
-        return sorted(vertices), None
-    e_m = unique_max_edge(g, edge_ids)
+        return sorted(vertices), [block.max_weight], None
+    e_m = unique_max_edge(g, block)
     if e_m is None:
-        return None, "no unique maximum-weight edge"
+        return None, None, "no unique maximum-weight edge"
     cycle = block_outer_cycle(g, vertices, edge_ids)
     if cycle is None:
         raise NotOuterplanarError("block is not outerplanar")
     s, t = g.endpoints(e_m)
     order = cut_cycle(cycle, s, t)
     if order is None:
-        return None, "maximum-weight edge is not on the outer face"
+        return None, None, "maximum-weight edge is not on the outer face"
     order = min(order, cut_cycle(cycle, t, s))
     nums = g.scaled[0]
     pos = {v: i for i, v in enumerate(order)}
@@ -42,62 +49,45 @@ def forced_block_order(g, vertices, edge_ids, under, reason):
     _parent, children, _roots = nesting_forest(len(order), spans)
     for idx, kids in enumerate(children):
         if kids and not nums[spans[idx][2]] > under(nums[spans[k][2]] for k in kids):
-            return None, reason
-    return order, None
+            return None, None, reason
+    steps = [0] * (len(order) - 1)
+    for a, b, eid in spans:
+        if b == a + 1:
+            steps[a] = nums[eid]
+    return order, steps, None
 
 
 def rooted_block_orders(g, rooted, under, reason):
     """Forced orders of every block of ``rooted``, each with its parent cut
-    vertex first: ``(orders by block id, None)``, or ``(None, failure)`` for
-    the first block without one.  The :class:`Failure` has condition 1 and
-    the detail of :func:`forced_block_order`, or condition 2 for a parent
-    cut vertex inside the order."""
+    vertex first: ``(orders, steps, None)``, both keyed by block id, or
+    ``(None, None, failure)`` for the first block without one.  The
+    :class:`Failure` has condition 1 and the detail of
+    :func:`forced_block_order`, or condition 2 for a parent cut vertex
+    inside the order."""
     orders = {}
+    block_steps = {}
     for bid, block in enumerate(rooted.tree.blocks):
-        order, detail = forced_block_order(
-            g, block.vertices, block.edge_ids, under, reason
-        )
+        order, steps, detail = forced_block_order(g, block, under, reason)
         if order is None:
-            return None, Failure(1, detail, block=bid)
+            return None, None, Failure(1, detail, block=bid)
         parent = rooted.parent_cut[bid]
         if parent is not None:
             if order[-1] == parent:
                 order = order[::-1]
+                steps = steps[::-1]
             elif order[0] != parent:
-                return None, Failure(
+                return None, None, Failure(
                     2, "parent cut vertex is interior to the block order",
                     block=bid, cut_vertex=parent,
                 )
         orders[bid] = order
-    return orders, None
+        block_steps[bid] = steps
+    return orders, block_steps, None
 
 
-def unique_max_edge(g, edge_ids):
+def unique_max_edge(g, block):
     """The block's unique maximum-weight edge id, or None on a tie."""
     nums = g.scaled[0]
-    top = max(nums[eid] for eid in edge_ids)
-    found = [eid for eid in edge_ids if nums[eid] == top]
+    top = block.max_weight
+    found = [eid for eid in block.edge_ids if nums[eid] == top]
     return found[0] if len(found) == 1 else None
-
-
-def incident_in_block(g, v, block_id, block_of_edge):
-    return [eid for eid in g.adjacency[v] if block_of_edge[eid] == block_id]
-
-
-def lowest_edges(g, pos, v, incident_eids):
-    """(lowest-left, lowest-right) edge ids of v among the given edges;
-    None where no neighbor precedes/follows."""
-    p = pos[v]
-    best_l = best_r = None
-    bl = br = None
-    ends = g.ends
-    for eid in incident_eids:
-        a, b = ends[eid]
-        q = pos[b if a == v else a]
-        if q < p:
-            if bl is None or q > bl:
-                bl, best_l = q, eid
-        else:
-            if br is None or q < br:
-                br, best_r = q, eid
-    return best_l, best_r

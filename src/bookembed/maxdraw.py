@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import seq
-from .blocks import incident_in_block, lowest_edges, rooted_block_orders
+from .blocks import rooted_block_orders
 from .embedding import BookEmbedding, Failure, per_component
 from .exact import INF
 from .graph import build_bc_tree
@@ -30,35 +30,23 @@ def max_be_drawer(g):
     if g.n == 1:
         return BookEmbedding((0,))
     rooted = build_bc_tree(g)
-    tree = rooted.tree
-    nums, den = g.scaled
+    den = g.scaled[1]
 
-    block_order, failure = rooted_block_orders(g, rooted, max, _WRAPS)
+    block_order, block_steps, failure = rooted_block_orders(g, rooted, max, _WRAPS)
     if failure is not None:
         return failure
-    block_lr = {}
-    for bid, order in block_order.items():
-        pos = {v: i for i, v in enumerate(order)}
-        lr = {}
-        cuts = list(rooted.child_cuts[bid])
-        parent = rooted.parent_cut[bid]
-        if parent is not None:
-            cuts.append(parent)
-        for c in cuts:
-            el, er = lowest_edges(
-                g, pos, c, incident_in_block(g, c, bid, tree.block_of_edge)
-            )
-            lr[c] = (
-                nums[el] if el is not None else INF,
-                nums[er] if er is not None else INF,
-            )
-        block_lr[bid] = lr
 
     ropes = {}
     for bid in rooted.block_postorder:
         repl = {}
+        order = block_order[bid]
+        steps = block_steps[bid]
+        pos = {v: i for i, v in enumerate(order)} if rooted.child_cuts[bid] else None
         for ci in rooted.child_cuts[bid]:
-            left_w, right_w = block_lr[bid][ci]
+            # the lowest edges on either side of ci join it to its neighbours
+            p = pos[ci]
+            left_w = steps[p - 1] if p > 0 else INF
+            right_w = steps[p] if p < len(steps) else INF
             left_parts = []
             right_parts = []
             kids = sorted(
@@ -73,7 +61,7 @@ def max_be_drawer(g):
                         weights=tuple(Fraction(x, den) for x in (w_plus, left_w, right_w)),
                     )
                 child = seq.skipping(ropes[b2], ci)
-                r_child = block_lr[b2][ci][1]
+                r_child = block_steps[b2][0]  # ci is first in b2's order
                 if w_plus < right_w:
                     right_parts.append(child)
                     right_w = r_child
@@ -83,7 +71,7 @@ def max_be_drawer(g):
             repl[ci] = seq.cat(
                 *left_parts, seq.one(ci), *reversed(right_parts)
             )
-        ropes[bid] = seq.blk(block_order[bid], repl or None)
+        ropes[bid] = seq.blk(order, repl or None)
     return BookEmbedding(seq.materialize(ropes[rooted.root]))
 
 

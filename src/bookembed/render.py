@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .embedding import is_one_page
+from .embedding import _forest_or_raise
 from .errors import NotOnePageError
 from .outerplanar import span
 
@@ -41,12 +41,19 @@ def _svg(width, height, body):
     return head + "".join(body) + "</svg>\n"
 
 
+def _edge_name(g, eid):
+    u, v = g.ends[eid]
+    return f"{g.labels[u]}--{g.labels[v]}"
+
+
 def render_arcs(g, embedding, spec=None):
     """Arc diagram: vertices equally spaced on a baseline, every edge a
     semicircular arc above it.  Byte-deterministic for fixed inputs."""
     spec = spec or RenderSpec()
-    if not is_one_page(g, embedding):
-        raise NotOnePageError("order", "is not 1-page")
+    try:
+        _forest_or_raise(g, embedding)
+    except NotOnePageError as exc:
+        raise NotOnePageError(_edge_name(g, exc.edge_a), _edge_name(g, exc.edge_b)) from None
     n = g.n
     gap = spec.scale
     margin = gap

@@ -33,18 +33,11 @@ def _polish_left_right(entries):
     return kept
 
 
-def _consecutive_weight(g, nums, order, x):
-    eid = g.edge_between(order[x - 1], order[x])
-    if eid is None:
-        raise AssertionError("consecutive block vertices must be adjacent")
-    return nums[eid]
-
-
-def _greedy(g, order, ell, cuts, centries, forced_first=None):
+def _greedy(order, ell, cuts, centries, forced_first=None):
     """Fill each cut position with the max-left-extension entry that fits.
 
     ``cuts``: ascending ``(position, cut)`` pairs; ``ell``: remaining free
-    space keyed by position (mutated).  ``forced_first`` pins the entry index
+    space indexed by position (mutated).  ``forced_first`` pins the entry index
     used for ``cuts[0]``, a cut at position 1.  Returns ``(repl, alpha_sub,
     tau_extra)`` or None.
     """
@@ -92,10 +85,10 @@ def sum_be_drawer(g, audit=None):
         return BookEmbedding((0,))
     rooted = build_bc_tree(g)
     tree = rooted.tree
-    block_order, failure = rooted_block_orders(g, rooted, sum, _UNDER)
+    block_order, block_steps, failure = rooted_block_orders(g, rooted, sum, _UNDER)
     if failure is not None:
         return failure
-    nums, den = g.scaled
+    den = g.scaled[1]
 
     bentries = {}
     centries = {}
@@ -134,18 +127,17 @@ def sum_be_drawer(g, audit=None):
 
     def process_block(bid):
         order = block_order[bid]
-        k_last = len(order) - 1
         pos = {v: i for i, v in enumerate(order)}
         cuts = sorted((pos[c], c) for c in rooted.child_cuts[bid])
-        w_top = nums[g.edge_between(order[0], order[k_last])]
-        w_first = _consecutive_weight(g, nums, order, 1)
+        steps = block_steps[bid]
+        # the order is cut at the block's unique heaviest edge
+        w_top = tree.blocks[bid].max_weight
+        w_first = steps[0]
 
         def fresh_ell():
-            ell = {x: _consecutive_weight(g, nums, order, x) for x in range(1, k_last + 1)}
             # only the root can have a cut at position 0, and nothing bounds
             # its left extension: INF picks the minimum-right-extension entry
-            ell[0] = INF
-            return ell
+            return [INF, *steps]
 
         is_root = bid == rooted.root
         if cuts and cuts[0][0] == 1 and not is_root:
@@ -154,7 +146,7 @@ def sum_be_drawer(g, audit=None):
             branches = []
             ropes1, lams1, _rhos1 = centries[cuts[0][1]]
             for j in range(len(ropes1)):
-                res = _greedy(g, order, fresh_ell(), cuts, centries, forced_first=j)
+                res = _greedy(order, fresh_ell(), cuts, centries, forced_first=j)
                 if res is None:
                     continue
                 repl, alpha_sub, tau_extra = res
@@ -172,7 +164,7 @@ def sum_be_drawer(g, audit=None):
             kept.reverse()
             entries = kept
         else:
-            res = _greedy(g, order, fresh_ell(), cuts, centries)
+            res = _greedy(order, fresh_ell(), cuts, centries)
             if res is None:
                 return None
             repl, alpha_sub, tau_extra = res

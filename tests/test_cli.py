@@ -553,3 +553,27 @@ def test_malformed_input_exits_2(tmp_path, argv, stdin_text):
         assert err == "bookembed: the graph and --order cannot both be read from stdin\n"
     if "--graph" in argv and argv[argv.index("--graph") + 1] == "-":
         assert err == "bookembed: the input and --graph cannot both be read from stdin\n"
+
+
+def test_render_arc_names_two_crossing_edges(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"edges":[["a","c","1"],["b","d","1"]]}')
+    code, out, err = run_cli(
+        ["render", "--style", "arc", "--graph", str(path)], stdin_text='["a","b","c","d"]'
+    )
+    assert (code, out, err) == (2, "", "bookembed: edges a--c and b--d cross\n")
+
+
+K4 = ('{"edges":[["a","b","1"],["a","c","2"],["a","d","3"],'
+      '["b","c","4"],["b","d","5"],["c","d","6"]]}')
+
+
+@pytest.mark.parametrize(
+    "argv", [["embed-max"], ["embed-sum"], ["embed-minres"], ["embed-2d"],
+             ["embed-2d", "--minres"]],
+)
+def test_non_outerplanar_input_exits_2(argv):
+    code, out, err = run_cli(argv, stdin_text=K4)
+    assert (code, out) == (2, "")
+    assert err.startswith("bookembed: ") and "not outerplanar" in err
+    assert "Traceback" not in err

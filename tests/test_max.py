@@ -4,13 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from bookembed.blocks import forced_block_order, rooted_block_orders
 from bookembed.embedding import BookEmbedding, Failure, validate_max
 from bookembed.errors import NotOuterplanarError
-from bookembed.graph import build_bc_tree
+from bookembed.exact import INF
+from bookembed.graph import BlockCutTree, build_bc_tree
 from bookembed.maxdraw import embed_max, max_be_drawer, star_sort_demo
-from bookembed.oracle import oracle_exists
+from bookembed.oracle import oracle_exists, random_outerplanar
 
 from conftest import coprime, fractional, graph_from, small_corpus
+
+import planted  # the benchmark's generator (perfbench/planted.py)
 
 
 def test_biconnected_triangle(triangle_5_6_11):
@@ -155,3 +159,89 @@ def test_embed_max_components():
     assert isinstance(out, BookEmbedding)
     assert out.order[-1] == g.resolve("z")  # isolated vertex at the right end
     assert validate_max(g, out) is None
+
+
+def _lowest_edges_by_scan(g, tree, bid, order, x):
+    """Weights of the lowest-left and lowest-right edges at ``order[x]``
+    (INF where there is none), found by scanning the vertex's whole
+    adjacency for the edges of block ``bid``: the rule the drawers used
+    before the forced orders carried their consecutive-edge weights."""
+    pos = {v: i for i, v in enumerate(order)}
+    v = order[x]
+    left = right = None
+    lw = rw = INF
+    nums = g.scaled[0]
+    for eid in g.adjacency[v]:
+        if tree.block_of_edge[eid] != bid:
+            continue
+        a, b = g.ends[eid]
+        q = pos[b if a == v else a]
+        if q < x:
+            if left is None or q > left:
+                left, lw = q, nums[eid]
+        elif right is None or q < right:
+            right, rw = q, nums[eid]
+    return lw, rw
+
+
+def _assert_steps_are_the_lowest_edges(g, tree, bid, order, steps):
+    assert len(steps) == len(order) - 1
+    for flip in (False, True):
+        if flip:
+            order, steps = order[::-1], steps[::-1]
+        padded = [INF, *steps, INF]
+        for x in range(len(order)):
+            assert _lowest_edges_by_scan(g, tree, bid, order, x) == (padded[x], padded[x + 1])
+
+
+def _step_corpus():
+    for seed in range(600):
+        weights = ((1, 2), (1, 3), (1, 6), (1, 10**6))[seed % 4]
+        yield random_outerplanar(
+            2 + seed % 39, weights, seed=seed, biconnected=(seed // 4) % 2 == 1
+        )
+    for cls in ("max", "sum"):
+        for seed in range(6):
+            yield planted.planted_yes(120, cls, seed, seed % 3 == 2).graph
+
+
+def test_block_steps_are_the_lowest_edges_of_every_vertex():
+    checked = 0
+    for g in _step_corpus():
+        tree = BlockCutTree(g)
+        for under in (max, sum):
+            for bid, block in enumerate(tree.blocks):
+                order, steps, detail = forced_block_order(g, block, under, "r")
+                if order is None:
+                    assert steps is None and detail
+                    continue
+                _assert_steps_are_the_lowest_edges(g, tree, bid, order, steps)
+                checked += len(order) > 2
+        # the orders as the drawers get them, parent cut vertex first
+        rooted = build_bc_tree(g)
+        orders, steps, failure = rooted_block_orders(g, rooted, max, "r")
+        if failure is None:
+            for bid, order in orders.items():
+                _assert_steps_are_the_lowest_edges(g, tree, bid, order, steps[bid])
+    assert checked > 500  # cycles with chords, not only bridges
+
+
+def test_max_drawer_reads_each_adjacency_entry_at_most_once_on_a_star():
+    reads = 0
+
+    class CountingRow(tuple):
+        """An adjacency row that counts the entries read through it."""
+
+        def __iter__(self):
+            nonlocal reads
+            for eid in super().__iter__():
+                reads += 1
+                yield eid
+
+    leaves = 2000
+    g = graph_from([("c", f"u{i}", (i * 7919) % leaves + 1) for i in range(leaves)])
+    assert len(set(g.weights)) == g.m
+    g.adjacency = tuple(map(CountingRow, g.adjacency))
+    out = max_be_drawer(g)
+    assert 0 < reads <= 2 * g.m
+    assert isinstance(out, BookEmbedding) and validate_max(g, out) is None
