@@ -34,7 +34,7 @@ def forced_block_order(g, block, under, reason):
     cycle = block_outer_cycle(g, vertices, edge_ids)
     if cycle is None:
         raise NotOuterplanarError("block is not outerplanar")
-    s, t = g.endpoints(e_m)
+    s, t = g.ends[e_m]
     order = cut_cycle(cycle, s, t)
     if order is None:
         return None, None, "maximum-weight edge is not on the outer face"
@@ -60,14 +60,15 @@ def forced_block_order(g, block, under, reason):
 def rooted_block_orders(g, rooted, under, reason):
     """Forced orders of every block of ``rooted``, each with its parent cut
     vertex first: ``(orders, steps, None)``, both keyed by block id, or
-    ``(None, None, failure)`` for the first block without one.  The
-    :class:`Failure` has condition 1 and the detail of
+    ``(None, None, failure)`` for the first block in id order without one.
+    The :class:`Failure` has condition 1 and the detail of
     :func:`forced_block_order`, or condition 2 for a parent cut vertex
     inside the order."""
     orders = {}
     block_steps = {}
-    for bid, block in enumerate(rooted.tree.blocks):
-        order, steps, detail = forced_block_order(g, block, under, reason)
+    blocks = rooted.tree.blocks
+    for bid in sorted(rooted.parent_cut):
+        order, steps, detail = forced_block_order(g, blocks[bid], under, reason)
         if order is None:
             return None, None, Failure(1, detail, block=bid)
         parent = rooted.parent_cut[bid]

@@ -11,21 +11,28 @@ from fractions import Fraction
 
 from .errors import NotOnePageError, PreconditionError
 from .exact import INF, format_rational
-from .graph import component_subgraphs
+from .graph import components
 from .outerplanar import nesting_forest, span
 
 
 class BookEmbedding:
     """A linear order of all vertices plus its inverse position map."""
 
-    __slots__ = ("order", "position")
+    __slots__ = ("order", "_position")
 
     def __init__(self, order):
         self.order = tuple(order)
-        position = [-1] * (max(self.order) + 1 if self.order else 0)
-        for i, v in enumerate(self.order):
-            position[v] = i
-        self.position = tuple(position)
+        self._position = None
+
+    @property
+    def position(self):
+        """Order position by vertex id (-1 if absent), built on first use."""
+        if self._position is None:
+            position = [-1] * (max(self.order) + 1 if self.order else 0)
+            for i, v in enumerate(self.order):
+                position[v] = i
+            self._position = tuple(position)
+        return self._position
 
     def flip(self):
         return BookEmbedding(self.order[::-1])
@@ -70,21 +77,21 @@ class Failure:
 
 
 def per_component(g, drawer):
-    """Run ``drawer`` on every component with two or more vertices, in order
-    of smallest vertex id, and concatenate the orders; single-vertex
-    components go to the right end.  The first result that is not a
-    :class:`BookEmbedding` is returned as it is, and no later component is
-    drawn."""
+    """Run ``drawer`` on every component (a ``graph.Component``, on ``g``'s
+    ids) with two or more vertices, in order of smallest vertex id, and
+    concatenate the orders; single-vertex components go to the right end.
+    The first result that is not a :class:`BookEmbedding` is returned as it
+    is, and no later component is drawn."""
     order = []
     tail = []
-    for verts, sub in component_subgraphs(g):
-        if len(verts) == 1:
-            tail.extend(verts)
+    for part in components(g):
+        if part.n == 1:
+            tail.append(part.root)
             continue
-        result = drawer(sub)
+        result = drawer(part)
         if not isinstance(result, BookEmbedding):
             return result
-        order.extend(verts[v] for v in result.order)
+        order.extend(result.order)
     return BookEmbedding(order + tail)
 
 

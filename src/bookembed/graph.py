@@ -6,7 +6,6 @@ import json
 import math
 from array import array
 from fractions import Fraction
-from itertools import compress
 
 from .errors import GraphFormatError, PreconditionError
 from .exact import format_rational, parse_ratio
@@ -55,12 +54,13 @@ class WeightedGraph:
     construction and safe to share across threads.
 
     A graph holds its weights as ``Fraction``s, as the constructor gets
-    them, or as the integer view :attr:`scaled`, as :func:`parse_graph`
-    reads them; the other form is built on first use.
+    them, or as reduced ``(p, q)`` pairs, as :func:`parse_graph` reads
+    them, with the view :attr:`scaled` when it fits 64 bits; the other
+    forms are built on first use.
     """
 
     __slots__ = ("labels", "label_index", "ends", "adjacency", "_edge_lookup",
-                 "_weights", "_scaled")
+                 "_weights", "_scaled", "_ratios")
 
     def __init__(self, labels, edges):
         """``labels``: iterable of strings; ``edges``: triples (u, v, w) of dense ids."""
@@ -89,23 +89,23 @@ class WeightedGraph:
             lookup[key] = eid
             ends.append(end)
             weights.append(w)
-        self._link(ends, lookup, tuple(weights), None)
+        self._link(ends, lookup, tuple(weights))
 
     @classmethod
-    def _of_checked(cls, labels, ends, weights, scaled):
+    def _of_checked(cls, labels, ends, weights, ratios=None):
         """Graph over distinct ``labels`` and ``ends`` taken from a graph
         that is already checked: dense ids, no self-loops, no duplicate
-        edges, positive weights given as ``Fraction``s or as the view
-        :attr:`scaled` (the other one None).  Skips the per-edge checks."""
+        edges, positive weights given as ``Fraction``s or as ``(p, q)``
+        pairs (the other one None).  Skips the per-edge checks."""
         g = cls.__new__(cls)
         g.labels = tuple(labels)
         g.label_index = {lab: i for i, lab in enumerate(g.labels)}
         g._link(ends, {
             (end if end[0] < end[1] else end[::-1]): eid for eid, end in enumerate(ends)
-        }, weights, scaled)
+        }, weights, ratios and _word_view(*ratios), ratios)
         return g
 
-    def _link(self, ends, lookup, weights, scaled):
+    def _link(self, ends, lookup, weights, scaled=None, ratios=None):
         adjacency = [[] for _ in self.labels]
         for eid, (u, v) in enumerate(ends):
             adjacency[u].append(eid)
@@ -115,22 +115,32 @@ class WeightedGraph:
         self._edge_lookup = lookup
         self._weights = weights
         self._scaled = scaled
+        self._ratios = ratios
 
-    def _part(self, labels, ends, eids):
-        """Checked subgraph whose edge i is ``ends[i]``, weighing what edge
-        ``eids[i]`` of this graph weighs.  Its view is its own: over its
-        weights' least common denominator, which may fit 64 bits when this
-        graph's does not."""
+    def _part(self, verts, eids):
+        """Checked subgraph whose vertex i is ``verts[i]`` and edge i is
+        edge ``eids[i]`` of this graph (both lists increasing).  Its view
+        is its own: over its weights' least common denominator, which may
+        fit 64 bits when this graph's does not."""
+        local = {v: i for i, v in enumerate(verts)}
+        labels = [self.labels[v] for v in verts]
+        ends = [(local[u], local[v]) for u, v in map(self.ends.__getitem__, eids)]
         if self._weights is not None:
             return WeightedGraph._of_checked(
-                labels, ends, tuple(map(self._weights.__getitem__, eids)), None
+                labels, ends, tuple(map(self._weights.__getitem__, eids))
             )
-        nums, den = self._scaled
-        nums = array("q", map(nums.__getitem__, eids))
-        common = math.gcd(den, *nums)
-        if common != 1:
-            nums = array("q", [x // common for x in nums])
-        return WeightedGraph._of_checked(labels, ends, None, (nums, den // common))
+        ps, qs = self._ratios
+        return WeightedGraph._of_checked(
+            labels, ends, None, ([ps[e] for e in eids], [qs[e] for e in eids])
+        )
+
+    def _pairs(self):
+        """The weights as lists of numerators and denominators in lowest
+        terms, the form :func:`_word_view` takes."""
+        if self._ratios is None:
+            ws = self._weights
+            return [w.numerator for w in ws], [w.denominator for w in ws]
+        return self._ratios
 
     # -- basic accessors ---------------------------------------------------
 
@@ -147,8 +157,7 @@ class WeightedGraph:
         """The ``Fraction`` weights by edge id; a parsed graph builds them
         on first use."""
         if self._weights is None:
-            nums, den = self._scaled
-            self._weights = tuple(Fraction(x, den) for x in nums)
+            self._weights = tuple(map(Fraction, *self._ratios))
         return self._weights
 
     @property
@@ -161,20 +170,18 @@ class WeightedGraph:
         """The weight of edge ``eid`` as a ``Fraction``; a parsed graph that
         has not built :attr:`weights` makes a new one on every call."""
         if self._weights is None:
-            nums, den = self._scaled
-            return Fraction(nums[eid], den)
+            ps, qs = self._ratios
+            return Fraction(ps[eid], qs[eid])
         return self._weights[eid]
 
     @property
     def scaled(self):
         """``(nums, den)`` with ``Fraction(nums[e], den) == weight(e)``:
-        :func:`_word_view`, or the Fraction weights over 1.  A parsed graph
-        gets it from the parser; a constructed one computes it on first use."""
+        :func:`_word_view`, or the Fraction weights over 1.  A graph that
+        holds ``(p, q)`` pairs gets it with them if it fits; any other
+        view is computed on first use."""
         if self._scaled is None:
-            ws = self._weights
-            self._scaled = _word_view(
-                [w.numerator for w in ws], [w.denominator for w in ws]
-            ) or (ws, 1)
+            self._scaled = _word_view(*self._pairs()) or (self.weights, 1)
         return self._scaled
 
     def endpoints(self, eid):
@@ -239,13 +246,8 @@ class WeightedGraph:
         """
         verts = sorted(set(vertices))
         to_sub = {v: i for i, v in enumerate(verts)}
-        ends = []
-        eids = []
-        for eid, (u, v) in enumerate(self.ends):
-            if u in to_sub and v in to_sub:
-                ends.append((to_sub[u], to_sub[v]))
-                eids.append(eid)
-        return self._part([self.labels[v] for v in verts], ends, eids), to_sub
+        eids = [e for e, (u, v) in enumerate(self.ends) if u in to_sub and v in to_sub]
+        return self._part(verts, eids), to_sub
 
 
 # -- parsing / serialization ----------------------------------------------
@@ -281,9 +283,10 @@ def _build(vertex_labels, rows, fault):
     """The graph of ``rows``, each ``[u, v, w]``, in one pass.
 
     Labels are interned in first-seen order, ``vertex_labels`` first.  Each
-    weight is read into ``(p, q)`` in lowest terms, and the view
-    :attr:`WeightedGraph.scaled` is made from those integers; ``Fraction``s
-    are built only when the view needs more than 64 bits.  ``fault(i,
+    weight is read into ``(p, q)`` in lowest terms; the graph keeps the
+    pairs, with the view :attr:`WeightedGraph.scaled` made from them when
+    it fits 64 bits, and builds no ``Fraction`` until one is asked for.
+    ``fault(i,
     text)`` makes the error for row ``i``: the malformed weight ``text``,
     or, when ``text`` is None, a row that is not ``[u, v, w]``.
 
@@ -342,15 +345,10 @@ def _build(vertex_labels, rows, fault):
         dens.append(q)
     if found is not None:
         raise found
-    scaled = _word_view(nums, dens)
-    weights = None
-    if scaled is None:
-        weights = tuple(map(Fraction, nums, dens))
-        scaled = (weights, 1)
     g = WeightedGraph.__new__(WeightedGraph)
     g.labels = tuple(labels)
     g.label_index = index
-    g._link(ends, lookup, weights, scaled)
+    g._link(ends, lookup, None, _word_view(nums, dens), (nums, dens))
     return g
 
 
@@ -472,41 +470,19 @@ def component_vertex_sets(g):
     return comps
 
 
-def component_subgraphs(g):
-    """Connected components as ``(vertices, subgraph)`` pairs, ordered by
-    smallest dense id.  ``vertices`` lists the component's dense ids in
-    increasing order, so subgraph id ``i`` is ``vertices[i]`` in ``g``, and
-    the subgraph equals ``g.induced(vertices)[0]``.
-
-    The edges are split over the components in one pass; each subgraph is
-    built only when the caller reaches it, so a caller that stops at a
-    failing component builds no more.  A connected graph is its own
-    single component.
-    """
-    comps = component_vertex_sets(g)
-    if len(comps) == 1:
-        yield comps[0], g
-        return
-    comp_of = [0] * g.n
-    local = [0] * g.n
-    for c, verts in enumerate(comps):
-        for i, v in enumerate(verts):
-            comp_of[v] = c
-            local[v] = i
-    ends = [[] for _ in comps]
-    eids = [[] for _ in comps]
-    for eid, (u, v) in enumerate(g.ends):
-        c = comp_of[u]
-        ends[c].append((local[u], local[v]))
-        eids[c].append(eid)
-    labels = g.labels
-    for c, verts in enumerate(comps):
-        yield verts, g._part([labels[v] for v in verts], ends[c], eids[c])
-
-
 def connected_components(g):
-    """Maximal connected subgraphs, ordered by smallest vertex id."""
-    return [sub for _, sub in component_subgraphs(g)]
+    """Maximal connected subgraphs, ordered by smallest vertex id; subgraph
+    id ``i`` is the ``i``-th smallest vertex of its component in ``g``, and
+    a connected graph is its own single component."""
+    parts = list(components(g))
+    if len(parts) == 1:
+        return [g]
+    subs = []
+    for part in parts:
+        blocks = [part.tree.blocks[b] for b in part.block_ids]
+        verts = sorted({v for b in blocks for v in b.vertices})
+        subs.append(g._part(verts, sorted(e for b in blocks for e in b.edge_ids)))
+    return subs
 
 
 def is_connected(g):
@@ -517,129 +493,169 @@ def is_connected(g):
 
 
 class Block:
-    """One biconnected component: a vertex subset, an edge subset and
-    ``max_weight``, the largest edge weight in units of ``1/g.scaled[1]`` (None if edgeless)."""
+    """One biconnected component: a vertex subset, an edge subset,
+    ``max_weight``, the largest edge weight in units of its component's
+    view (None if edgeless), and ``cuts``, its cut vertices in id order
+    (filled in by :class:`BlockCutTree`)."""
 
-    __slots__ = ("vertices", "edge_ids", "max_weight")
+    __slots__ = ("vertices", "edge_ids", "max_weight", "cuts")
 
     def __init__(self, vertices, edge_ids, max_weight):
         self.vertices = vertices
         self.edge_ids = edge_ids
         self.max_weight = max_weight
+        self.cuts = []
 
     def __repr__(self):
         return f"Block(vertices={self.vertices})"
 
 
 def _biconnected_components(g):
-    """Iterative Hopcroft-Tarjan. Returns (blocks as edge-id lists, cut flags).
+    """Iterative Hopcroft-Tarjan, restarted at the smallest unvisited vertex.
 
-    Raises :class:`PreconditionError` when the graph is not connected: the
-    search from vertex 0 leaves some vertex unvisited.
+    Returns ``(root, size, blocks)`` per connected component: its smallest
+    vertex, its vertex count and its blocks as edge-id lists, in the order
+    a search of the component alone finds them.
     """
     n = g.n
     disc = [0] * n  # 0 = unvisited, else discovery index + 1
     low = [0] * n
-    is_cut = [False] * n
     # tree_edge_at[v]: edge-stack index of the tree edge that reached v
     tree_edge_at = [0] * n
     edge_stack = []
-    blocks = []
+    parts = []
     counter = 1
     adjacency = g.adjacency
     ends = g.ends
-    if n == 0:
-        return blocks, is_cut
-    disc[0] = low[0] = counter
-    counter += 1
-    root_children = 0
-    frames = [(0, -1, iter(adjacency[0]))]
-    while frames:
-        v, parent_eid, edges = frames[-1]
-        for eid in edges:
-            if eid == parent_eid:
-                continue
-            a, u = ends[eid]
-            if u == v:
-                u = a
-            if not disc[u]:
-                tree_edge_at[u] = len(edge_stack)
-                edge_stack.append(eid)
-                disc[u] = low[u] = counter
-                counter += 1
-                frames.append((u, eid, iter(adjacency[u])))
-                break
-            if disc[u] < disc[v]:
-                edge_stack.append(eid)
-                if disc[u] < low[v]:
-                    low[v] = disc[u]
-        else:
-            frames.pop()
-            if frames:
-                parent = frames[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-                if low[v] >= disc[parent]:
-                    if parent == 0:
-                        root_children += 1
-                        if root_children > 1:
-                            is_cut[parent] = True
-                    else:
-                        is_cut[parent] = True
-                    # the block is the stack from v's tree edge up, top first
-                    start = tree_edge_at[v]
-                    blocks.append(edge_stack[start:][::-1])
-                    del edge_stack[start:]
-    if counter <= n:
-        raise PreconditionError("block-cut-vertex tree requires a connected graph")
-    return blocks, is_cut
+    for root in range(n):
+        if disc[root]:
+            continue
+        first, blocks = counter, []
+        disc[root] = low[root] = counter
+        counter += 1
+        frames = [(root, -1, iter(adjacency[root]))]
+        while frames:
+            v, parent_eid, edges = frames[-1]
+            for eid in edges:
+                if eid == parent_eid:
+                    continue
+                a, u = ends[eid]
+                if u == v:
+                    u = a
+                if not disc[u]:
+                    tree_edge_at[u] = len(edge_stack)
+                    edge_stack.append(eid)
+                    disc[u] = low[u] = counter
+                    counter += 1
+                    frames.append((u, eid, iter(adjacency[u])))
+                    break
+                if disc[u] < disc[v]:
+                    edge_stack.append(eid)
+                    if disc[u] < low[v]:
+                        low[v] = disc[u]
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if low[v] >= disc[parent]:
+                        # the block is the stack from v's tree edge up, top first
+                        start = tree_edge_at[v]
+                        blocks.append(edge_stack[start:][::-1])
+                        del edge_stack[start:]
+        parts.append((root, counter - first, blocks))
+    return parts
+
+
+def _component_views(g, groups):
+    """``(nums, dens)`` with ``Fraction(nums[e], dens[c])`` the weight of
+    every edge ``e`` in the blocks ``groups[c]`` of component ``c``.
+
+    That is :attr:`WeightedGraph.scaled` for one component or when it holds
+    words.  Otherwise one ``array("q")`` holds each component's edges over
+    the component's own least common denominator, or, for a component that
+    needs more than 64 bits, its ``Fraction`` weights over 1."""
+    # a graph of (p, q) pairs made its view with them, if that fits
+    words = g.scaled if g._ratios is None else g._scaled
+    if len(groups) < 2 or words is not None and type(words[0]) is array:
+        nums, den = g.scaled
+        return nums, [den] * len(groups)
+    ps, qs = g._pairs()
+    nums, dens = array("q", bytes(8 * g.m)), []
+    for group in groups:
+        eids = [e for block in group for e in block]
+        pairs = [ps[e] for e in eids], [qs[e] for e in eids]
+        view = _word_view(*pairs)
+        if view is None:
+            if type(nums) is array:
+                nums = list(nums)
+            view = list(map(Fraction, *pairs)), 1
+        for e, x in zip(eids, view[0]):
+            nums[e] = x
+        dens.append(view[1])
+    return nums, dens
 
 
 class BlockCutTree:
-    """Unrooted block decomposition of a connected graph.
+    """Unrooted block decomposition of a connected graph, or with
+    ``forest`` of every connected component of any graph.
 
     B-nodes are :class:`Block` objects indexed ``0..len(blocks)-1``; C-nodes
-    are identified by their cut-vertex dense id.  Use :meth:`rooted` to attach
-    rooting-dependent aggregates.
+    are identified by their cut-vertex dense id.  ``parts`` holds each
+    component's smallest vertex, the range of its block ids and its vertex
+    count (a vertex without edges is a block without edges).  Edge ``e`` of
+    component ``c`` weighs ``Fraction(nums[e], dens[c])``, the units of
+    ``Block.max_weight`` (:func:`_component_views`).  Use :meth:`rooted`
+    to attach rooting-dependent aggregates.
     """
 
-    __slots__ = ("blocks", "cut_vertices", "blocks_of_vertex", "block_of_edge")
+    __slots__ = ("blocks", "cut_vertices", "blocks_of_vertex", "block_of_edge",
+                 "parts", "nums", "dens")
 
-    def __init__(self, g):
-        raw_blocks, is_cut = _biconnected_components(g)
-        nums = g.scaled[0]
+    def __init__(self, g, forest=False):
+        found = _biconnected_components(g)
+        if len(found) > 1 and not forest:
+            raise PreconditionError("block-cut-vertex tree requires a connected graph")
+        nums, self.dens = _component_views(g, [group for _, _, group in found])
+        self.nums = nums
         ends = g.ends
         blocks = []
         block_of_edge = [-1] * g.m
         blocks_of_vertex = [[] for _ in range(g.n)]
-        for bid, edge_ids in enumerate(raw_blocks):
-            if len(edge_ids) == 1:  # a bridge
-                eid = edge_ids[0]
-                u, v = ends[eid]
-                block_of_edge[eid] = bid
-                blocks_of_vertex[u].append(bid)
-                blocks_of_vertex[v].append(bid)
-                blocks.append(Block((u, v) if u < v else (v, u), (eid,), nums[eid]))
-                continue
-            for eid in edge_ids:
-                block_of_edge[eid] = bid
-            vertices = tuple(sorted({x for eid in edge_ids for x in ends[eid]}))
-            for v in vertices:
-                blocks_of_vertex[v].append(bid)
-            edge_ids.sort()
-            best = max(map(nums.__getitem__, edge_ids))
-            blocks.append(Block(vertices, tuple(edge_ids), best))
-        if not blocks and g.n == 1:
-            blocks.append(Block((0,), (), None))
-            blocks_of_vertex[0].append(0)
-        self.blocks = tuple(blocks)
+        self.parts = []
+        for root, size, group in found:
+            start = len(blocks)
+            if size == 1:
+                blocks_of_vertex[root].append(start)
+                blocks.append(Block((root,), (), None))
+            for edge_ids in group:
+                bid = len(blocks)
+                if len(edge_ids) == 1:  # a bridge
+                    eid = edge_ids[0]
+                    u, v = ends[eid]
+                    block_of_edge[eid] = bid
+                    blocks_of_vertex[u].append(bid)
+                    blocks_of_vertex[v].append(bid)
+                    blocks.append(Block((u, v) if u < v else (v, u), (eid,), nums[eid]))
+                    continue
+                for eid in edge_ids:
+                    block_of_edge[eid] = bid
+                vertices = tuple(sorted({x for eid in edge_ids for x in ends[eid]}))
+                for v in vertices:
+                    blocks_of_vertex[v].append(bid)
+                edge_ids.sort()
+                best = max(map(nums.__getitem__, edge_ids))
+                blocks.append(Block(vertices, tuple(edge_ids), best))
+            self.parts.append((root, range(start, len(blocks)), size))
         # a vertex is a cut vertex exactly when it lies in several blocks
         self.cut_vertices = tuple(
             v for v, bids in enumerate(blocks_of_vertex) if len(bids) > 1
         )
-        assert self.cut_vertices == tuple(
-            compress(range(g.n), is_cut)
-        ), "articulation flags disagree with block membership"
+        for v in self.cut_vertices:
+            for bid in blocks_of_vertex[v]:
+                blocks[bid].cuts.append(v)
+        self.blocks = tuple(blocks)
         self.blocks_of_vertex = tuple(map(tuple, blocks_of_vertex))
         self.block_of_edge = tuple(block_of_edge)
 
@@ -647,81 +663,103 @@ class BlockCutTree:
         return RootedBCTree(self, root_block)
 
 
+class Component:
+    """One connected component of a graph on the graph's own ids, as the
+    drawers read it: the block ids ``block_ids`` of the forest ``tree``,
+    the smallest vertex ``root``, the vertex count ``n``, the graph's
+    ``ends`` and the component's weight view ``scaled``."""
+
+    __slots__ = ("tree", "block_ids", "root", "n", "ends", "scaled")
+
+    def __init__(self, g, tree, c):
+        self.tree = tree
+        self.root, self.block_ids, self.n = tree.parts[c]
+        self.ends = g.ends
+        self.scaled = tree.nums, tree.dens[c]
+
+
+def component(g):
+    """``g`` if it is a :class:`Component`, else the one component of the
+    connected graph ``g`` (:class:`PreconditionError` if it is not)."""
+    return g if isinstance(g, Component) else Component(g, BlockCutTree(g), 0)
+
+
+def components(g):
+    """The connected components of ``g`` as :class:`Component` objects, in
+    order of smallest vertex id, from one block-cut pass over ``g``."""
+    tree = BlockCutTree(g, forest=True)
+    return (Component(g, tree, c) for c in range(len(tree.parts)))
+
+
 class RootedBCTree:
-    """Rooting of a :class:`BlockCutTree` plus the subtree aggregates.
+    """Rooting of the root block's component of a :class:`BlockCutTree`,
+    plus the subtree aggregates, in dicts over that component only.
 
     For every B-node ``b``: ``parent_cut[b]`` (vertex id or None),
     ``child_cuts[b]``, ``w_plus[b]`` (max edge weight in the rooted subgraph,
-    in units of ``1/g.scaled[1]`` as ``Block.max_weight``),
-    ``n_plus_b[b]`` (vertex count of the rooted subgraph).  For every C-node
-    ``c``: ``child_blocks[c]``, ``n_plus_c[c]``.
+    in the units of ``Block.max_weight``), ``n_plus_b[b]`` (vertex count of
+    the rooted subgraph).  For every C-node ``c``: ``child_blocks[c]``,
+    ``n_plus_c[c]``.
     """
 
-    __slots__ = (
-        "tree",
-        "root",
-        "parent_cut",
-        "child_cuts",
-        "child_blocks",
-        "w_plus",
-        "n_plus_b",
-        "n_plus_c",
-        "block_postorder",
-    )
+    __slots__ = ("tree", "root", "parent_cut", "child_cuts", "child_blocks",
+                 "w_plus", "n_plus_b", "n_plus_c", "block_postorder")
 
     def __init__(self, tree, root_block):
         self.tree = tree
         self.root = root_block
-        nb = len(tree.blocks)
-        cuts = set(tree.cut_vertices)
-        self.parent_cut = [None] * nb
-        self.child_cuts = [[] for _ in range(nb)]
-        self.child_blocks = {c: [] for c in tree.cut_vertices}
+        blocks, blocks_of_vertex = tree.blocks, tree.blocks_of_vertex
+        self.parent_cut = parent_cut = {root_block: None}
+        self.child_cuts = child_cuts = {}
+        self.child_blocks = child_blocks = {}
         order = []
-        seen_block = [False] * nb
-        seen_block[root_block] = True
         queue = [root_block]
         while queue:
             b = queue.pop()
             order.append(b)
-            for v in tree.blocks[b].vertices:
-                if v in cuts and v != self.parent_cut[b]:
-                    self.child_cuts[b].append(v)
-                    for nb2 in tree.blocks_of_vertex[v]:
-                        if not seen_block[nb2]:
-                            seen_block[nb2] = True
-                            self.parent_cut[nb2] = v
-                            self.child_blocks[v].append(nb2)
-                            queue.append(nb2)
+            parent = parent_cut[b]
+            cuts = child_cuts[b] = []
+            for v in blocks[b].cuts:
+                if v != parent:
+                    cuts.append(v)
+                    kids = child_blocks[v] = []
+                    for b2 in blocks_of_vertex[v]:
+                        if b2 not in parent_cut:
+                            parent_cut[b2] = v
+                            kids.append(b2)
+                            queue.append(b2)
         # `order` is a DFS preorder over B-nodes; reversed it is a postorder.
         self.block_postorder = tuple(reversed(order))
-        self.w_plus = [None] * nb
-        self.n_plus_b = [0] * nb
-        self.n_plus_c = {}
+        self.w_plus = w_plus = {}
+        self.n_plus_b = n_plus_b = {}
+        self.n_plus_c = n_plus_c = {}
         for b in self.block_postorder:
-            block = tree.blocks[b]
+            block = blocks[b]
             w = block.max_weight
             count = len(block.vertices)
-            for c in self.child_cuts[b]:
+            for c in child_cuts[b]:
                 # Each cut has a unique parent block, so this runs once per cut.
                 cc = 1
-                for b2 in self.child_blocks[c]:
-                    cc += self.n_plus_b[b2] - 1
-                    wc = self.w_plus[b2]
+                for b2 in child_blocks[c]:
+                    cc += n_plus_b[b2] - 1
+                    wc = w_plus[b2]
                     if wc is not None and (w is None or wc > w):
                         w = wc
-                self.n_plus_c[c] = cc
+                n_plus_c[c] = cc
                 count += cc - 1
-            self.w_plus[b] = w
-            self.n_plus_b[b] = count
+            w_plus[b] = w
+            n_plus_b[b] = count
 
 
 def build_bc_tree(g):
-    """Block-cut-vertex tree of a connected graph, rooted at the block
-    containing the smallest-id maximum-weight edge."""
-    tree = BlockCutTree(g)
-    if g.m == 0:
-        return tree.rooted(0)
-    # max returns the first maximum met, so the smallest id on a tie
-    best = max(range(g.m), key=g.scaled[0].__getitem__)
+    """Block-cut-vertex tree of a connected graph or a :class:`Component`,
+    rooted at the block containing its smallest-id maximum-weight edge."""
+    part = component(g)
+    tree, ids = part.tree, part.block_ids
+    if part.n == 1:
+        return tree.rooted(ids[0])
+    blocks, nums = tree.blocks, part.scaled[0]
+    top = max(blocks[b].max_weight for b in ids)
+    best = min(e for b in ids if blocks[b].max_weight == top
+               for e in blocks[b].edge_ids if nums[e] == top)
     return tree.rooted(tree.block_of_edge[best])

@@ -9,7 +9,7 @@ from . import seq
 from .blocks import rooted_block_orders
 from .embedding import BookEmbedding, Failure, per_component
 from .exact import INF
-from .graph import build_bc_tree
+from .graph import build_bc_tree, component
 
 _WRAPS = "an edge does not outweigh an edge it wraps"
 
@@ -20,15 +20,16 @@ MaxFailure = Failure
 
 
 def max_be_drawer(g):
-    """Test and construct over a connected outerplanar graph; returns a
-    BookEmbedding or a Failure.
+    """Test and construct over a connected outerplanar graph or one
+    ``Component`` of any graph; returns a BookEmbedding or a Failure.
 
     condition 1: some block admits no embedding of the class.
     condition 2: a block's forced order has its parent cut vertex inside.
     condition 3: a block subtree fits on neither side of its cut vertex.
     """
+    g = component(g)
     if g.n == 1:
-        return BookEmbedding((0,))
+        return BookEmbedding((g.root,))
     rooted = build_bc_tree(g)
     den = g.scaled[1]
 

@@ -28,7 +28,7 @@ from math import inf
 from . import seq
 from .embedding import BookEmbedding, Failure, per_component
 from .errors import NotOuterplanarError
-from .graph import BlockCutTree
+from .graph import BlockCutTree, component
 from .outerplanar import block_outer_cycle, cut_cycle, span
 
 
@@ -48,24 +48,20 @@ class _AnchorSearch:
     """
 
     def __init__(self, g, tree, cycles, audit=None):
-        if any(c is None for c in cycles):
-            raise NotOuterplanarError("graph is not outerplanar")
-        self.g = g
+        self.ends = g.ends
         self.tree = tree
         self.cycles = cycles
         self.audit = audit
         self.w, self.den = g.scaled
-        cuts = set(tree.cut_vertices)
-        self.block_cuts = [[v for v in b.vertices if v in cuts] for b in tree.blocks]
         self.sweeps = {}  # block -> (cycle position of each vertex, passing cuts)
         self.candidates = {}  # (block, parent cut) -> supporting orders
         self.results = {"B": {}, "C": {}}  # kind -> (node, parent) -> result
 
     def run(self, e_star):
         """Supporting embedding with ``e_star`` unnested, or a Failure."""
-        g, tree = self.g, self.tree
+        tree = self.tree
         root = tree.block_of_edge[e_star]
-        u, v = g.endpoints(e_star)
+        u, v = self.ends[e_star]
         if u > v:
             u, v = v, u
         order = self._cut(root, u, v)
@@ -78,7 +74,7 @@ class _AnchorSearch:
         # uncached nodes below the root, every parent before its children
         todo = []
         up = {}
-        stack = [("C", c, root) for c in self.block_cuts[root]]
+        stack = [("C", c, root) for c in tree.blocks[root].cuts]
         while stack:
             node = stack.pop()
             kind, x, parent = node
@@ -96,7 +92,7 @@ class _AnchorSearch:
             if kind == "C":
                 kids = [("B", b, x) for b in tree.blocks_of_vertex[x] if b != parent]
             else:
-                kids = [("C", c, x) for c in self.block_cuts[x] if c != parent]
+                kids = [("C", c, x) for c in tree.blocks[x].cuts if c != parent]
             for kid in kids:
                 up[kid] = node
             stack.extend(kids)
@@ -144,7 +140,7 @@ class _AnchorSearch:
         cycle = self.cycles[bid]
         k = len(cycle)
         pos = {v: i for i, v in enumerate(cycle)}
-        w, den, ends = self.w, self.den, self.g.ends
+        w, den, ends = self.w, self.den, self.ends
         fails = [0] * (k + 1)
         for eid in self.tree.blocks[bid].edge_ids:
             u, v = ends[eid]
@@ -246,17 +242,18 @@ class _AnchorSearch:
         return best
 
     def _extend_block(self, bid, parent, order):
-        ends, w, den = self.g.ends, self.w, self.den
+        ends, w, den = self.ends, self.w, self.den
         pos = {v: i for i, v in enumerate(order)}
         spans = []
         slack = []  # weight - span, scaled
-        for eid in self.tree.blocks[bid].edge_ids:
+        block = self.tree.blocks[bid]
+        for eid in block.edge_ids:
             u, v = ends[eid]
             a, b = span(pos, u, v)
             spans.append((a, b))
             slack.append(w[eid] - (b - a) * den)
         cuts = sorted(
-            ((pos[c], c) for c in self.block_cuts[bid] if c != parent), reverse=True
+            ((pos[c], c) for c in block.cuts if c != parent), reverse=True
         )
         fronts = self.results["C"]
         repl = {}
@@ -304,30 +301,34 @@ class _AnchorSearch:
 
 
 def minres_be_drawer_anchor(g, e_star, *, decomposition=None, cycles=None, audit=None):
-    """Supporting embedding in which ``e_star`` is nested under no edge, or a
-    Failure.  Each call starts from empty caches, so ``audit`` sees
-    every node it solves."""
+    """Supporting embedding of a connected graph in which ``e_star`` is
+    nested under no edge, or a Failure.  Each call starts from empty
+    caches, so ``audit`` sees every node it solves."""
     tree = decomposition or BlockCutTree(g)
     if cycles is None:
-        cycles = [
-            block_outer_cycle(g, b.vertices, b.edge_ids) for b in tree.blocks
-        ]
+        cycles = [block_outer_cycle(g, b.vertices, b.edge_ids) for b in tree.blocks]
+    if None in cycles:
+        raise NotOuterplanarError("graph is not outerplanar")
     return _AnchorSearch(g, tree, cycles, audit=audit).run(e_star)
 
 
 def minres_be_drawer(g):
-    """Supporting embedding of a connected outerplanar graph, or a Failure
-    that gives no condition.
+    """Supporting embedding of a connected outerplanar graph or one
+    ``Component`` of any graph, or a Failure that gives no condition.
 
     Anchors are tried in edge-id order and the first success wins.  They
     share one search, so each subtree result is computed once.
     """
+    g = component(g)
     if g.n == 1:
-        return BookEmbedding((0,))
-    tree = BlockCutTree(g)
-    cycles = [block_outer_cycle(g, b.vertices, b.edge_ids) for b in tree.blocks]
-    search = _AnchorSearch(g, tree, cycles)
-    for e_star in range(g.m):
+        return BookEmbedding((g.root,))
+    blocks = g.tree.blocks
+    cycles = {b: block_outer_cycle(g, blocks[b].vertices, blocks[b].edge_ids)
+              for b in g.block_ids}
+    if None in cycles.values():
+        raise NotOuterplanarError("graph is not outerplanar")
+    search = _AnchorSearch(g, g.tree, cycles)
+    for e_star in sorted(e for b in g.block_ids for e in blocks[b].edge_ids):
         result = search.run(e_star)
         if isinstance(result, BookEmbedding):
             return result

@@ -188,15 +188,6 @@ def block_outer_cycle(g, vertices, edge_ids):
     return list(_canonical_cycle([vertices[a] for a in cycle_local]))
 
 
-def _is_biconnected(g):
-    if g.n <= 1:
-        return True
-    try:
-        return len(BlockCutTree(g).blocks) == 1
-    except PreconditionError:  # disconnected
-        return False
-
-
 def outerplane_embedding(g):
     """Outer cycle of the unique outerplane embedding of a biconnected graph
     as a tuple of vertex ids (canonical flip: of the two reflections, the
@@ -205,7 +196,7 @@ def outerplane_embedding(g):
 
     Raises :class:`PreconditionError` on non-biconnected input.
     """
-    if not _is_biconnected(g):
+    if g.n > 1 and len(BlockCutTree(g, forest=True).blocks) != 1:
         raise PreconditionError("outerplane embedding requires a biconnected graph")
     cycle = block_outer_cycle(g, range(g.n), range(g.m))
     return tuple(cycle) if cycle is not None else None

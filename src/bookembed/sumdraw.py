@@ -16,7 +16,7 @@ from . import seq
 from .blocks import rooted_block_orders
 from .embedding import BookEmbedding, Failure, per_component
 from .exact import INF
-from .graph import build_bc_tree
+from .graph import build_bc_tree, component
 
 _UNDER = "an edge does not outweigh the edges directly under it"
 
@@ -68,8 +68,8 @@ def _greedy(order, ell, cuts, centries, forced_first=None):
 
 
 def sum_be_drawer(g, audit=None):
-    """Test and construct over a connected outerplanar graph; returns a
-    BookEmbedding or a Failure.
+    """Test and construct over a connected outerplanar graph or one
+    ``Component`` of any graph; returns a BookEmbedding or a Failure.
 
     condition 1: a block admits no embedding of the class;
     condition 2: a block's forced order has its parent cut inside;
@@ -81,8 +81,9 @@ def sum_be_drawer(g, audit=None):
     ("C": (rope, lambda, rho); "B": (rope, alpha, tau), values as Fractions)
     so tests can assert the structural invariants at every tree node.
     """
+    g = component(g)
     if g.n == 1:
-        return BookEmbedding((0,))
+        return BookEmbedding((g.root,))
     rooted = build_bc_tree(g)
     tree = rooted.tree
     block_order, block_steps, failure = rooted_block_orders(g, rooted, sum, _UNDER)

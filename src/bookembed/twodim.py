@@ -17,7 +17,7 @@ from . import seq
 from .embedding import BookEmbedding, validate_minres_supporting
 from .errors import GraphFormatError, NotOuterplanarError, PreconditionError
 from .exact import format_rational, parse_rational
-from .graph import BlockCutTree, WeightedGraph, component_subgraphs
+from .graph import WeightedGraph, component, components
 from .outerplanar import (
     block_outer_cycle,
     cut_cycle,
@@ -220,14 +220,16 @@ def twodim_biconnected(g, s, t, length, height):
 
 
 def one_page_order(g):
-    """A 1-page order of a connected outerplanar graph (exists for every
-    such graph): block outer cycles hung on cut vertices."""
+    """A 1-page order of a connected outerplanar graph or one ``Component``
+    of any graph (one always exists): block outer cycles hung on cuts."""
+    g = component(g)
     if g.n == 1:
-        return [0]
-    tree = BlockCutTree(g)
-    rooted = tree.rooted(0)
+        return [g.root]
+    tree = g.tree
+    rooted = tree.rooted(g.block_ids[0])
     orders = {}
-    for bid, block in enumerate(tree.blocks):
+    for bid in g.block_ids:
+        block = tree.blocks[bid]
         cycle = block_outer_cycle(g, block.vertices, block.edge_ids)
         if cycle is None:
             raise NotOuterplanarError("graph is not outerplanar")
@@ -263,12 +265,7 @@ def twodim_general(g, eps=Fraction(1), length=None):
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     n = g.n
-    order_all = []
-    for verts, sub in component_subgraphs(g):
-        if len(verts) == 1:
-            order_all.extend(verts)
-            continue
-        order_all.extend(verts[v] for v in one_page_order(sub))
+    order_all = [v for part in components(g) for v in one_page_order(part)]
 
     if g.m == 0:
         x = {v: Fraction(i) for i, v in enumerate(order_all)}

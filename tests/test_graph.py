@@ -16,7 +16,6 @@ from bookembed.graph import (
     BlockCutTree,
     WeightedGraph,
     build_bc_tree,
-    component_subgraphs,
     component_vertex_sets,
     connected_components,
     is_connected,
@@ -99,7 +98,7 @@ def test_scaled_weights_are_exact():
     assert len(edgeless.scaled[0]) == 0 and edgeless.scaled[1] == 1
     views = set()
     for g in graphs:
-        parts = [sub for _, sub in component_subgraphs(g)]
+        parts = connected_components(g)
         parts.append(g.induced(range(0, g.n, 2))[0])
         for h in [g] + parts:
             nums, den = h.scaled
@@ -182,7 +181,7 @@ def test_minres_union_takes_the_fraction_view_and_its_parts_words():
     for g in (union, parse_graph(serialize_graph(union))):
         nums, den = g.scaled
         assert den == 1 and nums == g.weights
-        parts = [sub for _, sub in component_subgraphs(g)]
+        parts = connected_components(g)
         assert len(parts) == 20
         for sub in parts:
             assert sub.scaled[0].typecode == "q" and sub.scaled[1] > 1
@@ -267,7 +266,7 @@ def _shuffled_union(parts, seed):
     return WeightedGraph(labels, edges)
 
 
-def test_component_subgraphs_match_induced():
+def test_connected_components_match_induced():
     corpus = small_corpus(60)
     graphs = corpus + [
         _shuffled_union(random.Random(i).sample(corpus, 2 + i % 4), i)
@@ -275,10 +274,10 @@ def test_component_subgraphs_match_induced():
     ]
     graphs.append(graph_from([], vertices=[]))
     for g in graphs:
-        split = list(component_subgraphs(g))
+        subs = connected_components(g)
         comps = component_vertex_sets(g)
-        assert [verts for verts, _ in split] == comps
-        for verts, sub in split:
+        assert len(subs) == len(comps)
+        for verts, sub in zip(comps, subs):
             # the checked constructor over the old induced() filter
             to_sub = {v: i for i, v in enumerate(verts)}
             ref = WeightedGraph(
@@ -294,7 +293,6 @@ def test_component_subgraphs_match_induced():
                 assert sub._edge_lookup == other._edge_lookup
             assert g.induced(verts)[1] == to_sub
             assert all(type(w) is Fraction for _, _, w in sub.edges)
-        assert connected_components(g) == [sub for _, sub in split]
 
 
 def test_per_component_builds_no_subgraph_past_a_failure(monkeypatch):
@@ -308,8 +306,9 @@ def test_per_component_builds_no_subgraph_past_a_failure(monkeypatch):
 
     monkeypatch.setattr(WeightedGraph, "_of_checked", classmethod(counting))
     failure = object()
-    assert per_component(g, lambda sub: failure) is failure
-    assert len(built) == 1 and len(component_vertex_sets(g)) > 2
+    assert per_component(g, lambda part: failure) is failure
+    # components are drawn in place: not even the failing one is rebuilt
+    assert len(built) == 0 and len(component_vertex_sets(g)) > 2
 
 
 @pytest.mark.parametrize("w", [Fraction(0), Fraction(-1, 2), 0, "-3/4", -0.5])

@@ -179,7 +179,7 @@ def _check_outer_cycle(g, block):
 
 def _check_outer_cycles(g):
     found = []
-    for _verts, sub in graph.component_subgraphs(g):
+    for sub in graph.connected_components(g):
         for block in graph.BlockCutTree(sub).blocks:
             found.append((len(block.vertices), _check_outer_cycle(sub, block)))
     return found
