@@ -1,11 +1,12 @@
 """Internal helpers shared by the drawers: the forced block orders of the
-max and sum classes, with the weights of their consecutive edges."""
+max and sum classes, each a cut of the block's outer-cycle record, with
+the weights of their consecutive edges."""
 
 from __future__ import annotations
 
 from .embedding import Failure
 from .errors import NotOuterplanarError
-from .outerplanar import block_outer_cycle, cut_cycle, nesting_forest, span
+from .outerplanar import block_outer_cycle, nesting_forest
 
 
 def forced_block_order(g, block, under, reason):
@@ -13,12 +14,12 @@ def forced_block_order(g, block, under, reason):
     ``(order, steps, None)``, or ``(None, None, detail)`` when the block
     has none.
 
-    The block's unique maximum-weight edge must lie on its outer cycle; the
-    cycle is cut there (canonical flip).  Every edge must then strictly
-    outweigh ``under`` (``max`` or ``sum``) of the weights of the edges
-    directly under it, else the detail is ``reason``.  The outer cycle is
-    searched after the maximum-edge test; :class:`NotOuterplanarError` is
-    raised when there is none.
+    The block's outer cycle is searched first, so a block that is not
+    outerplanar raises :class:`NotOuterplanarError` whatever its weights.
+    Its unique maximum-weight edge must lie on that cycle, which is cut
+    there (canonical flip).  Every edge must then strictly outweigh
+    ``under`` (``max`` or ``sum``) of the weights of the edges directly
+    under it, else the detail is ``reason``.
 
     ``steps[x]`` is the weight, in units of ``1/g.scaled[1]``, of the edge
     joining ``order[x]`` and ``order[x + 1]``.  Consecutive vertices of a cut
@@ -28,33 +29,27 @@ def forced_block_order(g, block, under, reason):
     vertices, edge_ids = block.vertices, block.edge_ids
     if len(vertices) == 2:
         return sorted(vertices), [block.max_weight], None
-    e_m = unique_max_edge(g, block)
-    if e_m is None:
-        return None, None, "no unique maximum-weight edge"
-    cycle = block_outer_cycle(g, vertices, edge_ids)
-    if cycle is None:
+    record = block_outer_cycle(g, vertices, edge_ids)
+    if record is None:
         raise NotOuterplanarError("block is not outerplanar")
-    s, t = g.ends[e_m]
-    order = cut_cycle(cycle, s, t)
-    if order is None:
-        return None, None, "maximum-weight edge is not on the outer face"
-    order = min(order, cut_cycle(cycle, t, s))
     nums = g.scaled[0]
-    pos = {v: i for i, v in enumerate(order)}
-    spans = []
-    ends = g.ends
-    for eid in edge_ids:
-        u, v = ends[eid]
-        spans.append(span(pos, u, v) + (eid,))
-    _parent, children, _roots = nesting_forest(len(order), spans)
+    top = [eid for eid in edge_ids if nums[eid] == block.max_weight]
+    if len(top) != 1:
+        return None, None, "no unique maximum-weight edge"
+    # the two flips start at s and at t: the smaller one starts at min(s, t)
+    cut = record.cut(*sorted(g.ends[top[0]]))
+    if cut is None:
+        return None, None, "maximum-weight edge is not on the outer face"
+    spans = cut.spans()
+    _parent, children, _roots = nesting_forest(len(vertices), spans)
     for idx, kids in enumerate(children):
         if kids and not nums[spans[idx][2]] > under(nums[spans[k][2]] for k in kids):
             return None, None, reason
-    steps = [0] * (len(order) - 1)
+    steps = [0] * (len(vertices) - 1)
     for a, b, eid in spans:
         if b == a + 1:
             steps[a] = nums[eid]
-    return order, steps, None
+    return cut.order(), steps, None
 
 
 def rooted_block_orders(g, rooted, under, reason):
@@ -84,11 +79,3 @@ def rooted_block_orders(g, rooted, under, reason):
         orders[bid] = order
         block_steps[bid] = steps
     return orders, block_steps, None
-
-
-def unique_max_edge(g, block):
-    """The block's unique maximum-weight edge id, or None on a tie."""
-    nums = g.scaled[0]
-    top = block.max_weight
-    found = [eid for eid in block.edge_ids if nums[eid] == top]
-    return found[0] if len(found) == 1 else None

@@ -100,26 +100,22 @@ def _check_permutation(g, embedding):
         raise PreconditionError("order is not a permutation of the vertex set")
 
 
-def _edge_spans(g, embedding):
-    pos = embedding.position
-    return [span(pos, u, v) + (eid,) for eid, (u, v) in enumerate(g.ends)]
-
-
 def is_one_page(g, embedding):
     """True iff no two edges cross in the given order."""
-    _check_permutation(g, embedding)
     try:
-        nesting_forest(g.n, _edge_spans(g, embedding))
+        _forest_or_raise(g, embedding)
     except NotOnePageError:
         return False
     return True
 
 
 def _forest_or_raise(g, embedding):
+    """``(spans, parent, children, roots)``: the span of every edge, by
+    edge id, and their nesting forest."""
     _check_permutation(g, embedding)
-    spans = _edge_spans(g, embedding)
-    parent, children, roots = nesting_forest(g.n, spans)
-    return spans, parent, children, roots
+    pos = embedding.position
+    spans = [span(pos, u, v) + (eid,) for eid, (u, v) in enumerate(g.ends)]
+    return (spans, *nesting_forest(g.n, spans))
 
 
 @dataclass(frozen=True)
@@ -277,18 +273,17 @@ def burdens(g, embedding):
 
 def validate_minres_supporting(g, embedding):
     """None if ``weight >= burden + 1`` holds for every edge (exact
-    comparison), else the first violating edge in span order."""
-    _forest_or_raise(g, embedding)
-    pos = embedding.position
-    nums, den = g.scaled
+    comparison), else the first violating edge in span order.  Each edge
+    is compared with its own burden only, so its reduced ``(p, q)`` serves
+    and no graph-wide view is built."""
+    spans = _forest_or_raise(g, embedding)[0]
+    ps, qs = g.ratios()
     worst = None
-    for eid, (u, v) in enumerate(g.ends):
-        beta = abs(pos[u] - pos[v]) - 1
-        if nums[eid] < (beta + 1) * den:
-            a, b = span(pos, u, v)
+    for a, b, eid in spans:
+        if ps[eid] < (b - a) * qs[eid]:  # the burden is b - a - 1
             key = (a, -b, eid)
             if worst is None or key < worst[0]:
-                worst = (key, MinresViolation(eid, beta))
+                worst = (key, MinresViolation(eid, b - a - 1))
     return worst[1] if worst else None
 
 
@@ -329,7 +324,7 @@ def metrics(g, embedding):
     spans, _parent, children, roots = _forest_or_raise(g, embedding)
     n = g.n
     pos = embedding.position
-    # _edge_spans enumerates edges by id, so index i below IS edge id i.
+    # _forest_or_raise lists the spans by edge id, so index i below IS edge id i.
     beta = tuple(b - a - 1 for a, b, _ in spans)
 
     # Gap minima of slack = w - (burden+1) over edges covering each gap.

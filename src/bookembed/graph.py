@@ -134,9 +134,9 @@ class WeightedGraph:
             labels, ends, None, ([ps[e] for e in eids], [qs[e] for e in eids])
         )
 
-    def _pairs(self):
+    def ratios(self):
         """The weights as lists of numerators and denominators in lowest
-        terms, the form :func:`_word_view` takes."""
+        terms, the form :func:`_word_view` takes (made anew from Fractions)."""
         if self._ratios is None:
             ws = self._weights
             return [w.numerator for w in ws], [w.denominator for w in ws]
@@ -181,7 +181,7 @@ class WeightedGraph:
         holds ``(p, q)`` pairs gets it with them if it fits; any other
         view is computed on first use."""
         if self._scaled is None:
-            self._scaled = _word_view(*self._pairs()) or (self.weights, 1)
+            self._scaled = _word_view(*self.ratios()) or (self.weights, 1)
         return self._scaled
 
     def endpoints(self, eid):
@@ -581,7 +581,7 @@ def _component_views(g, groups):
     if len(groups) < 2 or words is not None and type(words[0]) is array:
         nums, den = g.scaled
         return nums, [den] * len(groups)
-    ps, qs = g._pairs()
+    ps, qs = g.ratios()
     nums, dens = array("q", bytes(8 * g.m)), []
     for group in groups:
         eids = [e for block in group for e in block]

@@ -29,7 +29,7 @@ from . import seq
 from .embedding import BookEmbedding, Failure, per_component
 from .errors import NotOuterplanarError
 from .graph import BlockCutTree, component
-from .outerplanar import block_outer_cycle, cut_cycle, span
+from .outerplanar import block_outer_cycle
 
 
 class _AnchorSearch:
@@ -41,10 +41,12 @@ class _AnchorSearch:
     vertex's fold came up empty, and 4 when a block extension failed for
     every stored order.
 
-    A node below the root is ``("B", block, parent cut)`` or
-    ``("C", cut, parent block)``.  A block result is ``(rope, residual,
-    vertex count)``; a cut result is the front ``(ropes, nls, nrs)`` sorted
-    by ``nl``.  Residuals are scaled by ``den`` like the weights.
+    ``cycles[b]`` is block ``b``'s :class:`~bookembed.outerplanar.OuterCycle`
+    record; a block's candidate orders are its cuts.  A node below the root
+    is ``("B", block, parent cut)`` or ``("C", cut, parent block)``.  A
+    block result is ``(rope, residual, vertex count)``; a cut result is the
+    front ``(ropes, nls, nrs)`` sorted by ``nl``.  Residuals are scaled by
+    ``den`` like the weights.
     """
 
     def __init__(self, g, tree, cycles, audit=None):
@@ -53,8 +55,8 @@ class _AnchorSearch:
         self.cycles = cycles
         self.audit = audit
         self.w, self.den = g.scaled
-        self.sweeps = {}  # block -> (cycle position of each vertex, passing cuts)
-        self.candidates = {}  # (block, parent cut) -> supporting orders
+        self.sweeps = {}  # block -> which cycle edges it may be cut at
+        self.candidates = {}  # (block, parent cut) -> supporting cuts
         self.results = {"B": {}, "C": {}}  # kind -> (node, parent) -> result
 
     def run(self, e_star):
@@ -64,8 +66,8 @@ class _AnchorSearch:
         u, v = self.ends[e_star]
         if u > v:
             u, v = v, u
-        order = self._cut(root, u, v)
-        if order is None:
+        cut = self._cut(root, u, v)
+        if cut is None:
             return Failure(
                 1, "anchor block has no supporting order with the anchor outermost",
                 block=root, anchor=e_star,
@@ -113,7 +115,7 @@ class _AnchorSearch:
                     ))
             self.results[kind][x, parent] = result
 
-        result = self._process_block(root, None, [order])
+        result = self._process_block(root, None, [cut])
         if result is None:
             return Failure(
                 4, "no supporting extension of the block", block=root, anchor=e_star,
@@ -130,63 +132,42 @@ class _AnchorSearch:
         return replace(failure, anchor=e_star)
 
     def _sweep(self, bid):
-        """``(pos, ok)`` for block ``bid``: ``pos`` maps a vertex to its cycle
-        position, and ``ok[j]`` is true when cutting the cycle between
+        """``ok[j]`` for block ``bid`` is true when cutting its cycle between
         positions j and j + 1 leaves weight >= span on every block edge.
 
         An edge at positions p < q spans k - (q - p) under the cuts p..q-1
         and q - p under the others, so one difference array counts the
         failing edges of every cut at once."""
-        cycle = self.cycles[bid]
-        k = len(cycle)
-        pos = {v: i for i, v in enumerate(cycle)}
-        w, den, ends = self.w, self.den, self.ends
+        record = self.cycles[bid]
+        k = len(record.cycle)
+        w, den = self.w, self.den
         fails = [0] * (k + 1)
-        for eid in self.tree.blocks[bid].edge_ids:
-            u, v = ends[eid]
-            p, q = pos[u], pos[v]
-            if p > q:
-                p, q = q, p
+        for p, q, eid in record.spans:
             outside = w[eid] < den * (q - p)
             shift = (w[eid] < den * (k - q + p)) - outside  # on cuts p..q-1
             fails[0] += outside
             fails[p] += shift
             fails[q] -= shift
-        return pos, [f == 0 for f in accumulate(fails[:k])]
-
-    def _swept(self, bid):
-        """:meth:`_sweep` of block ``bid``, computed on first use."""
-        found = self.sweeps.get(bid)
-        if found is None:
-            found = self.sweeps[bid] = self._sweep(bid)
-        return found
+        return [f == 0 for f in accumulate(fails[:k])]
 
     def _cut(self, bid, s, t):
-        """``cut_cycle`` of block ``bid`` with s first and t last if that
-        order satisfies weight >= span everywhere, else None."""
-        pos, ok = self._swept(bid)
-        i, j = pos[s], pos[t]
-        k = len(ok)
-        if (i + 1) % k == j:
-            passes = ok[i]
-        elif (j + 1) % k == i:
-            passes = ok[j]
-        else:
-            return None
-        return cut_cycle(self.cycles[bid], s, t) if passes else None
+        """The cut of block ``bid`` with s first and t last if that order
+        satisfies weight >= span everywhere, else None.  The block is
+        swept on first use."""
+        ok = self.sweeps.get(bid)
+        if ok is None:
+            ok = self.sweeps[bid] = self._sweep(bid)
+        cut = self.cycles[bid].cut(s, t)
+        return cut if cut is not None and ok[cut.dropped()] else None
 
     def _candidates(self, bid, c):
-        """Supporting orders of block ``bid`` with its parent cut ``c`` first."""
+        """Supporting cuts of block ``bid`` with its parent cut ``c`` first."""
         key = (bid, c)
         found = self.candidates.get(key)
         if found is None:
-            cycle = self.cycles[bid]
-            pos, _ok = self._swept(bid)
-            i = pos[c]
+            cycle, i = self.cycles[bid].cycle, self.cycles[bid].pos[c]
             ends = {cycle[i - 1], cycle[(i + 1) % len(cycle)]}
-            found = [
-                order for x in sorted(ends) if (order := self._cut(bid, c, x)) is not None
-            ]
+            found = [cut for x in sorted(ends) if (cut := self._cut(bid, c, x)) is not None]
             self.candidates[key] = found
         return found
 
@@ -229,10 +210,10 @@ class _AnchorSearch:
             [e[2] for e in entries],
         )
 
-    def _process_block(self, bid, parent, orders):
+    def _process_block(self, bid, parent, cuts):
         best = None
-        for order in orders:
-            out = self._extend_block(bid, parent, order)
+        for cut in cuts:
+            out = self._extend_block(bid, parent, cut)
             if out is None:
                 continue
             if best is None or out[1] > best[1]:
@@ -241,19 +222,14 @@ class _AnchorSearch:
             self.audit("B", bid, (best[0], Fraction(best[1], self.den)))
         return best
 
-    def _extend_block(self, bid, parent, order):
-        ends, w, den = self.ends, self.w, self.den
-        pos = {v: i for i, v in enumerate(order)}
-        spans = []
-        slack = []  # weight - span, scaled
-        block = self.tree.blocks[bid]
-        for eid in block.edge_ids:
-            u, v = ends[eid]
-            a, b = span(pos, u, v)
-            spans.append((a, b))
-            slack.append(w[eid] - (b - a) * den)
+    def _extend_block(self, bid, parent, cut):
+        w, den = self.w, self.den
+        order = cut.order()
+        spans = cut.spans()
+        slack = [w[eid] - (b - a) * den for a, b, eid in spans]  # weight - span, scaled
         cuts = sorted(
-            ((pos[c], c) for c in block.cuts if c != parent), reverse=True
+            ((cut.position(c), c) for c in self.tree.blocks[bid].cuts if c != parent),
+            reverse=True,
         )
         fronts = self.results["C"]
         repl = {}
@@ -263,7 +239,7 @@ class _AnchorSearch:
             total = nls[0] + nrs[0]
             size += total
             cover_min = left_min = right_min = inf
-            for i, (a, b) in enumerate(spans):
+            for i, (a, b, _eid) in enumerate(spans):
                 if a < x < b:
                     if slack[i] < cover_min:
                         cover_min = slack[i]
@@ -285,7 +261,7 @@ class _AnchorSearch:
                     return None
             if not nls[j] * den <= left_min:
                 return None
-            for i, (a, b) in enumerate(spans):
+            for i, (a, b, _eid) in enumerate(spans):
                 if a < x < b:
                     slack[i] -= total * den
                 elif b == x:
@@ -294,7 +270,7 @@ class _AnchorSearch:
                     slack[i] -= nrs[j] * den
             repl[order[x]] = ropes[j]
         residual = inf
-        for i, (a, _b) in enumerate(spans):
+        for i, (a, _b, _eid) in enumerate(spans):
             if a == 0 and slack[i] < residual:
                 residual = slack[i]
         return seq.blk(order, repl or None), residual, size
@@ -302,8 +278,10 @@ class _AnchorSearch:
 
 def minres_be_drawer_anchor(g, e_star, *, decomposition=None, cycles=None, audit=None):
     """Supporting embedding of a connected graph in which ``e_star`` is
-    nested under no edge, or a Failure.  Each call starts from empty
-    caches, so ``audit`` sees every node it solves."""
+    nested under no edge, or a Failure.  ``cycles``, when given, holds the
+    :func:`~bookembed.outerplanar.block_outer_cycle` record of every block
+    of ``decomposition`` by block id.  Each call starts from empty caches,
+    so ``audit`` sees every node it solves."""
     tree = decomposition or BlockCutTree(g)
     if cycles is None:
         cycles = [block_outer_cycle(g, b.vertices, b.edge_ids) for b in tree.blocks]

@@ -1,6 +1,6 @@
-"""Outerplanarity recognition: the outer cycle of a biconnected block, the
-cut of that cycle into a linear order, and the nesting forest of edge spans
-over a linear order."""
+"""Outerplanarity recognition: the outer cycle of a biconnected block with
+its edge spans, the cuts of that cycle into linear orders, and the nesting
+forest of edge spans over a linear order."""
 
 from __future__ import annotations
 
@@ -51,32 +51,64 @@ def nesting_forest(num_positions, edge_spans):
     return parent, children, roots
 
 
-def cut_cycle(cycle, s, t):
-    """Linear order with s first and t last, cutting the cycle at edge (s,t).
+class OuterCycle:
+    """The outer cycle of an outerplanar block, placed once: ``cycle`` in
+    its canonical flip (of the two reflections, the one that reads smaller
+    from the smallest id), ``pos`` each vertex's position on it, and
+    ``spans`` one ``(p, q, eid)`` per block edge, ``p < q`` the positions
+    of its ends.  Every 1-page order of the block is one of its cuts."""
 
-    Returns None unless s and t are cyclically consecutive (either
-    direction)."""
-    n = len(cycle)
-    if n == 2:
-        return [s, t] if {s, t} == set(cycle) else None
-    pos = {v: i for i, v in enumerate(cycle)}
-    if s not in pos or t not in pos:
+    __slots__ = ("cycle", "pos", "spans")
+
+    def __init__(self, cycle, spans):
+        self.cycle = cycle
+        self.pos = {v: i for i, v in enumerate(cycle)}
+        self.spans = spans
+
+    def cut(self, s, t):
+        """The :class:`Cut` with s first and t last, or None unless the
+        block vertices s and t are consecutive on the cycle."""
+        i, j, k = self.pos[s], self.pos[t], len(self.cycle)
+        if (i + 1) % k == j:
+            return Cut(self, i, -1)  # the cycle reads ... s t ...: walk back from s
+        if (j + 1) % k == i:
+            return Cut(self, i, 1)
         return None
-    i, j = pos[s], pos[t]
-    if (i + 1) % n == j:
-        # cycle reads ... s t ...: walk backwards from s around to t
-        return [cycle[(i - k) % n] for k in range(n)]
-    if (j + 1) % n == i:
-        return [cycle[(i + k) % n] for k in range(n)]
-    return None
 
 
-def _canonical_cycle(cycle):
-    n = len(cycle)
-    start = cycle.index(min(cycle))
-    fwd = tuple(cycle[(start + k) % n] for k in range(n))
-    bwd = tuple(cycle[(start - k) % n] for k in range(n))
-    return min(fwd, bwd)
+class Cut:
+    """A linear order cut from an :class:`OuterCycle`: the vertex at cycle
+    position x sits at ``(x - start) * step mod k`` in the order."""
+
+    __slots__ = ("record", "start", "step")
+
+    def __init__(self, record, start, step):
+        self.record, self.start, self.step = record, start, step
+
+    def order(self):
+        """The vertices in order, built on each call."""
+        cycle, i = self.record.cycle, self.start
+        if self.step > 0:
+            return cycle[i:] + cycle[:i]
+        return cycle[i::-1] + cycle[:i:-1]
+
+    def dropped(self):
+        """The cycle position j whose ring edge to position j + 1 the cut drops."""
+        return (self.start - (self.step > 0)) % len(self.record.cycle)
+
+    def position(self, v):
+        """The position of block vertex ``v`` in the order."""
+        return (self.record.pos[v] - self.start) * self.step % len(self.record.cycle)
+
+    def spans(self):
+        """``(a, b, eid)`` per block edge, ``a < b`` the positions of its
+        ends in the order: the cycle's spans rotated, with no sort."""
+        k, start, step = len(self.record.cycle), self.start, self.step
+        out = []
+        for p, q, eid in self.record.spans:
+            a, b = (p - start) * step % k, (q - start) * step % k
+            out.append((a, b, eid) if a < b else (b, a, eid))
+        return out
 
 
 def _reduce_to_outer_cycle(n, neighbor_sets):
@@ -133,16 +165,17 @@ def _reduce_to_outer_cycle(n, neighbor_sets):
 
 
 def block_outer_cycle(g, vertices, edge_ids):
-    """Outer cycle of a biconnected block (canonical flip, g-vertex ids),
-    or None if the block is not outerplanar."""
+    """The :class:`OuterCycle` of a biconnected block, its ``vertices`` in
+    increasing order, or None if the block is not outerplanar."""
     k = len(vertices)
-    if k == 1:
-        return [vertices[0]]
-    if k == 2:
-        return sorted(vertices)
-    if k == 3:
-        # a simple 3-vertex block is outerplanar exactly when it is a triangle
-        return sorted(vertices) if len(edge_ids) == 3 else None
+    if k <= 3:
+        # a simple block of at most 3 vertices is outerplanar exactly when it
+        # is one vertex, one edge or a triangle
+        if k == 3 and len(edge_ids) != 3:
+            return None
+        record = OuterCycle(sorted(vertices), None)
+        record.spans = [span(record.pos, *g.ends[eid]) + (eid,) for eid in edge_ids]
+        return record
     if len(edge_ids) > 2 * k - 3:
         return None
     local = {v: i for i, v in enumerate(vertices)}
@@ -160,17 +193,23 @@ def block_outer_cycle(g, vertices, edge_ids):
     cycle_local = _reduce_to_outer_cycle(k, neighbor_sets)
     if cycle_local is None:
         return None
+    # The canonical flip reads from the smallest id towards its smaller
+    # neighbour; the vertices increase, so that is local vertex 0.
+    if cycle_local[1] > cycle_local[-1]:
+        cycle_local[1:] = cycle_local[:0:-1]
     pos = [0] * k
     for i, a in enumerate(cycle_local):
         pos[a] = i
     # The block is simple, so k edges joining cyclically consecutive
     # positions are the whole ring; the rest are chords, which must not cross.
     ring = 0
+    spans = []
     chords = []
-    for a, b in pairs:
+    for (a, b), eid in zip(pairs, edge_ids):
         a, b = pos[a], pos[b]
         if a > b:
             a, b = b, a
+        spans.append((a, b, eid))
         if b - a == 1 or b - a == k - 1:
             ring += 1
         else:
@@ -185,7 +224,15 @@ def block_outer_cycle(g, vertices, edge_ids):
         if rights and -neg_b > rights[-1]:
             return None
         rights.append(-neg_b)
-    return list(_canonical_cycle([vertices[a] for a in cycle_local]))
+    return OuterCycle([vertices[a] for a in cycle_local], spans)
+
+
+def _whole_graph_cycle(g):
+    """:func:`block_outer_cycle` of a biconnected graph;
+    :class:`PreconditionError` on any other graph."""
+    if g.n > 1 and len(BlockCutTree(g, forest=True).blocks) != 1:
+        raise PreconditionError("outerplane embedding requires a biconnected graph")
+    return block_outer_cycle(g, range(g.n), range(g.m))
 
 
 def outerplane_embedding(g):
@@ -196,7 +243,5 @@ def outerplane_embedding(g):
 
     Raises :class:`PreconditionError` on non-biconnected input.
     """
-    if g.n > 1 and len(BlockCutTree(g, forest=True).blocks) != 1:
-        raise PreconditionError("outerplane embedding requires a biconnected graph")
-    cycle = block_outer_cycle(g, range(g.n), range(g.m))
-    return tuple(cycle) if cycle is not None else None
+    record = _whole_graph_cycle(g)
+    return tuple(record.cycle) if record is not None else None

@@ -18,13 +18,7 @@ from .embedding import BookEmbedding, validate_minres_supporting
 from .errors import GraphFormatError, NotOuterplanarError, PreconditionError
 from .exact import format_rational, parse_rational
 from .graph import WeightedGraph, component, components
-from .outerplanar import (
-    block_outer_cycle,
-    cut_cycle,
-    nesting_forest,
-    outerplane_embedding,
-    span,
-)
+from .outerplanar import _whole_graph_cycle, block_outer_cycle, nesting_forest, span
 
 
 class TwoDimEmbedding:
@@ -118,12 +112,11 @@ def _edge_list(g):
 
 def _forest_for(order, edge_list):
     """Nesting forest over ``edge_list`` of (u, v, w, key); returns
-    (pos, spans, children, roots) with spans aligned to edge_list indices,
+    (spans, children, roots) with spans aligned to edge_list indices,
     children and roots left to right."""
     pos = {v: i for i, v in enumerate(order)}
     spans = [span(pos, u, v) + (key,) for u, v, _w, key in edge_list]
-    _parent, children, roots = nesting_forest(len(order), spans)
-    return pos, spans, children, roots
+    return (spans, *nesting_forest(len(order), spans)[1:])
 
 
 def _draw_region(order, edge_list, length):
@@ -140,7 +133,7 @@ def _draw_region(order, edge_list, length):
     reduced (num, den) pairs of ints; each new coordinate is one Fraction,
     shared by ``vx`` and the rectangles.
     """
-    _pos, spans, children, roots = _forest_for(order, edge_list)
+    spans, children, roots = _forest_for(order, edge_list)
     assert len(roots) == 1, "top edge must wrap every other edge"
     den = math.lcm(*{e[2].denominator for e in edge_list})
     subtree = [w.numerator * (den // w.denominator) for _u, _v, w, _key in edge_list]
@@ -209,12 +202,13 @@ def twodim_biconnected(g, s, t, length, height):
         raise PreconditionError("box area must equal the total edge weight")
     if g.edge_between(s, t) is None:
         raise PreconditionError("(s, t) must be an edge")
-    cycle = outerplane_embedding(g)
-    if cycle is None:
+    record = _whole_graph_cycle(g)
+    if record is None:
         raise NotOuterplanarError("graph is not outerplanar")
-    order = cut_cycle(cycle, s, t)
-    if order is None:
+    cut = record.cut(s, t)
+    if cut is None:
         raise PreconditionError("(s, t) is not on the outer face")
+    order = cut.order()
     vx, rects = _draw_region(order, _edge_list(g), length)
     return TwoDimEmbedding(BookEmbedding(order), vx, rects)
 
@@ -230,14 +224,12 @@ def one_page_order(g):
     orders = {}
     for bid in g.block_ids:
         block = tree.blocks[bid]
-        cycle = block_outer_cycle(g, block.vertices, block.edge_ids)
-        if cycle is None:
+        record = block_outer_cycle(g, block.vertices, block.edge_ids)
+        if record is None:
             raise NotOuterplanarError("graph is not outerplanar")
         parent = rooted.parent_cut[bid]
-        if parent is not None:
-            i = cycle.index(parent)
-            cycle = cycle[i:] + cycle[:i]
-        orders[bid] = cycle
+        i = 0 if parent is None else record.pos[parent]
+        orders[bid] = record.cycle[i:] + record.cycle[:i]
     ropes = {}
     for bid in rooted.block_postorder:
         repl = {}
@@ -308,7 +300,7 @@ def minres_construct(g, embedding):
         )
     pos = embedding.position
     edge_list = _edge_list(g)
-    _pos, spans, children, roots = _forest_for(embedding.order, edge_list)
+    spans, children, roots = _forest_for(embedding.order, edge_list)
     x = {v: Fraction(pos[v] + 1) for v in embedding.order}
     rects = {}
     post = []

@@ -72,6 +72,25 @@ def coprime(g):
     )
 
 
+def cut_cycle(cycle, s, t):
+    """Linear order with s first and t last, cutting the cycle at edge (s,t);
+    None unless s and t are cyclically consecutive (either direction).  The
+    reference for :meth:`bookembed.outerplanar.OuterCycle.cut`."""
+    n = len(cycle)
+    if n == 2:
+        return [s, t] if {s, t} == set(cycle) else None
+    pos = {v: i for i, v in enumerate(cycle)}
+    if s not in pos or t not in pos:
+        return None
+    i, j = pos[s], pos[t]
+    if (i + 1) % n == j:
+        # cycle reads ... s t ...: walk backwards from s around to t
+        return [cycle[(i - k) % n] for k in range(n)]
+    if (j + 1) % n == i:
+        return [cycle[(i + k) % n] for k in range(n)]
+    return None
+
+
 def small_corpus(count, *, max_n=8, weights=(1, 20), seed0=0):
     """Seeded connected outerplanar instances mixing sizes and biconnectivity."""
     out = []

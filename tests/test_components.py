@@ -176,9 +176,15 @@ def test_embed_cli_builds_no_fraction_and_no_subgraph(monkeypatch, tmp_path):
             code = cli.main([command, str(path), "--output", str(out)])
             if command == f"embed-{cls}":
                 codes.append(code)
+        if cls == "minres":
+            # each edge is checked against its own burden, on its own (p, q)
+            out = tmp_path / f"{path.stem}.check"
+            order = tmp_path / f"{path.stem}.embed-minres"
+            checked = cli.main(["check", "minres", str(path), "--order", f"@{order}",
+                                "--output", str(out)])
     assert made == [] and built == []
     monkeypatch.undo()
-    assert codes == [code for _, _, code in paths]
+    assert codes == [code for _, _, code in paths] and checked == 0
     assert json.loads((tmp_path / "g4.embed-sum").read_text())["exists"] is False
 
 

@@ -1,0 +1,102 @@
+"""Golden CLI output: one sha256 per command over a fixed set of inputs.
+
+Each digest covers the exit code and stdout of one command on every input,
+so a refactor that claims byte-identical output is checked here.  A change
+that alters output on purpose updates a digest and says why.
+"""
+
+import hashlib
+import io
+import json
+import sys
+
+import pytest
+
+from bookembed.cli import main
+from bookembed.errors import NotOuterplanarError
+from bookembed.graph import components, serialize_graph
+from bookembed.twodim import one_page_order
+
+import planted  # the benchmark's generator (perfbench/planted.py)
+from conftest import coprime, fractional, graph_from, small_corpus
+
+COMMANDS = {
+    "embed-max": ["embed-max"],
+    "embed-sum": ["embed-sum"],
+    "embed-minres": ["embed-minres"],
+    "embed-2d": ["embed-2d", "--eps", "1"],
+    "check-one-page": ["check", "one-page"],
+    "check-max": ["check", "max"],
+    "check-sum": ["check", "sum"],
+    "check-minres": ["check", "minres"],
+}
+
+DIGESTS = {
+    "embed-max": "64e90dbd10d128d1394a2598d1be61ab56a962745c368895c3da553a9160d887",
+    "embed-sum": "d6c57f6a48bfc05fe40524a68d4b579554782523b5383e701a9a4856e6e0f4ac",
+    "embed-minres": "7f49fe80a75e27c0d4defdf71f903ceab04ec509c32693b8285ad61b7c1fc4c0",
+    "embed-2d": "26662ae5c87b3c95058998135fb8d56af11cc3e11bf7c33883727aefe233efc5",
+    "check-one-page": "695424fc6e9a29b272b2d3c5d9af6322722a0bb5009dc828f2bc641e1be19db7",
+    "check-max": "1e7fa22bcf5d25568b3104c7c4004558e91b3b1d7b453971e8e0362d9d7c64f3",
+    "check-sum": "87fe0c0cfa2fa50c78278b052f32dab39fee921917ee8b90de3bb1f215acb42b",
+    "check-minres": "416fb3698ec79fd80d8d0d3e4a7a4cf160ef10ed449ffe46308d09ca8f69cd3a",
+}
+
+
+def _inputs():
+    corpus = small_corpus(30, max_n=9, weights=(1, 8), seed0=1717)
+    graphs = [(f"corpus-{i}", g) for i, g in enumerate(corpus)]
+    graphs += [(f"fractional-{i}", fractional(g)) for i, g in enumerate(corpus)]
+    graphs += [(f"coprime-{i}", coprime(g)) for i, g in enumerate(corpus)]
+    for cls in ("max", "sum", "minres"):
+        for biconnected in (True, False):
+            for make in (planted.planted_yes, planted.planted_no):
+                inst = make(14, cls, 5, biconnected)
+                graphs.append((f"{make.__name__}-{cls}-{biconnected}", inst.graph))
+    # K4 with distinct weights: not outerplanar
+    graphs.append(("k4", graph_from([
+        ("a", "b", 1), ("a", "c", 2), ("a", "d", 3),
+        ("b", "c", 4), ("b", "d", 5), ("c", "d", 6),
+    ])))
+    return graphs
+
+
+def _order(g):
+    try:
+        order = [v for part in components(g) for v in one_page_order(part)]
+    except NotOuterplanarError:
+        order = range(g.n)
+    return json.dumps([g.labels[v] for v in order])
+
+
+def _run(argv):
+    old_out, old_err = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    try:
+        code = main(argv)
+        return code, sys.stdout.getvalue()
+    finally:
+        sys.stdout, sys.stderr = old_out, old_err
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("golden")
+    hashes = {name: hashlib.sha256() for name in COMMANDS}
+    for key, g in _inputs():
+        path = tmp / f"{key}.json"
+        path.write_text(serialize_graph(g))
+        order = tmp / f"{key}.order"
+        order.write_text(_order(g))
+        for name, argv in COMMANDS.items():
+            argv = argv + [str(path)]
+            if argv[0] == "check":
+                argv += ["--order", f"@{order}"]
+            code, out = _run(argv)
+            hashes[name].update(f"{key}\n{code}\n{out}\n".encode())
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_output_matches_its_golden_digest(digests, name):
+    assert digests[name] == DIGESTS[name]

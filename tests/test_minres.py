@@ -10,12 +10,12 @@ from bookembed.embedding import BookEmbedding, Failure, validate_minres_supporti
 from bookembed.graph import BlockCutTree, WeightedGraph
 from bookembed.minres import embed_minres, minres_be_drawer, minres_be_drawer_anchor
 from bookembed.oracle import enumerate_one_page, oracle_exists, random_outerplanar
-from bookembed.outerplanar import block_outer_cycle, cut_cycle
+from bookembed.outerplanar import Cut, block_outer_cycle
 from bookembed.seq import materialize
 from bookembed.twodim import check_twodim, minres_construct
 
 import planted  # the benchmark's generator (perfbench/planted.py)
-from conftest import coprime, fractional, graph_from, small_corpus
+from conftest import coprime, cut_cycle, fractional, graph_from, small_corpus
 
 
 def test_biconnected_with_edge_examples():
@@ -243,6 +243,8 @@ def _supporting_cut(g, cycle, edge_ids, s, t):
     """Definitional condition 1: the cycle cut with s first and t last if
     every block edge weighs at least its span there, else None."""
     order = cut_cycle(cycle, s, t)
+    if order is None:
+        return None
     pos = {v: i for i, v in enumerate(order)}
     for eid in edge_ids:
         (u, v), w = g.ends[eid], g.weight(eid)
@@ -260,13 +262,14 @@ def _assert_sweep_matches_definition(graphs):
         cycles = [block_outer_cycle(g, b.vertices, b.edge_ids) for b in tree.blocks]
         search = minres._AnchorSearch(g, tree, cycles)
         for bid, block in enumerate(tree.blocks):
-            cycle = cycles[bid]
+            cycle = cycles[bid].cycle
             for i, s in enumerate(cycle):
                 t = cycle[(i + 1) % len(cycle)]
                 for first, last in ((s, t), (t, s)):
                     expected = _supporting_cut(g, cycle, block.edge_ids, first, last)
                     verdicts.add(expected is not None)
-                    assert search._cut(bid, first, last) == expected
+                    cut = search._cut(bid, first, last)
+                    assert (cut and cut.order()) == expected
     assert verdicts == {True, False}
 
 
@@ -294,18 +297,25 @@ def test_every_block_is_swept_once_per_drawer_call(monkeypatch, biconnected):
     g = planted.planted_no(1000, "minres", 1, biconnected).graph
     tree = BlockCutTree(g)
     edge_ids = {frozenset(b.vertices): b.edge_ids for b in tree.blocks}
-    swept, cuts, anchors = [], [], []
-    sweep, run = minres._AnchorSearch._sweep, minres._AnchorSearch.run
+    swept, passing, orders, anchors = [], [], [], []
+    search = minres._AnchorSearch
+    sweep, run, cut_of, order_of = search._sweep, search.run, search._cut, Cut.order
 
     def counted_sweep(self, bid):
         swept.append(bid)
         return sweep(self, bid)
 
-    def checked_cut(cycle, s, t):
-        order = cut_cycle(cycle, s, t)
-        assert order == _supporting_cut(g, cycle, edge_ids[frozenset(cycle)], s, t)
-        cuts.append(order)
-        return order
+    def checked_cut(self, bid, s, t):
+        cut = cut_of(self, bid, s, t)
+        cycle = self.cycles[bid].cycle
+        expected = _supporting_cut(g, cycle, edge_ids[frozenset(cycle)], s, t)
+        assert (cut and order_of(cut)) == expected
+        passing.append(cut is not None)
+        return cut
+
+    def counted_order(cut):
+        orders.append(cut)
+        return order_of(cut)
 
     def counted_run(self, e_star):
         result = run(self, e_star)
@@ -313,15 +323,18 @@ def test_every_block_is_swept_once_per_drawer_call(monkeypatch, biconnected):
         anchors.append(e_star)
         return result
 
-    monkeypatch.setattr(minres._AnchorSearch, "_sweep", counted_sweep)
-    monkeypatch.setattr(minres._AnchorSearch, "run", counted_run)
-    monkeypatch.setattr(minres, "cut_cycle", checked_cut)
+    monkeypatch.setattr(search, "_sweep", counted_sweep)
+    monkeypatch.setattr(search, "run", counted_run)
+    monkeypatch.setattr(search, "_cut", checked_cut)
+    monkeypatch.setattr(Cut, "order", counted_order)
     for _call in range(2):
         swept.clear()
         anchors.clear()
         assert isinstance(embed_minres(g), Failure)
         assert anchors == list(range(g.m))
         assert sorted(swept) == list(range(len(tree.blocks)))
-    if biconnected:
-        # one block whose every cut fails: no order is ever built
-        assert cuts == []
+    # biconnected: one block whose every cut fails.  Connected: some cuts
+    # pass, but every anchor fails before a block is extended.  Either way
+    # no order is ever built.
+    assert any(passing) != biconnected
+    assert orders == []

@@ -13,11 +13,11 @@ from bookembed.errors import NotOnePageError, PreconditionError
 from bookembed.maxdraw import max_be_drawer
 from bookembed.minres import minres_be_drawer_anchor
 from bookembed.oracle import enumerate_one_page, oracle_exists, random_outerplanar
-from bookembed.outerplanar import cut_cycle, outerplane_embedding
+from bookembed.outerplanar import OuterCycle, outerplane_embedding
 from bookembed.sumdraw import sum_be_drawer
 from bookembed.twodim import one_page_order, twodim_biconnected
 
-from conftest import graph_from, small_corpus
+from conftest import cut_cycle, graph_from, small_corpus
 
 
 def test_triangle_cycle():
@@ -122,28 +122,31 @@ def _count_calls(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize(
-    "entry_point,forests",
+    "entry_point,forests,cuts",
     [
-        (lambda g, s, t: outerplane_embedding(g), 0),
-        (lambda g, s, t: max_be_drawer(g), 1),
-        (lambda g, s, t: sum_be_drawer(g), 1),
-        (lambda g, s, t: minres_be_drawer_anchor(g, g.edge_between(s, t)), 0),
-        (lambda g, s, t: twodim_biconnected(g, s, t, g.total_weight(), 1), 1),
+        (lambda g, s, t: outerplane_embedding(g), 0, 0),
+        (lambda g, s, t: max_be_drawer(g), 1, 1),
+        (lambda g, s, t: sum_be_drawer(g), 1, 1),
+        (lambda g, s, t: minres_be_drawer_anchor(g, g.edge_between(s, t)), 0, 1),
+        (lambda g, s, t: twodim_biconnected(g, s, t, g.total_weight(), 1), 1, 1),
     ],
     ids=["outerplane_embedding", "max", "sum", "minres", "twodim"],
 )
 def test_biconnected_entry_points_do_their_work_once(
-    monkeypatch, entry_point, forests
+    monkeypatch, entry_point, forests, cuts
 ):
     # distinct weights, so no tie ends a drawer before its size-dependent work
     g = random_outerplanar(40, (1, 10**9), seed=3, biconnected=True)
     s, t = outerplane_embedding(g)[:2]
     components = _count_calls(monkeypatch, graph, "component_vertex_sets")
     nestings = _count_calls(monkeypatch, outerplanar, "nesting_forest")
-    # the block's outer cycle is searched once
+    # the block's outer cycle is searched once, and cut at most once
     reductions = _count_calls(monkeypatch, outerplanar, "_reduce_to_outer_cycle")
+    cut, made = OuterCycle.cut, []
+    monkeypatch.setattr(OuterCycle, "cut", lambda *args: made.append(1) or cut(*args))
     entry_point(g, s, t)
     assert (len(components), len(nestings), len(reductions)) == (0, forests, 1)
+    assert len(made) == cuts
 
 
 def _block_graph(g, vertices, edge_ids):
@@ -159,10 +162,11 @@ def _check_outer_cycle(g, block):
     """``block_outer_cycle`` of ``block`` against the definition; returns
     whether the block is outerplanar."""
     vertices, edge_ids = block.vertices, block.edge_ids
-    cycle = outerplanar.block_outer_cycle(g, vertices, edge_ids)
-    if cycle is None:
+    record = outerplanar.block_outer_cycle(g, vertices, edge_ids)
+    if record is None:
         assert enumerate_one_page(_block_graph(g, vertices, edge_ids), cap=1) == []
         return False
+    cycle = record.cycle
     k = len(cycle)
     assert sorted(cycle) == sorted(vertices), (vertices, cycle)
     pairs = {frozenset(g.ends[e]) for e in edge_ids}
@@ -174,7 +178,31 @@ def _check_outer_cycle(g, block):
         assert not (a < c < b < d or c < a < d < b), (cycle, (a, b), (c, d))
     # the canonical flip: smallest id first, then its smaller neighbour
     assert cycle[0] == min(cycle) and (k < 3 or cycle[1] < cycle[-1]), cycle
+    assert record.pos == pos
+    assert record.spans == [outerplanar.span(pos, *g.ends[e]) + (e,) for e in edge_ids]
+    _check_cuts(g, record, edge_ids)
     return True
+
+
+def _check_cuts(g, record, edge_ids):
+    """Each cut of ``record`` against ``cut_cycle`` and ``span``: both
+    orientations of every ring edge, and None for every other pair."""
+    cycle = record.cycle
+    k = len(cycle)
+    ring = {(cycle[i - 1], cycle[i]) for i in range(1, k)} | {(cycle[-1], cycle[0])}
+    for s, t in itertools.permutations(cycle, 2):
+        cut = record.cut(s, t)
+        if (s, t) not in ring and (t, s) not in ring:
+            assert cut is None, (cycle, s, t)
+            continue
+        order = cut.order()
+        assert order == cut_cycle(cycle, s, t), (cycle, s, t)
+        pos = {v: i for i, v in enumerate(order)}
+        want = [outerplanar.span(pos, *g.ends[e]) + (e,) for e in edge_ids]
+        assert cut.spans() == want, (cycle, s, t)
+        assert [cut.position(v) for v in order] == list(range(k))
+        j = cut.dropped()
+        assert {cycle[j], cycle[(j + 1) % k]} == {s, t}
 
 
 def _check_outer_cycles(g):

@@ -226,7 +226,7 @@ def _reference_draw_region(order, edge_list, length):
     """Reference drawing with one Fraction operation per step: an edge takes
     w / width off the top of its region, and a child's width is its
     subtree total / the height left."""
-    _pos, spans, children, roots = twodim._forest_for(order, edge_list)
+    spans, children, roots = twodim._forest_for(order, edge_list)
     subtree = [None] * len(edge_list)
     post = []
     stack = list(roots)
