@@ -10,9 +10,12 @@ blocks keep a single maximum-residual extension.
 A subtree's result depends only on its top node and that node's parent, so
 one drawer call caches the block result per (block, parent cut) and the cut
 front per (cut, parent block), failures included: anchors share everything
-below their own block.  Condition 1 (the block order that cuts a given cycle
-edge has ``weight >= span`` everywhere) is answered for every cut of a block
-by one O(k + m) sweep on the block's first use.  Weights are scaled once to
+below their own block.  Each anchor's search is one depth-first walk: a node
+is solved when its last child is, a failure is cached for the failing node
+and its unsolved ancestors, and a node below a root is entered at most once
+per drawer call.  Condition 1 (the block order that cuts a given cycle edge
+has ``weight >= span`` everywhere) is answered for every cut of a block by
+one O(k + m) sweep on the block's first use.  Weights are scaled once to
 integers over their common denominator; residuals leave the module as exact
 Fractions.
 """
@@ -43,10 +46,11 @@ class _AnchorSearch:
 
     ``cycles[b]`` is block ``b``'s :class:`~bookembed.outerplanar.OuterCycle`
     record; a block's candidate orders are its cuts.  A node below the root
-    is ``("B", block, parent cut)`` or ``("C", cut, parent block)``.  A
-    block result is ``(rope, residual, vertex count)``; a cut result is the
-    front ``(ropes, nls, nrs)`` sorted by ``nl``.  Residuals are scaled by
-    ``den`` like the weights.
+    is ``("B", block, parent cut)`` or ``("C", cut, parent block)``, and
+    ``results`` maps it to its result or its Failure.  A block result is
+    ``(rope, residual, vertex count)``; a cut result is the front
+    ``(ropes, nls, nrs)`` sorted by ``nl``.  Residuals are scaled by ``den``
+    like the weights.
     """
 
     def __init__(self, g, tree, cycles, audit=None):
@@ -56,80 +60,71 @@ class _AnchorSearch:
         self.audit = audit
         self.w, self.den = g.scaled
         self.sweeps = {}  # block -> which cycle edges it may be cut at
-        self.candidates = {}  # (block, parent cut) -> supporting cuts
-        self.results = {"B": {}, "C": {}}  # kind -> (node, parent) -> result
+        self.results = {}  # node -> result or Failure
 
     def run(self, e_star):
-        """Supporting embedding with ``e_star`` unnested, or a Failure."""
-        tree = self.tree
-        root = tree.block_of_edge[e_star]
+        """Supporting embedding with ``e_star`` unnested, or a Failure without its anchor."""
+        results = self.results
+        root = self.tree.block_of_edge[e_star]
         u, v = self.ends[e_star]
-        if u > v:
-            u, v = v, u
-        cut = self._cut(root, u, v)
+        cut = self._cut(root, u, v) if u < v else self._cut(root, v, u)
         if cut is None:
             return Failure(
                 1, "anchor block has no supporting order with the anchor outermost",
-                block=root, anchor=e_star,
+                block=root,
             )
 
-        # uncached nodes below the root, every parent before its children
-        todo = []
-        up = {}
-        stack = [("C", c, root) for c in tree.blocks[root].cuts]
-        while stack:
-            node = stack.pop()
+        # a frame (node, unsolved children, candidate cuts) per unsolved node
+        # from the root down; a node is solved when its last child is
+        blocks, blocks_of = self.tree.blocks, self.tree.blocks_of_vertex
+        stack = []
+        node, cuts = ("B", root, None), [cut]
+        while True:
             kind, x, parent = node
-            known = self.results[kind].get((x, parent))
-            if known is None and kind == "B" and not self._candidates(x, parent):
-                return self._fail(e_star, node, up, Failure(
+            unsolved = []
+            stack.append((node, unsolved, cuts))
+            if cuts == []:
+                return self._fail(stack, Failure(
                     2, "no supporting order keeps the parent cut extreme",
                     block=x, cut_vertex=parent,
                 ))
-            if isinstance(known, Failure):
-                return replace(known, anchor=e_star)
-            if known is not None:
-                continue
-            todo.append(node)
             if kind == "C":
-                kids = [("B", b, x) for b in tree.blocks_of_vertex[x] if b != parent]
+                kids = [("B", b, x) for b in blocks_of[x] if b != parent]
             else:
-                kids = [("C", c, x) for c in tree.blocks[x].cuts if c != parent]
-            for kid in kids:
-                up[kid] = node
-            stack.extend(kids)
+                kids = [("C", c, x) for c in blocks[x].cuts if c != parent]
+            for kid in kids:  # a failure cached below fails the node before any solve
+                known = results.get(kid)
+                if known is None:
+                    unsolved.append(kid)
+                elif isinstance(known, Failure):
+                    return self._fail(stack, known)
+            while not stack[-1][1]:
+                node, _, cuts = stack[-1]
+                kind, x, parent = node
+                if kind == "C":
+                    result = self._process_cut(x, parent)
+                    if result is None:
+                        return self._fail(stack, Failure(
+                            3, "no feasible combination at a cut vertex", cut_vertex=x,
+                        ))
+                else:
+                    result = self._process_block(x, parent, cuts)
+                    if result is None:
+                        return self._fail(stack, Failure(
+                            4, "no supporting extension of the block", block=x,
+                        ))
+                stack.pop()
+                if not stack:
+                    return BookEmbedding(seq.materialize(result[0]))
+                results[node] = result
+            node = stack[-1][1].pop()
+            cuts = self._candidates(node[1], node[2]) if node[0] == "B" else None
 
-        for node in reversed(todo):
-            kind, x, parent = node
-            if kind == "C":
-                result = self._process_cut(x, parent)
-                if result is None:
-                    return self._fail(e_star, node, up, Failure(
-                        3, "no feasible combination at a cut vertex", cut_vertex=x,
-                    ))
-            else:
-                result = self._process_block(x, parent, self.candidates[x, parent])
-                if result is None:
-                    return self._fail(e_star, node, up, Failure(
-                        4, "no supporting extension of the block", block=x,
-                    ))
-            self.results[kind][x, parent] = result
-
-        result = self._process_block(root, None, [cut])
-        if result is None:
-            return Failure(
-                4, "no supporting extension of the block", block=root, anchor=e_star,
-            )
-        return BookEmbedding(seq.materialize(result[0]))
-
-    def _fail(self, e_star, node, up, failure):
-        """Cache ``failure`` for ``node`` and every uncached ancestor; the
-        failure of anchor ``e_star``."""
-        while node is not None:
-            kind, x, parent = node
-            self.results[kind][x, parent] = failure
-            node = up.get(node)
-        return replace(failure, anchor=e_star)
+    def _fail(self, stack, failure):
+        """``failure``, cached for every frame but the root's."""
+        for node, _unsolved, _cuts in stack[1:]:
+            self.results[node] = failure
+        return failure
 
     def _sweep(self, bid):
         """``ok[j]`` for block ``bid`` is true when cutting its cycle between
@@ -162,26 +157,21 @@ class _AnchorSearch:
 
     def _candidates(self, bid, c):
         """Supporting cuts of block ``bid`` with its parent cut ``c`` first."""
-        key = (bid, c)
-        found = self.candidates.get(key)
-        if found is None:
-            cycle, i = self.cycles[bid].cycle, self.cycles[bid].pos[c]
-            ends = {cycle[i - 1], cycle[(i + 1) % len(cycle)]}
-            found = [cut for x in sorted(ends) if (cut := self._cut(bid, c, x)) is not None]
-            self.candidates[key] = found
-        return found
+        cycle, i = self.cycles[bid].cycle, self.cycles[bid].pos[c]
+        ends = {cycle[i - 1], cycle[(i + 1) % len(cycle)]}
+        return [cut for x in sorted(ends) if (cut := self._cut(bid, c, x)) is not None]
 
     def _process_cut(self, c, parent):
         den = self.den
-        blocks = self.results["B"]
+        results = self.results
         kids = sorted(
             (b2 for b2 in self.tree.blocks_of_vertex[c] if b2 != parent),
-            key=lambda b2: (blocks[b2, c][1] + blocks[b2, c][2] * den, b2),
+            key=lambda b2: (results["B", b2, c][1] + results["B", b2, c][2] * den, b2),
         )
         entries = None
         partial_n = 1
         for b2 in kids:
-            rope_b, resid, size = blocks[b2, c]
+            rope_b, resid, size = results["B", b2, c]
             partial_n += size - 1
             if entries is None:
                 entries = [(rope_b, 0, size - 1), (seq.flip(rope_b), size - 1, 0)]
@@ -214,9 +204,7 @@ class _AnchorSearch:
         best = None
         for cut in cuts:
             out = self._extend_block(bid, parent, cut)
-            if out is None:
-                continue
-            if best is None or out[1] > best[1]:
+            if out is not None and (best is None or out[1] > best[1]):
                 best = out
         if best is not None and self.audit is not None:
             self.audit("B", bid, (best[0], Fraction(best[1], self.den)))
@@ -231,11 +219,11 @@ class _AnchorSearch:
             ((cut.position(c), c) for c in self.tree.blocks[bid].cuts if c != parent),
             reverse=True,
         )
-        fronts = self.results["C"]
+        results = self.results
         repl = {}
         size = len(order)
         for x, c in cuts:
-            ropes, nls, nrs = fronts[c, bid]
+            ropes, nls, nrs = results["C", c, bid]
             total = nls[0] + nrs[0]
             size += total
             cover_min = left_min = right_min = inf
@@ -287,7 +275,8 @@ def minres_be_drawer_anchor(g, e_star, *, decomposition=None, cycles=None, audit
         cycles = [block_outer_cycle(g, b.vertices, b.edge_ids) for b in tree.blocks]
     if None in cycles:
         raise NotOuterplanarError("graph is not outerplanar")
-    return _AnchorSearch(g, tree, cycles, audit=audit).run(e_star)
+    result = _AnchorSearch(g, tree, cycles, audit=audit).run(e_star)
+    return replace(result, anchor=e_star) if isinstance(result, Failure) else result
 
 
 def minres_be_drawer(g):

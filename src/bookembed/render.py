@@ -31,6 +31,14 @@ def _fmt(value):
     return f"{float(value):.6f}"
 
 
+def _float(value):
+    """``value`` as a float, or ValueError when it is beyond float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("a coordinate is too large to draw") from None
+
+
 def _svg(width, height, body):
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -104,23 +112,25 @@ def render_rects(g, emb2d, spec=None):
     unchanged)."""
     spec = spec or RenderSpec(style="rect")
     scale = spec.scale
-    xs = [float(x) for x in emb2d.x.values()]
+    xs = [_float(x) for x in emb2d.x.values()]
     x_lo = min(xs) if xs else 0.0
     x_hi = max(xs) if xs else 0.0
     for rect in emb2d.rects.values():
-        x_lo = min(x_lo, float(rect[0]))
-        x_hi = max(x_hi, float(rect[1]))
-    top = max((float(r[3]) for r in emb2d.rects.values()), default=1.0)
+        x_lo = min(x_lo, _float(rect[0]))
+        x_hi = max(x_hi, _float(rect[1]))
+    top = max((_float(r[3]) for r in emb2d.rects.values()), default=1.0)
     margin = 20.0
     width = margin * 2 + (x_hi - x_lo) * scale
     height = margin * 2 + top * scale + (14 if spec.labels else 0)
+    if not math.isfinite(width + height):
+        raise ValueError("a coordinate is too large to draw")
     base_y = margin + top * scale
 
     def sx(x):
-        return margin + (float(x) - x_lo) * scale
+        return margin + (_float(x) - x_lo) * scale
 
     def sy(y):
-        return base_y - float(y) * scale
+        return base_y - _float(y) * scale
 
     body = []
     if spec.style == "disk":
@@ -141,8 +151,8 @@ def render_rects(g, emb2d, spec=None):
         xmin, xmax, ymin, ymax = emb2d.rects[eid]
         body.append(
             f'<rect x="{_fmt(sx(xmin))}" y="{_fmt(sy(ymax))}" '
-            f'width="{_fmt((float(xmax) - float(xmin)) * scale)}" '
-            f'height="{_fmt((float(ymax) - float(ymin)) * scale)}" '
+            f'width="{_fmt((_float(xmax) - _float(xmin)) * scale)}" '
+            f'height="{_fmt((_float(ymax) - _float(ymin)) * scale)}" '
             f'fill="#9ec5e8" fill-opacity="0.8" stroke="#1f4e79" stroke-width="1" />\n'
         )
         # leader segments down to the baseline (provably clear of interiors)

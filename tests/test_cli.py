@@ -222,6 +222,20 @@ def test_embed_2d_weight_beyond_float_range():
     assert check_twodim(g, drawing) == []
 
 
+@pytest.mark.parametrize("edges, embed_argv, render_argv", [
+    ("a b 1e700\n", ["embed-2d", "--format", "edge-list"], ["render"]),
+    ("a b 1e700\n", ["embed-2d", "--format", "edge-list"], ["render", "--style", "disk"]),
+    ("a b 1e700\n", ["embed-2d", "--format", "edge-list", "--L", "1e400"], ["render"]),
+    # every coordinate is a float, but the picture scaled by 40 is not
+    ("a b 1\n", ["embed-2d", "--format", "edge-list", "--L", "1e307"], ["render"]),
+])
+def test_render_coordinates_beyond_float_range_exit_2(edges, embed_argv, render_argv):
+    code, out, err = run_cli(embed_argv, stdin_text=edges)
+    assert (code, err) == (0, "")
+    code, svg, err = run_cli(render_argv, stdin_text=out)
+    assert (code, svg, err) == (2, "", "bookembed: a coordinate is too large to draw\n")
+
+
 def test_embed_2d_writes_numbers_past_the_digit_limit():
     # numerators and denominators here pass Python's 4,300-digit limit on
     # integer-to-string conversion

@@ -330,11 +330,68 @@ def test_every_block_is_swept_once_per_drawer_call(monkeypatch, biconnected):
     for _call in range(2):
         swept.clear()
         anchors.clear()
+        orders.clear()
         assert isinstance(embed_minres(g), Failure)
         assert anchors == list(range(g.m))
         assert sorted(swept) == list(range(len(tree.blocks)))
-    # biconnected: one block whose every cut fails.  Connected: some cuts
-    # pass, but every anchor fails before a block is extended.  Either way
-    # no order is ever built.
+        # biconnected: one block whose every cut fails, so no order is
+        # built.  Connected: some cuts pass, and the blocks solved before a
+        # walk meets its failure are extended, each once per parent.
+        assert len(orders) <= len(tree.blocks)
+        assert (orders == []) == biconnected
     assert any(passing) != biconnected
-    assert orders == []
+
+
+def test_each_node_below_a_root_is_entered_once_per_drawer_call(monkeypatch):
+    # every anchor fails, and each walk meets its failure below the root
+    g = planted.planted_no(2000, "minres", 1, False).graph
+    tree = BlockCutTree(g)
+    search = minres._AnchorSearch
+    candidates = search._candidates
+    process_cut, process_block = search._process_cut, search._process_block
+    entered, solved = [], []
+
+    def counted_candidates(self, bid, c):
+        entered.append(("B", bid, c))
+        return candidates(self, bid, c)
+
+    def counted_cut(self, c, parent):
+        entered.append(("C", c, parent))
+        solved.append(("C", c, parent))
+        return process_cut(self, c, parent)
+
+    def counted_block(self, bid, parent, cuts):
+        if parent is not None:  # a root block is solved once per anchor
+            solved.append(("B", bid, parent))
+        return process_block(self, bid, parent, cuts)
+
+    monkeypatch.setattr(search, "_candidates", counted_candidates)
+    monkeypatch.setattr(search, "_process_cut", counted_cut)
+    monkeypatch.setattr(search, "_process_block", counted_block)
+    assert isinstance(embed_minres(g), Failure)
+    assert len(entered) <= 2 * sum(len(block.cuts) for block in tree.blocks)
+    assert solved and len(set(solved)) == len(solved)
+
+
+def test_shared_search_caches_agree_with_fresh_searches():
+    # successes cached by a walk that later fails are reused by later
+    # anchors; one of these graphs catches a failure cached on a sibling of
+    # the failing path, which a later root reaches from another side
+    corpus = small_corpus(150, max_n=16, weights=(1, 8), seed0=606)
+    verdicts = set()
+    for g in corpus + [fractional(g) for g in corpus] + [coprime(g) for g in corpus]:
+        tree = BlockCutTree(g)
+        cycles = [block_outer_cycle(g, b.vertices, b.edge_ids) for b in tree.blocks]
+        search = minres._AnchorSearch(g, tree, cycles)
+        failed = False
+        for e_star in range(g.m):
+            shared = search.run(e_star)
+            fresh = minres_be_drawer_anchor(g, e_star)
+            ok = isinstance(fresh, BookEmbedding)
+            verdicts.add((ok, failed and len(tree.blocks) > 1))
+            assert isinstance(shared, BookEmbedding) == ok
+            if ok:
+                assert shared == fresh
+            failed = failed or not ok
+    # successes and failures, also after a failed anchor in a shared search
+    assert verdicts == {(True, False), (True, True), (False, False), (False, True)}
