@@ -1,10 +1,16 @@
 """The oracle kernel, in pure Python.
 
-Everything here is deliberately definitional: orders are enumerated by
-backtracking over positions, and each embedding class is checked straight
-from its definition (pairwise wrap scan, maximum disjoint-sequence weight,
-burden spans) with no shared machinery with the optimized validators.
-Weights are Python integers, so no weight is too large for it.
+Orders are enumerated by backtracking over positions, in lexicographic
+order.  ``waiting[x]`` counts x's unplaced neighbours, and v may take
+position p only if no vertex placed strictly between p and v's leftmost
+placed neighbour a still waits once v is placed.  The rule is exact:
+- a pruned prefix is dead: a waiting neighbour of such a vertex c must land
+  beyond p, and its edge then crosses (a, p);
+- every crossing a < c < b < d is caught when b is placed, as c waits for d.
+Each embedding class is checked straight from its definition (pairwise wrap
+scan, maximum disjoint-sequence weight, burden spans) with no shared
+machinery with the optimized validators.  Weights are Python integers, so
+no weight is too large for it.
 """
 
 from __future__ import annotations
@@ -17,23 +23,15 @@ CLASS_SUM = 2
 CLASS_MINRES = 3
 
 
-def _adjacency(n, eu, ev):
-    adj = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(zip(eu, ev)):
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    return adj
-
-
 def _orders(n, eu, ev):
-    """Yield every vertex order in which no two edges cross."""
-    if n == 0:
-        yield ()
-        return
-    adj = _adjacency(n, eu, ev)
+    """Yield every vertex order in which no two edges cross, lexicographically."""
+    adj = [[] for _ in range(n)]
+    for u, v in zip(eu, ev):
+        adj[u].append(v)
+        adj[v].append(u)
+    waiting = [len(a) for a in adj]
     pos = [-1] * n
     order = []
-    closed = []  # (left_pos, right_pos) of placed edges
 
     def extend():
         p = len(order)
@@ -43,28 +41,19 @@ def _orders(n, eu, ev):
         for v in range(n):
             if pos[v] >= 0:
                 continue
-            new = []
-            ok = True
-            for u, _eid in adj[v]:
-                a = pos[u]
-                if a < 0:
-                    continue
-                for ca, cb in closed:
-                    if ca < a < cb:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                new.append((a, p))
-            if not ok:
-                continue
-            pos[v] = p
-            order.append(v)
-            closed.extend(new)
-            yield from extend()
-            del closed[len(closed) - len(new):]
-            order.pop()
-            pos[v] = -1
+            lo = p
+            for u in adj[v]:
+                waiting[u] -= 1
+                if 0 <= pos[u] < lo:
+                    lo = pos[u]
+            if not any(map(waiting.__getitem__, order[lo + 1:])):
+                pos[v] = p
+                order.append(v)
+                yield from extend()
+                order.pop()
+                pos[v] = -1
+            for u in adj[v]:
+                waiting[u] += 1
 
     yield from extend()
 

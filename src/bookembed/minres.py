@@ -38,11 +38,12 @@ from .outerplanar import block_outer_cycle
 class _AnchorSearch:
     """Anchor runs over one graph that share their subtree results.
 
-    An anchor's :class:`Failure` has condition 1 when the anchor's own block
-    has no supporting order with the anchor outermost, 2 when some other
-    block has no supporting order with its parent cut extreme, 3 when a cut
-    vertex's fold came up empty, and 4 when a block extension failed for
-    every stored order.
+    An anchor run gives None when the anchor's own block has no supporting
+    order with the anchor outermost (condition 1, which
+    :func:`minres_be_drawer_anchor` reports), and a :class:`Failure` with
+    condition 2 when some other block has no supporting order with its
+    parent cut extreme, 3 when a cut vertex's fold came up empty, and 4 when
+    a block extension failed for every stored order.
 
     ``cycles[b]`` is block ``b``'s :class:`~bookembed.outerplanar.OuterCycle`
     record; a block's candidate orders are its cuts.  A node below the root
@@ -63,16 +64,14 @@ class _AnchorSearch:
         self.results = {}  # node -> result or Failure
 
     def run(self, e_star):
-        """Supporting embedding with ``e_star`` unnested, or a Failure without its anchor."""
+        """Supporting embedding with ``e_star`` unnested, a Failure without
+        its anchor, or None when condition 1 fails."""
         results = self.results
         root = self.tree.block_of_edge[e_star]
         u, v = self.ends[e_star]
         cut = self._cut(root, u, v) if u < v else self._cut(root, v, u)
         if cut is None:
-            return Failure(
-                1, "anchor block has no supporting order with the anchor outermost",
-                block=root,
-            )
+            return None
 
         # a frame (node, unsolved children, candidate cuts) per unsolved node
         # from the root down; a node is solved when its last child is
@@ -276,6 +275,11 @@ def minres_be_drawer_anchor(g, e_star, *, decomposition=None, cycles=None, audit
     if None in cycles:
         raise NotOuterplanarError("graph is not outerplanar")
     result = _AnchorSearch(g, tree, cycles, audit=audit).run(e_star)
+    if result is None:
+        return Failure(
+            1, "anchor block has no supporting order with the anchor outermost",
+            block=tree.block_of_edge[e_star], anchor=e_star,
+        )
     return replace(result, anchor=e_star) if isinstance(result, Failure) else result
 
 
