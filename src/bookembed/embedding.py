@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotOnePageError, PreconditionError
-from .exact import INF, format_rational
+from .exact import INF, format_ratio
 from .graph import components
 from .outerplanar import nesting_forest, span
 
@@ -135,7 +135,8 @@ def _labelled(g, eid):
     """Edge ``eid`` as the violation documents print it: ``[u, v, w]``
     with labels and the weight's exact string."""
     u, v = g.ends[eid]
-    return [g.labels[u], g.labels[v], format_rational(g.weight(eid))]
+    ps, qs = g.ratios()
+    return [g.labels[u], g.labels[v], format_ratio(ps[eid], qs[eid])]
 
 
 @dataclass(frozen=True)

@@ -45,11 +45,17 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(*parse_ratio(text))
 
 
-def format_rational(value: Fraction) -> str:
-    """Canonical string form: ``"5"`` for integers, ``"p/q"`` otherwise.
-    ``Decimal`` writes the numbers past Python's int-to-str digit limit."""
+def format_ratio(p: int, q: int) -> str:
+    """Canonical string of ``p/q`` in lowest terms with ``q > 0``: ``"5"``
+    for integers, ``"p/q"`` otherwise.  ``Decimal`` writes the numbers past
+    Python's int-to-str digit limit."""
     try:
-        return str(value)
-    except ValueError:
-        p, q = Decimal(value.numerator), Decimal(value.denominator)
         return f"{p}/{q}" if q != 1 else str(p)
+    except ValueError:
+        p, q = Decimal(p), Decimal(q)
+        return f"{p}/{q}" if q != 1 else str(p)
+
+
+def format_rational(value: Fraction) -> str:
+    """:func:`format_ratio` of a Fraction."""
+    return format_ratio(value.numerator, value.denominator)

@@ -8,7 +8,7 @@ from array import array
 from fractions import Fraction
 
 from .errors import GraphFormatError, PreconditionError
-from .exact import format_rational, parse_ratio
+from .exact import format_ratio, parse_ratio
 
 
 def _word_view(nums, dens):
@@ -28,6 +28,15 @@ def _word_view(nums, dens):
         return None
 
 
+def _over_lcm(nums, dens):
+    """The ratios ``nums[e] / dens[e]`` as ``(ints, den)`` over their least
+    common denominator ``den``, unbounded: a new list of Python ints."""
+    den = math.lcm(*set(dens))
+    if den == 1:
+        return list(nums), 1
+    return [p * (den // q) for p, q in zip(nums, dens)], den
+
+
 def _self_loop(labels, u):
     return GraphFormatError(f"self-loop at vertex {labels[u]!r}", kind="self-loop")
 
@@ -38,9 +47,9 @@ def _duplicate_edge(labels, u, v):
     )
 
 
-def _non_positive(labels, u, v, w):
+def _non_positive(labels, u, v, p, q):
     return GraphFormatError(
-        f"non-positive weight {w} on edge {labels[u]!r}--{labels[v]!r}",
+        f"non-positive weight {format_ratio(p, q)} on edge {labels[u]!r}--{labels[v]!r}",
         kind="non-positive-weight",
     )
 
@@ -53,10 +62,11 @@ class WeightedGraph:
     joins ``ends[e] == (u, v)``.  Instances are immutable after
     construction and safe to share across threads.
 
-    A graph holds its weights as ``Fraction``s, as the constructor gets
-    them, or as reduced ``(p, q)`` pairs, as :func:`parse_graph` reads
-    them, with the view :attr:`scaled` when it fits 64 bits; the other
-    forms are built on first use.
+    Every graph holds its weights as reduced ``(p, q)`` pairs,
+    :meth:`ratios`, however it was built, and with them the view
+    :attr:`scaled` when that fits 64 bits.  ``Fraction``s come only from
+    :attr:`weights`, :meth:`weight` and :attr:`edges`; the constructor keeps
+    those it was handed, and any other graph builds them on first use.
     """
 
     __slots__ = ("labels", "label_index", "ends", "adjacency", "_edge_lookup",
@@ -70,8 +80,7 @@ class WeightedGraph:
             raise GraphFormatError("duplicate vertex label", kind="syntax")
         n = len(self.labels)
         lookup = {}
-        ends = []
-        weights = []
+        ends, weights, nums, dens = [], [], [], []
         for eid, (u, v, w) in enumerate(edges):
             if u == v:
                 raise _self_loop(self.labels, u)
@@ -83,29 +92,32 @@ class WeightedGraph:
                 raise _duplicate_edge(self.labels, u, v)
             if type(w) is not Fraction:
                 w = Fraction(w)
-            # exact: a Fraction's denominator is always positive
-            if w.numerator <= 0:
-                raise _non_positive(self.labels, u, v, w)
+            # a Fraction is in lowest terms with a positive denominator
+            p, q = w.numerator, w.denominator
+            if p <= 0:
+                raise _non_positive(self.labels, u, v, p, q)
             lookup[key] = eid
             ends.append(end)
             weights.append(w)
-        self._link(ends, lookup, tuple(weights))
+            nums.append(p)
+            dens.append(q)
+        self._link(ends, lookup, (nums, dens), tuple(weights))
 
     @classmethod
-    def _of_checked(cls, labels, ends, weights, ratios=None):
+    def _of_checked(cls, labels, ends, ratios):
         """Graph over distinct ``labels`` and ``ends`` taken from a graph
         that is already checked: dense ids, no self-loops, no duplicate
-        edges, positive weights given as ``Fraction``s or as ``(p, q)``
-        pairs (the other one None).  Skips the per-edge checks."""
+        edges, positive weights as reduced ``(p, q)`` pairs.  Skips the
+        per-edge checks."""
         g = cls.__new__(cls)
         g.labels = tuple(labels)
         g.label_index = {lab: i for i, lab in enumerate(g.labels)}
         g._link(ends, {
             (end if end[0] < end[1] else end[::-1]): eid for eid, end in enumerate(ends)
-        }, weights, ratios and _word_view(*ratios), ratios)
+        }, ratios)
         return g
 
-    def _link(self, ends, lookup, weights, scaled=None, ratios=None):
+    def _link(self, ends, lookup, ratios, weights=None):
         adjacency = [[] for _ in self.labels]
         for eid, (u, v) in enumerate(ends):
             adjacency[u].append(eid)
@@ -113,9 +125,9 @@ class WeightedGraph:
         self.ends = tuple(ends)
         self.adjacency = tuple(map(tuple, adjacency))
         self._edge_lookup = lookup
-        self._weights = weights
-        self._scaled = scaled
         self._ratios = ratios
+        self._weights = weights
+        self._scaled = _word_view(*ratios)
 
     def _part(self, verts, eids):
         """Checked subgraph whose vertex i is ``verts[i]`` and edge i is
@@ -125,21 +137,14 @@ class WeightedGraph:
         local = {v: i for i, v in enumerate(verts)}
         labels = [self.labels[v] for v in verts]
         ends = [(local[u], local[v]) for u, v in map(self.ends.__getitem__, eids)]
-        if self._weights is not None:
-            return WeightedGraph._of_checked(
-                labels, ends, tuple(map(self._weights.__getitem__, eids))
-            )
         ps, qs = self._ratios
         return WeightedGraph._of_checked(
-            labels, ends, None, ([ps[e] for e in eids], [qs[e] for e in eids])
+            labels, ends, ([ps[e] for e in eids], [qs[e] for e in eids])
         )
 
     def ratios(self):
         """The weights as lists of numerators and denominators in lowest
-        terms, the form :func:`_word_view` takes (made anew from Fractions)."""
-        if self._ratios is None:
-            ws = self._weights
-            return [w.numerator for w in ws], [w.denominator for w in ws]
+        terms, by edge id; the caller must not change them."""
         return self._ratios
 
     # -- basic accessors ---------------------------------------------------
@@ -154,8 +159,8 @@ class WeightedGraph:
 
     @property
     def weights(self):
-        """The ``Fraction`` weights by edge id; a parsed graph builds them
-        on first use."""
+        """The ``Fraction`` weights by edge id: those the constructor was
+        handed, or built from :meth:`ratios` on first use."""
         if self._weights is None:
             self._weights = tuple(map(Fraction, *self._ratios))
         return self._weights
@@ -167,8 +172,9 @@ class WeightedGraph:
         return tuple((u, v, w) for (u, v), w in zip(self.ends, self.weights))
 
     def weight(self, eid):
-        """The weight of edge ``eid`` as a ``Fraction``; a parsed graph that
-        has not built :attr:`weights` makes a new one on every call."""
+        """The weight of edge ``eid`` as a ``Fraction``: from :attr:`weights`
+        when that is built, else a new one from the edge's ``(p, q)`` on
+        every call."""
         if self._weights is None:
             ps, qs = self._ratios
             return Fraction(ps[eid], qs[eid])
@@ -177,11 +183,10 @@ class WeightedGraph:
     @property
     def scaled(self):
         """``(nums, den)`` with ``Fraction(nums[e], den) == weight(e)``:
-        :func:`_word_view`, or the Fraction weights over 1.  A graph that
-        holds ``(p, q)`` pairs gets it with them if it fits; any other
-        view is computed on first use."""
+        :func:`_word_view`, made with the graph, or, when that needs more
+        than 64 bits, the Fraction weights over 1, made on first use."""
         if self._scaled is None:
-            self._scaled = _word_view(*self.ratios()) or (self.weights, 1)
+            self._scaled = (self.weights, 1)
         return self._scaled
 
     def endpoints(self, eid):
@@ -229,11 +234,11 @@ class WeightedGraph:
             isinstance(other, WeightedGraph)
             and self.labels == other.labels
             and self.ends == other.ends
-            and self.weights == other.weights
+            and self._ratios == other._ratios  # lowest terms: equal values
         )
 
     def __hash__(self):
-        return hash((self.labels, self.ends, self.weights))
+        return hash((self.labels, self.ends, *map(tuple, self._ratios)))
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={self.m})"
@@ -283,12 +288,10 @@ def _build(vertex_labels, rows, fault):
     """The graph of ``rows``, each ``[u, v, w]``, in one pass.
 
     Labels are interned in first-seen order, ``vertex_labels`` first.  Each
-    weight is read into ``(p, q)`` in lowest terms; the graph keeps the
-    pairs, with the view :attr:`WeightedGraph.scaled` made from them when
-    it fits 64 bits, and builds no ``Fraction`` until one is asked for.
-    ``fault(i,
-    text)`` makes the error for row ``i``: the malformed weight ``text``,
-    or, when ``text`` is None, a row that is not ``[u, v, w]``.
+    weight is read into ``(p, q)`` in lowest terms, and no ``Fraction`` is
+    built.  ``fault(i, text)`` makes the error for row ``i``: the malformed
+    weight ``text``, or, when ``text`` is None, a row that is not
+    ``[u, v, w]``.
 
     A syntax fault raises at once, so it wins over a structural one in any
     row.  Of the structural faults the first row's is raised, and within a
@@ -337,7 +340,7 @@ def _build(vertex_labels, rows, fault):
             elif key in lookup:
                 found = _duplicate_edge(labels, a, b)
             elif p <= 0:
-                found = _non_positive(labels, a, b, Fraction(p, q))
+                found = _non_positive(labels, a, b, p, q)
             else:
                 lookup[key] = i
         ends.append(end)
@@ -348,7 +351,7 @@ def _build(vertex_labels, rows, fault):
     g = WeightedGraph.__new__(WeightedGraph)
     g.labels = tuple(labels)
     g.label_index = index
-    g._link(ends, lookup, None, _word_view(nums, dens), (nums, dens))
+    g._link(ends, lookup, (nums, dens))
     return g
 
 
@@ -425,7 +428,8 @@ def serialize_graph(g, format="json"):
     """Inverse of :func:`parse_graph`; round-trips bit-exactly."""
     labels = g.labels
     edges = [
-        (labels[u], labels[v], format_rational(w)) for (u, v), w in zip(g.ends, g.weights)
+        (labels[u], labels[v], format_ratio(p, q))
+        for (u, v), p, q in zip(g.ends, *g.ratios())
     ]
     if format == "json":
         doc = {"vertices": list(labels), "edges": [list(e) for e in edges]}
@@ -576,8 +580,7 @@ def _component_views(g, groups):
     words.  Otherwise one ``array("q")`` holds each component's edges over
     the component's own least common denominator, or, for a component that
     needs more than 64 bits, its ``Fraction`` weights over 1."""
-    # a graph of (p, q) pairs made its view with them, if that fits
-    words = g.scaled if g._ratios is None else g._scaled
+    words = g._scaled  # the view made with the graph, if it fits 64 bits
     if len(groups) < 2 or words is not None and type(words[0]) is array:
         nums, den = g.scaled
         return nums, [den] * len(groups)

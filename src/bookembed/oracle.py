@@ -8,7 +8,6 @@ each class is checked straight from its definition (see ``_fast``).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +15,7 @@ from fractions import Fraction
 from . import _fast
 from .embedding import BookEmbedding
 from .errors import PreconditionError
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _over_lcm
 
 ORACLE_MAX_N = 10
 
@@ -48,12 +47,6 @@ def _edge_arrays(g):
     return eu, ev
 
 
-def _integer_weights(g):
-    """``(numerators, denominator)``: the weights over their least common one."""
-    den = math.lcm(*(w.denominator for w in g.weights))
-    return [w.numerator * (den // w.denominator) for w in g.weights], den
-
-
 def enumerate_one_page(g, cap=0):
     """All vertex orders in which no two edges cross, up to ``cap`` (0 = all)."""
     _guard(g)
@@ -72,7 +65,7 @@ def oracle_exists(g, embedding_class, *, exhaustive=False, max_witnesses=1):
     _guard(g)
     cls = _CLASS_CODES[embedding_class]
     eu, ev = _edge_arrays(g)
-    wnum, wden = _integer_weights(g)
+    wnum, wden = _over_lcm(*g.ratios())
     count, witnesses = _fast.class_sweep(
         g.n, eu, ev, wnum, wden, cls, max_witnesses, exhaustive
     )
@@ -86,7 +79,7 @@ def oracle_exists(g, embedding_class, *, exhaustive=False, max_witnesses=1):
 def definitional_check(g, embedding, embedding_class):
     """Definitional per-order check (the kernel's), for validator audits."""
     eu, ev = _edge_arrays(g)
-    wnum, wden = _integer_weights(g)
+    wnum, wden = _over_lcm(*g.ratios())
     return _fast.check_order(
         embedding.order, eu, ev, wnum, wden, _CLASS_CODES[embedding_class]
     )

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 from .embedding import _forest_or_raise
 from .errors import NotOnePageError
+from .exact import format_ratio
 from .outerplanar import span
 
 
@@ -81,7 +82,7 @@ def render_arcs(g, embedding, spec=None):
         f'<line x1="{_fmt(vx(0))}" y1="{_fmt(base_y)}" x2="{_fmt(vx(max(n - 1, 0)))}" '
         f'y2="{_fmt(base_y)}" stroke="#cccccc" stroke-width="1" />\n'
     )
-    for (u, v), w in zip(g.ends, g.weights):
+    for (u, v), p, q in zip(g.ends, *g.ratios()):
         a, b = span(pos, u, v)
         r = (b - a) * gap / 2.0
         body.append(
@@ -92,7 +93,7 @@ def render_arcs(g, embedding, spec=None):
         if spec.weight_labels:
             body.append(
                 f'<text x="{_fmt(vx(a) + r)}" y="{_fmt(base_y - r - 3)}" '
-                f'font-size="10" text-anchor="middle">{w}</text>\n'
+                f'font-size="10" text-anchor="middle">{format_ratio(p, q)}</text>\n'
             )
     for p, v in enumerate(embedding.order):
         body.append(
@@ -132,6 +133,7 @@ def render_rects(g, emb2d, spec=None):
     def sy(y):
         return base_y - _float(y) * scale
 
+    ps, qs = g.ratios()
     body = []
     if spec.style == "disk":
         # the baseline is a chord of the disk outline; rectangles sit outside
@@ -164,11 +166,10 @@ def render_rects(g, emb2d, spec=None):
                     f'stroke="#1f4e79" stroke-width="0.5" stroke-dasharray="2,2" />\n'
                 )
         if spec.weight_labels:
-            w = g.weight(eid)
             body.append(
                 f'<text x="{_fmt((sx(xmin) + sx(xmax)) / 2)}" '
                 f'y="{_fmt((sy(ymin) + sy(ymax)) / 2)}" '
-                f'font-size="10" text-anchor="middle">{w}</text>\n'
+                f'font-size="10" text-anchor="middle">{format_ratio(ps[eid], qs[eid])}</text>\n'
             )
     for v in emb2d.support.order:
         body.append(

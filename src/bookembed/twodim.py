@@ -14,10 +14,10 @@ import math
 from fractions import Fraction
 
 from . import seq
-from .embedding import BookEmbedding, validate_minres_supporting
+from .embedding import BookEmbedding, _forest_or_raise, validate_minres_supporting
 from .errors import GraphFormatError, NotOuterplanarError, PreconditionError
-from .exact import format_rational, parse_rational
-from .graph import WeightedGraph, component, components
+from .exact import format_ratio, format_rational, parse_rational
+from .graph import WeightedGraph, _over_lcm, component, components
 from .outerplanar import _whole_graph_cycle, block_outer_cycle, nesting_forest, span
 
 
@@ -62,9 +62,9 @@ class TwoDimEmbedding:
             f'{{"id": {labels[v]}, "x": {quoted(self.x[v])}}}' for v in self.support.order
         )
         edges = ", ".join(
-            f'{{"u": {labels[u]}, "v": {labels[v]}, "w": {quoted(w)}, "rect": '
+            f'{{"u": {labels[u]}, "v": {labels[v]}, "w": "{format_ratio(p, q)}", "rect": '
             f'[{", ".join(map(quoted, self.rects[eid]))}]}}'
-            for eid, ((u, v), w) in enumerate(zip(g.ends, g.weights))
+            for eid, ((u, v), p, q) in enumerate(zip(g.ends, *g.ratios()))
         )
         return f'{{"vertices": [{vertices}], "edges": [{edges}]}}'
 
@@ -104,40 +104,26 @@ class TwoDimEmbedding:
         return g, TwoDimEmbedding(BookEmbedding(order), x, rects)
 
 
-def _edge_list(g):
-    """``(u, v, w, eid)`` per edge of ``g``, the form :func:`_draw_region`
-    takes."""
-    return [(u, v, w, eid) for eid, ((u, v), w) in enumerate(zip(g.ends, g.weights))]
-
-
-def _forest_for(order, edge_list):
-    """Nesting forest over ``edge_list`` of (u, v, w, key); returns
-    (spans, children, roots) with spans aligned to edge_list indices,
-    children and roots left to right."""
-    pos = {v: i for i, v in enumerate(order)}
-    spans = [span(pos, u, v) + (key,) for u, v, _w, key in edge_list]
-    return (spans, *nesting_forest(len(order), spans)[1:])
-
-
-def _draw_region(order, edge_list, length):
+def _draw_region(order, ends, nums, den, length):
     """Exact-area drawing of a biconnected structure given its forced order,
     in a box of width ``length`` whose area is the weight total.
 
-    ``edge_list`` holds (u, v, w, key); the forest must have a single root
-    (the edge joining the order's endpoints).  Returns (vx, rects by key).
+    Edge i joins ``ends[i]`` and weighs ``nums[i] / den``; the nesting
+    forest must have a single root (the edge joining the order's
+    endpoints).  Returns (vx, rects by edge index).
 
-    The weights become ints over one denominator D.  A region of width W
-    whose subtree weighs S (in units of 1/D) is S/(D·W) tall; its edge takes
-    the top and leaves C/(D·W) to the children, C being their total, and
-    child k gets the width W·S_k/C.  Widths and the running junction are
-    reduced (num, den) pairs of ints; each new coordinate is one Fraction,
-    shared by ``vx`` and the rectangles.
+    A region of width W whose subtree weighs S (in units of 1/den) is
+    S/(den·W) tall; its edge takes the top and leaves C/(den·W) to the
+    children, C being their total, and child k gets the width W·S_k/C.
+    Widths and the running junction are reduced (num, den) pairs of ints;
+    each new coordinate is one Fraction, shared by ``vx`` and the rectangles.
     """
-    spans, children, roots = _forest_for(order, edge_list)
+    pos = {v: i for i, v in enumerate(order)}
+    spans = [span(pos, u, v) + (i,) for i, (u, v) in enumerate(ends)]
+    _parent, children, roots = nesting_forest(len(order), spans)
     assert len(roots) == 1, "top edge must wrap every other edge"
-    den = math.lcm(*{e[2].denominator for e in edge_list})
-    subtree = [w.numerator * (den // w.denominator) for _u, _v, w, _key in edge_list]
-    rest = [0] * len(edge_list)  # C: the children's total
+    subtree = list(nums)
+    rest = [0] * len(ends)  # C: the children's total
     post = []
     stack = list(roots)
     while stack:
@@ -158,14 +144,13 @@ def _draw_region(order, edge_list, length):
     frames = [(roots[0], zero, length, ln, ld, Fraction(subtree[roots[0]] * ld, den * ln))]
     while frames:
         i, x_lo, x_hi, wn, wd, top = frames.pop()
-        key = edge_list[i][3]
         kids = children[i]
         if not kids:
-            rects[key] = (x_lo, x_hi, zero, top)
+            rects[i] = (x_lo, x_hi, zero, top)
             continue
         c = rest[i]
         y = Fraction(c * wd, den * wn)
-        rects[key] = (x_lo, x_hi, y, top)
+        rects[i] = (x_lo, x_hi, y, top)
         cursor, xn, xd = x_lo, x_lo.numerator, x_lo.denominator
         for idx, k in enumerate(kids):
             g = gcd(subtree[k], c)
@@ -209,7 +194,7 @@ def twodim_biconnected(g, s, t, length, height):
     if cut is None:
         raise PreconditionError("(s, t) is not on the outer face")
     order = cut.order()
-    vx, rects = _draw_region(order, _edge_list(g), length)
+    vx, rects = _draw_region(order, g.ends, *_over_lcm(*g.ratios()), length)
     return TwoDimEmbedding(BookEmbedding(order), vx, rects)
 
 
@@ -264,20 +249,20 @@ def twodim_general(g, eps=Fraction(1), length=None):
         return TwoDimEmbedding(BookEmbedding(order_all), x, {})
 
     pos = {v: i for i, v in enumerate(order_all)}
-    dummy_w = eps / n
-    edge_list = _edge_list(g)
-    present = {span(pos, u, v) for u, v, _, _ in edge_list}
-    for i in range(n - 1):
-        if (i, i + 1) not in present:
-            edge_list.append(
-                (order_all[i], order_all[i + 1], dummy_w, ("dummy", len(edge_list)))
-            )
+    present = {span(pos, u, v) for u, v in g.ends}
+    # the dummy edges are the indices from g.m on
+    ends = list(g.ends)
+    ends += [(order_all[i], order_all[i + 1])
+             for i in range(n - 1) if (i, i + 1) not in present]
     if n >= 2 and (0, n - 1) not in present:
-        edge_list.append(
-            (order_all[0], order_all[-1], dummy_w, ("dummy", len(edge_list)))
-        )
-    nums, den = g.scaled
-    total = Fraction(sum(nums), den) + dummy_w * (len(edge_list) - g.m)
+        ends.append((order_all[0], order_all[-1]))
+    # the dummy weight eps/n is one more pair, after the graph's, and its
+    # numerator is then dealt to every dummy edge
+    dummy_w = eps / n
+    ps, qs = g.ratios()
+    nums, den = _over_lcm(ps + [dummy_w.numerator], qs + [dummy_w.denominator])
+    nums += [nums.pop()] * (len(ends) - g.m)
+    total = Fraction(sum(nums), den)
 
     if length is None:
         length = default_box_width(total)
@@ -285,8 +270,8 @@ def twodim_general(g, eps=Fraction(1), length=None):
     if length <= 0:
         raise PreconditionError("length must be positive")
 
-    vx, all_rects = _draw_region(order_all, edge_list, length)
-    rects = {key: rect for key, rect in all_rects.items() if isinstance(key, int)}
+    vx, all_rects = _draw_region(order_all, ends, nums, den, length)
+    rects = {eid: rect for eid, rect in all_rects.items() if eid < g.m}
     return TwoDimEmbedding(BookEmbedding(order_all), vx, rects)
 
 
@@ -299,8 +284,9 @@ def minres_construct(g, embedding):
             f"order is not a supporting embedding: {violation}"
         )
     pos = embedding.position
-    edge_list = _edge_list(g)
-    spans, children, roots = _forest_for(embedding.order, edge_list)
+    # the spans are listed by edge id, so index i is edge i
+    spans, _parent, children, roots = _forest_or_raise(g, embedding)
+    ps, qs = g.ratios()
     x = {v: Fraction(pos[v] + 1) for v in embedding.order}
     rects = {}
     post = []
@@ -310,15 +296,14 @@ def minres_construct(g, embedding):
         post.append(i)
         stack.extend(children[i])
     for i in reversed(post):
-        u, v, w, eid = edge_list[i]
-        a, b = spans[i][0], spans[i][1]
+        a, b, _eid = spans[i]
         y_min = Fraction(0)
         for k in children[i]:
-            y_top = rects[edge_list[k][3]][3]
+            y_top = rects[k][3]
             if y_top > y_min:
                 y_min = y_top
-        h = w / (b - a)
-        rects[eid] = (Fraction(a + 1), Fraction(b + 1), y_min, y_min + h)
+        h = Fraction(ps[i], qs[i] * (b - a))
+        rects[i] = (Fraction(a + 1), Fraction(b + 1), y_min, y_min + h)
     return TwoDimEmbedding(embedding, x, rects)
 
 

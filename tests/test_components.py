@@ -147,12 +147,14 @@ def test_embed_cli_builds_no_fraction_and_no_subgraph(monkeypatch, tmp_path):
         for seed in range(20)
     ]).graph
     inputs = [(minres_union, "minres", 0)]
+    max_no = planted.planted_no(500, "max", 7, False)  # weights: multiples of 1/scale
     for cls in ("max", "sum"):
         yes = planted.disjoint_union([
             planted.planted_yes(150, cls, seed, seed == 2, check=False)
             for seed in range(3)
         ]).graph
-        inputs += [(yes, cls, 0), (planted.planted_no(500, cls, 7, False).graph, cls, 1)]
+        no = max_no if cls == "max" else planted.planted_no(500, cls, 7, False)
+        inputs += [(yes, cls, 0), (no.graph, cls, 1)]
     paths = []
     for i, (g, cls, code) in enumerate(inputs):
         path = tmp_path / f"g{i}.json"
@@ -183,9 +185,29 @@ def test_embed_cli_builds_no_fraction_and_no_subgraph(monkeypatch, tmp_path):
             checked = cli.main(["check", "minres", str(path), "--order", f"@{order}",
                                 "--output", str(out)])
     assert made == [] and built == []
+    # on the minres union and the fractional max no-instance, embed-2d,
+    # serialize_graph and a failing check max write each weight from its
+    # (p, q): no graph builds its Fraction weight tuple
+    weights = WeightedGraph.weights
+    tuples = []
+    monkeypatch.setattr(WeightedGraph, "weights",
+                        property(lambda g: tuples.append(g.m) or weights.fget(g)))
+    order = tmp_path / "g2.order"
+    order.write_text(json.dumps([max_no.graph.labels[v] for v in max_no.order]))
+    drawn = []
+    for path, _cls, _code in (paths[0], paths[2]):
+        out = tmp_path / f"{path.stem}.embed-2d"
+        drawn.append(cli.main(["embed-2d", str(path), "--output", str(out)]))
+        assert serialize_graph(parse_graph(path.read_text())) == path.read_text()
+    out = tmp_path / "g2.check-max"
+    failed = cli.main(["check", "max", str(paths[2][0]), "--order", f"@{order}",
+                       "--output", str(out)])
+    assert tuples == [] and built == []
     monkeypatch.undo()
     assert codes == [code for _, _, code in paths] and checked == 0
     assert json.loads((tmp_path / "g4.embed-sum").read_text())["exists"] is False
+    assert drawn == [0, 0] and failed == 1
+    assert json.loads(out.read_text())["violation"]["class"] == "max"
 
 
 def test_forest_cut_vertices_and_blocks_match_the_definition():

@@ -2,7 +2,10 @@
 
 Each digest covers the exit code and stdout of one command on every input,
 so a refactor that claims byte-identical output is checked here.  A change
-that alters output on purpose updates a digest and says why.
+that alters output on purpose updates a digest and says why.  The writers
+have digests too: ``render`` with weight labels over every ``embed-max``
+order and ``embed-2d`` document, ``serialize_graph`` as an edge list, and
+``gen``.
 """
 
 import hashlib
@@ -40,7 +43,23 @@ DIGESTS = {
     "check-max": "1e7fa22bcf5d25568b3104c7c4004558e91b3b1d7b453971e8e0362d9d7c64f3",
     "check-sum": "87fe0c0cfa2fa50c78278b052f32dab39fee921917ee8b90de3bb1f215acb42b",
     "check-minres": "416fb3698ec79fd80d8d0d3e4a7a4cf160ef10ed449ffe46308d09ca8f69cd3a",
+    "render-arc": "c16b22f094406c6dcd030c4d68bcba2cf7ff782e6509d302945b2b84c857b063",
+    "render-rect": "7d4e42900ae1085ed1c9ff9f07ddb88b5914d2e23fd20db759dec0fa5cddfefe",
+    "serialize-edge-list": "694b91f2644f4e46b0b3ac84dc94182cabe5b4cb5a372711de19d6f20932e639",
+    "gen": "3c85fa97ae6591e9c19060f16502c79f2258e6a135fcea9b6371b1de634718e9",
 }
+
+# render the output of a command: (its name, the render arguments)
+RENDERS = {
+    "render-arc": ("embed-max", ["--style", "arc", "--weight-labels", "--graph"]),
+    "render-rect": ("embed-2d", ["--style", "rect", "--weight-labels"]),
+}
+
+GEN = [
+    ["gen", "--n", str(n), "--seed", str(seed)] + extra
+    for seed, n in ((0, 1), (1, 2), (2, 7), (3, 12), (4, 30))
+    for extra in ([], ["--biconnected"], ["--wmin", "7", "--wmax", str(10**30)])
+]
 
 
 def _inputs():
@@ -82,21 +101,37 @@ def _run(argv):
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("golden")
-    hashes = {name: hashlib.sha256() for name in COMMANDS}
+    hashes = {name: hashlib.sha256() for name in DIGESTS}
     for key, g in _inputs():
         path = tmp / f"{key}.json"
         path.write_text(serialize_graph(g))
         order = tmp / f"{key}.order"
         order.write_text(_order(g))
+        outputs = {}
         for name, argv in COMMANDS.items():
             argv = argv + [str(path)]
             if argv[0] == "check":
                 argv += ["--order", f"@{order}"]
             code, out = _run(argv)
             hashes[name].update(f"{key}\n{code}\n{out}\n".encode())
+            outputs[name] = code, out
+        for name, (command, argv) in RENDERS.items():
+            code, out = outputs[command]
+            if code != 0:
+                continue
+            drawn = tmp / f"{key}.{command}"
+            drawn.write_text(out)
+            argv = ["render", str(drawn)] + argv
+            code, out = _run(argv + [str(path)] if argv[-1] == "--graph" else argv)
+            hashes[name].update(f"{key}\n{code}\n{out}\n".encode())
+        text = serialize_graph(g, "edge-list")
+        hashes["serialize-edge-list"].update(f"{key}\n{text}\n".encode())
+    for argv in GEN:
+        code, out = _run(argv)
+        hashes["gen"].update(f"{argv}\n{code}\n{out}\n".encode())
     return {name: h.hexdigest() for name, h in hashes.items()}
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
+@pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_cli_output_matches_its_golden_digest(digests, name):
     assert digests[name] == DIGESTS[name]

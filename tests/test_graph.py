@@ -311,7 +311,9 @@ def test_per_component_builds_no_subgraph_past_a_failure(monkeypatch):
     assert len(built) == 0 and len(component_vertex_sets(g)) > 2
 
 
-@pytest.mark.parametrize("w", [Fraction(0), Fraction(-1, 2), 0, "-3/4", -0.5])
+# -10**5000 is past the int-to-str digit limit: its message still formats
+@pytest.mark.parametrize("w", [Fraction(0), Fraction(-1, 2), 0, "-3/4", -0.5,
+                               pytest.param(-10**5000, id="-10**5000")])
 def test_non_positive_weights_rejected(w):
     with pytest.raises(GraphFormatError) as err:
         WeightedGraph(["a", "b"], [(0, 1, w)])

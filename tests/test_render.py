@@ -1,8 +1,13 @@
 """SVG output: determinism, structure, float-boundary accuracy."""
 
+from fractions import Fraction
+
 from bookembed.embedding import BookEmbedding
+from bookembed.exact import format_ratio
+from bookembed.graph import WeightedGraph
+from bookembed.maxdraw import embed_max
 from bookembed.render import RenderSpec, render_arcs, render_rects
-from bookembed.twodim import twodim_biconnected, twodim_general
+from bookembed.twodim import TwoDimEmbedding, twodim_biconnected, twodim_general
 
 from conftest import graph_from
 
@@ -74,3 +79,16 @@ def test_weight_labels_flag():
     g = graph_from([("a", "b", 7)])
     svg = render_arcs(g, BookEmbedding((0, 1)), RenderSpec(weight_labels=True))
     assert ">7<" in svg
+
+
+def test_weight_labels_past_the_int_to_str_digit_limit():
+    # 5000 digits, past the limit of str(int); the labels are written whole
+    p = 10**5000 + 1
+    g = WeightedGraph(["a", "b"], [(0, 1, Fraction(p, 3))])
+    label = f">{format_ratio(p, 3)}<"
+    svg = render_arcs(g, embed_max(g), RenderSpec(weight_labels=True))
+    assert label in svg
+    # the rectangle is drawn small, as the renderer takes it
+    drawing = TwoDimEmbedding(BookEmbedding((0, 1)), {0: 0, 1: 1}, {0: (0, 1, 0, 1)})
+    svg = render_rects(g, drawing, RenderSpec(style="rect", weight_labels=True))
+    assert label in svg

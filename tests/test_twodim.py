@@ -13,7 +13,7 @@ from bookembed.errors import GraphFormatError, PreconditionError
 from bookembed.graph import BlockCutTree, WeightedGraph
 from bookembed.minres import minres_be_drawer
 from bookembed.oracle import random_outerplanar
-from bookembed.outerplanar import outerplane_embedding
+from bookembed.outerplanar import nesting_forest, outerplane_embedding, span
 from bookembed.twodim import (
     TwoDimEmbedding,
     check_twodim,
@@ -222,12 +222,15 @@ def test_one_page_order_always_works():
 # -- the integer build against a per-operation Fraction reference --------
 
 
-def _reference_draw_region(order, edge_list, length):
+def _reference_draw_region(order, ends, nums, den, length):
     """Reference drawing with one Fraction operation per step: an edge takes
     w / width off the top of its region, and a child's width is its
     subtree total / the height left."""
-    spans, children, roots = twodim._forest_for(order, edge_list)
-    subtree = [None] * len(edge_list)
+    pos = {v: i for i, v in enumerate(order)}
+    spans = [span(pos, u, v) + (i,) for i, (u, v) in enumerate(ends)]
+    _parent, children, roots = nesting_forest(len(order), spans)
+    weights = [Fraction(p, den) for p in nums]
+    subtree = [None] * len(ends)
     post = []
     stack = list(roots)
     while stack:
@@ -235,7 +238,7 @@ def _reference_draw_region(order, edge_list, length):
         post.append(i)
         stack.extend(children[i])
     for i in reversed(post):
-        total = edge_list[i][2]
+        total = weights[i]
         for k in children[i]:
             total += subtree[k]
         subtree[i] = total
@@ -246,14 +249,13 @@ def _reference_draw_region(order, edge_list, length):
     frames = [(roots[0], Fraction(0), length, subtree[roots[0]] / length)]
     while frames:
         i, x_lo, x_hi, h_region = frames.pop()
-        _u, _v, w, key = edge_list[i]
         width = x_hi - x_lo
         kids = children[i]
         if not kids:
-            rects[key] = (x_lo, x_hi, Fraction(0), h_region)
+            rects[i] = (x_lo, x_hi, Fraction(0), h_region)
             continue
-        h_top = w / width
-        rects[key] = (x_lo, x_hi, h_region - h_top, h_region)
+        h_top = weights[i] / width
+        rects[i] = (x_lo, x_hi, h_region - h_top, h_region)
         h_rest = h_region - h_top
         cursor = x_lo
         for idx, k in enumerate(kids):
