@@ -18,15 +18,15 @@ def parse_ratio(text: str) -> tuple:
     """Parse ``"5"``, ``"3.25"`` or ``"7/2"`` into ``(p, q)``, the number
     ``p/q`` in lowest terms with ``q > 0``; anything else, a non-string
     included, raises ValueError.  ASCII ``digits`` and ``digits/digits``
-    skip the ``Fraction(str)`` regex.  Interior whitespace and ``_``, which
-    ``Fraction(str)`` accepts from some Python version on, are rejected on
-    every version."""
+    skip the ``Fraction(str)`` regex and are read at any length.  Interior
+    whitespace and ``_``, which ``Fraction(str)`` accepts from some Python
+    version on, are rejected on every version."""
     try:
         p, slash, q = text.partition("/")
         if p.isdigit() and (not slash or q.isdigit()) and text.isascii():
             if not slash:
-                return int(p), 1
-            p, q = int(p), int(q)
+                return read_digits(p), 1
+            p, q = read_digits(p), read_digits(q)
             if not q:
                 raise ZeroDivisionError(text)
             g = math.gcd(p, q)
@@ -37,7 +37,27 @@ def parse_ratio(text: str) -> tuple:
         value = Fraction(stripped)
         return value.numerator, value.denominator
     except (AttributeError, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+        raise ValueError(f"not a rational number: {excerpt(text)}") from exc
+
+
+def read_digits(text: str) -> int:
+    """The integer of the ASCII digit string ``text``, at any length.
+    ``int`` reads it first; past Python's int-from-str digit limit the two
+    halves are read apart and joined by a power of ten."""
+    try:
+        return int(text)
+    except ValueError:
+        half = len(text) // 2
+        low = len(text) - half
+        return read_digits(text[:half]) * 10**low + read_digits(text[half:])
+
+
+def excerpt(text, limit: int = 40) -> str:
+    """``repr(text)`` for an error message; a longer string is cut to its
+    first ``limit`` characters and its length."""
+    if isinstance(text, str) and len(text) > limit:
+        return f"{text[:limit]!r}... ({len(text)} characters)"
+    return repr(text)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -8,7 +8,7 @@ from array import array
 from fractions import Fraction
 
 from .errors import GraphFormatError, PreconditionError
-from .exact import format_ratio, parse_ratio
+from .exact import excerpt, format_ratio, parse_ratio, read_digits
 
 
 def _word_view(nums, dens):
@@ -318,7 +318,7 @@ def _build(vertex_labels, rows, fault):
         if not isinstance(w, str):
             p, q = _coerce_weight(w, f"edges[{i}]")
         elif w.isdigit() and w.isascii():
-            p, q = int(w), 1
+            p, q = read_digits(w), 1
         else:
             try:
                 p, q = parse_ratio(w)
@@ -375,7 +375,9 @@ def _json_fault(i, text):
     where = f"edges[{i}]"
     if text is None:
         return GraphFormatError(f"edge must be [u, v, w] ({where})", position=where)
-    return GraphFormatError(f"malformed weight {text!r} ({where})", position=where)
+    return GraphFormatError(
+        f"malformed weight {excerpt(text)} ({where})", position=where
+    )
 
 
 def _parse_json(text):
@@ -419,7 +421,7 @@ def _parse_edge_list(text):
         lineno, line = lines[i]
         if text is None:
             return GraphFormatError(f"expected 'u v w', got {line!r}", line=lineno)
-        return GraphFormatError(f"malformed weight {text!r}", line=lineno)
+        return GraphFormatError(f"malformed weight {excerpt(text)}", line=lineno)
 
     return _build(vertex_labels, rows, fault)
 

@@ -17,7 +17,7 @@ from .embedding import BookEmbedding
 from .errors import PreconditionError
 from .graph import WeightedGraph, _over_lcm
 
-ORACLE_MAX_N = 10
+ORACLE_MAX_N = 11
 
 _CLASS_CODES = {
     "one-page": _fast.CLASS_ONE_PAGE,

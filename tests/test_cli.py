@@ -259,9 +259,9 @@ def test_embed_2d_writes_numbers_past_the_digit_limit():
         ]
     finally:
         sys.set_int_max_str_digits(limit)
-    # readers keep the limit on outside input
-    code, _, err = run_cli(["render"], stdin_text=out)
-    assert code == 2 and "not a rational number" in err
+    # and the documented pipeline reads them back
+    code, svg, err = run_cli(["render"], stdin_text=out)
+    assert (code, err) == (0, "") and "<svg" in svg
 
 
 def test_disconnected_input_handled():

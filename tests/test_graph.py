@@ -11,7 +11,7 @@ import planted  # the benchmark's generator (perfbench/planted.py)
 from bookembed import cli
 from bookembed.embedding import per_component
 from bookembed.errors import GraphFormatError, PreconditionError
-from bookembed.exact import parse_rational
+from bookembed.exact import format_rational, parse_rational
 from bookembed.graph import (
     BlockCutTree,
     WeightedGraph,
@@ -236,6 +236,26 @@ def test_round_trip(fmt):
         '{"vertices":["z"],"edges":[["a","b","13/4"],["b","c","2"],["a","c","9"]]}'
     )
     assert parse_graph(serialize_graph(g, fmt), format=fmt) == g
+
+
+@pytest.mark.parametrize("fmt", ["json", "edge-list"])
+@pytest.mark.parametrize("w", [10**5000, Fraction(10**5000 + 1, 3)], ids=["int", "ratio"])
+def test_round_trip_past_the_digit_limit(fmt, w):
+    # 5,001-digit numbers pass Python's int-from-str limit of 4,300
+    g = WeightedGraph(["a", "b", "c"], [(0, 1, w), (1, 2, 2)])
+    h = parse_graph(serialize_graph(g, fmt), format=fmt)
+    assert h == g and h.ratios() == g.ratios()
+    assert parse_rational(format_rational(Fraction(w))) == w
+
+
+def test_long_malformed_weights_are_quoted_in_part():
+    text = "9" * 5000 + "x"
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(json.dumps({"edges": [["a", "b", text]]}))
+    assert str(err.value).startswith(f"malformed weight {'9' * 40!r}... (5001 characters)")
+    with pytest.raises(ValueError) as err:
+        parse_rational(text)
+    assert len(str(err.value)) < 100
 
 
 def test_components_order_and_content():

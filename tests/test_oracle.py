@@ -1,12 +1,13 @@
 """Oracle enumeration, verdicts, generator determinism."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from bookembed.embedding import BookEmbedding
 from bookembed.errors import PreconditionError
-from bookembed.graph import serialize_graph
+from bookembed.graph import WeightedGraph, serialize_graph
 from bookembed.maxdraw import embed_max
 from bookembed.minres import embed_minres
 from bookembed.oracle import (
@@ -17,7 +18,7 @@ from bookembed.oracle import (
 )
 from bookembed.sumdraw import embed_sum
 
-from conftest import graph_from
+from conftest import fractional, graph_from
 from planted import CLASSES, ORACLE_CLASS, VALIDATORS, planted_no, planted_yes
 
 K4 = graph_from([("a", "b", 1), ("a", "c", 1), ("a", "d", 1),
@@ -120,15 +121,15 @@ def test_kernel_fallback_on_large_weights():
     assert oracle_exists(g2, "sum").exists
 
 
-def test_drawers_agree_with_the_oracle_at_n_9_and_10():
-    # the oracle's own limit; CI runs a larger seeded corpus at n = 10.
+def test_drawers_agree_with_the_oracle_at_n_9_10_and_11():
+    # the oracle's own limit; CI runs a larger seeded corpus at n = 11.
     # Planted instances give yes and no verdicts for every class.
     graphs = [
         make(n, cls, n + i, i % 2 == 0).graph
-        for n in (9, 10) for i, cls in enumerate(CLASSES)
+        for n in (9, 10, 11) for i, cls in enumerate(CLASSES)
         for make in (planted_yes, planted_no)
     ] + [random_outerplanar(n, (1, 12), seed=seed, biconnected=seed % 2 == 0)
-         for n, seed in ((9, 1), (9, 2), (10, 3), (10, 4))]
+         for n, seed in ((9, 1), (9, 2), (10, 3), (10, 4), (11, 5), (11, 6))]
     drawers = {"max": embed_max, "sum": embed_sum, "minres": embed_minres}
     for g in graphs:
         for cls in CLASSES:
@@ -138,3 +139,53 @@ def test_drawers_agree_with_the_oracle_at_n_9_and_10():
             if ok:
                 assert VALIDATORS[cls](g, got) is None
                 assert definitional_check(g, got, ORACLE_CLASS[cls])
+
+
+def cycle_graph(weights):
+    """The cycle 0-1-...-(k-1)-0 with ``weights`` in that edge order."""
+    k = len(weights)
+    return WeightedGraph([str(i) for i in range(k)],
+                         [(i, (i + 1) % k, w) for i, w in enumerate(weights)])
+
+
+# Orders 0..7 and 7..0 nest every edge of these cycles under the last one;
+# each cycle sits at, or one step from, the edge of a class condition.
+TIGHT_CYCLES = [
+    cycle_graph([1] * 7 + [w]) for w in (1, 6, 7, 8, Fraction(13, 2), Fraction(15, 2))
+] + [cycle_graph([Fraction(1, 2)] * 8), cycle_graph([2, 1, 1, 1, 1, 1, 1, 2])]
+
+BOUND_GRAPHS = [
+    make(n, cls, seed, biconnected).graph
+    for n in (8, 9) for i, cls in enumerate(CLASSES) for biconnected in (False, True)
+    for make, seeds in ((planted_yes, (n + i, n + i + 20)), (planted_no, (n + i,)))
+    for seed in seeds
+] + [
+    random_outerplanar(n, weights, seed=seed)
+    for n in (8, 9) for weights in ((1, 3), (1, 12)) for seed in (n, n + 1)
+]
+BOUND_GRAPHS += [fractional(g) for g in BOUND_GRAPHS] + TIGHT_CYCLES
+
+
+@pytest.mark.parametrize("g", BOUND_GRAPHS)
+def test_class_bounds_drop_no_passing_order(g):
+    # the sweep's prefix bounds against the plain filter of every one-page
+    # order (the permutation reference stops at n = 7)
+    orders = enumerate_one_page(g)
+    for cls in ("one-page", *ORACLE_CLASS.values()):
+        passing = [e.order for e in orders if definitional_check(g, e, cls)]
+        verdict = oracle_exists(g, cls, exhaustive=True, max_witnesses=3)
+        assert verdict.count == len(passing), cls
+        assert [w.order for w in verdict.witnesses] == passing[:3], cls
+
+
+def test_sweeps_at_n_0_and_1_and_under_a_cap():
+    for g in (WeightedGraph([], []), WeightedGraph(["a"], [])):
+        assert [e.order for e in enumerate_one_page(g)] == [tuple(range(g.n))]
+        for cls in ("one-page", *ORACLE_CLASS.values()):
+            verdict = oracle_exists(g, cls, exhaustive=True, max_witnesses=3)
+            assert verdict.count == 1
+            assert [w.order for w in verdict.witnesses] == [tuple(range(g.n))]
+    g = planted_yes(9, "max", 9, False).graph
+    orders = enumerate_one_page(g)
+    for cap in (1, 2, 5, len(orders), len(orders) + 1):
+        assert enumerate_one_page(g, cap=cap) == orders[:cap]
