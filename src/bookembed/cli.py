@@ -23,7 +23,7 @@ from .embedding import (
     validate_sum,
 )
 from .errors import BookEmbedError, NotOnePageError
-from .exact import parse_rational
+from .exact import parse_rational, read_digits
 from .graph import parse_graph, serialize_graph
 from .maxdraw import embed_max
 from .minres import embed_minres, minres_be_drawer
@@ -140,7 +140,7 @@ def _cmd_render(args):
         weight_labels=args.weight_labels,
     )
     text = _read_text(args.input)
-    doc = json.loads(text)
+    doc = json.loads(text, parse_int=read_digits)
     if isinstance(doc, dict) and "vertices" in doc and "edges" in doc:
         g, emb2d = TwoDimEmbedding.from_json(text)
         if spec.style == "arc":

@@ -17,10 +17,10 @@ INF = math.inf
 def parse_ratio(text: str) -> tuple:
     """Parse ``"5"``, ``"3.25"`` or ``"7/2"`` into ``(p, q)``, the number
     ``p/q`` in lowest terms with ``q > 0``; anything else, a non-string
-    included, raises ValueError.  ASCII ``digits`` and ``digits/digits``
-    skip the ``Fraction(str)`` regex and are read at any length.  Interior
-    whitespace and ``_``, which ``Fraction(str)`` accepts from some Python
-    version on, are rejected on every version."""
+    included, raises ValueError.  ASCII ``digits`` and ``digits/digits``,
+    signed or not, skip the ``Fraction(str)`` regex and are read at any
+    length.  Interior whitespace and ``_``, which ``Fraction(str)`` accepts
+    from some Python version on, are rejected on every version."""
     try:
         p, slash, q = text.partition("/")
         if p.isdigit() and (not slash or q.isdigit()) and text.isascii():
@@ -31,6 +31,9 @@ def parse_ratio(text: str) -> tuple:
                 raise ZeroDivisionError(text)
             g = math.gcd(p, q)
             return (p // g, q // g) if g != 1 else (p, q)
+        if text[:1] in ("-", "+") and text[1:2].isdigit():
+            p, q = parse_ratio(text[1:])
+            return (-p if text[0] == "-" else p), q
         stripped = text.strip()
         if "_" in stripped or len(stripped.split()) > 1:
             raise ValueError(text)
@@ -41,12 +44,15 @@ def parse_ratio(text: str) -> tuple:
 
 
 def read_digits(text: str) -> int:
-    """The integer of the ASCII digit string ``text``, at any length.
-    ``int`` reads it first; past Python's int-from-str digit limit the two
-    halves are read apart and joined by a power of ten."""
+    """The integer of the ASCII digit string ``text``, which may start with
+    ``-``, at any length.  ``int`` reads it first; past Python's
+    int-from-str digit limit the two halves are read apart and joined by a
+    power of ten."""
     try:
         return int(text)
     except ValueError:
+        if text[0] == "-":
+            return -read_digits(text[1:])
         half = len(text) // 2
         low = len(text) - half
         return read_digits(text[:half]) * 10**low + read_digits(text[half:])

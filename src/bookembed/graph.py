@@ -37,21 +37,27 @@ def _over_lcm(nums, dens):
     return [p * (den // q) for p, q in zip(nums, dens)], den
 
 
-def _self_loop(labels, u):
-    return GraphFormatError(f"self-loop at vertex {labels[u]!r}", kind="self-loop")
-
-
-def _duplicate_edge(labels, u, v):
-    return GraphFormatError(
-        f"duplicate edge {labels[u]!r}--{labels[v]!r}", kind="duplicate-edge"
-    )
-
-
-def _non_positive(labels, u, v, p, q):
-    return GraphFormatError(
-        f"non-positive weight {format_ratio(p, q)} on edge {labels[u]!r}--{labels[v]!r}",
-        kind="non-positive-weight",
-    )
+def _first_fault(labels, ends, nums, dens):
+    """The error for the first edge that is a self-loop, repeats an earlier
+    edge or has a non-positive weight ``nums[e] / dens[e]``, checked in that
+    order within an edge; None if every edge is good."""
+    seen = set()  # each pair so far, the smaller id first
+    for end, p, q in zip(ends, nums, dens):
+        u, v = end
+        key = end if u < v else (v, u)
+        if u == v:
+            return GraphFormatError(f"self-loop at vertex {labels[u]!r}", kind="self-loop")
+        if key in seen:
+            return GraphFormatError(
+                f"duplicate edge {labels[u]!r}--{labels[v]!r}", kind="duplicate-edge"
+            )
+        if p <= 0:
+            return GraphFormatError(
+                f"non-positive weight {format_ratio(p, q)} on edge {labels[u]!r}--{labels[v]!r}",
+                kind="non-positive-weight",
+            )
+        seen.add(key)
+    return None
 
 
 class WeightedGraph:
@@ -65,43 +71,35 @@ class WeightedGraph:
     Every graph holds its weights as reduced ``(p, q)`` pairs,
     :meth:`ratios`, however it was built, and with them the view
     :attr:`scaled` when that fits 64 bits.  ``Fraction``s come only from
-    :attr:`weights`, :meth:`weight` and :attr:`edges`; the constructor keeps
-    those it was handed, and any other graph builds them on first use.
+    :attr:`weights`, :meth:`weight` and :attr:`edges`, and are built on
+    first use; so is :attr:`label_index`, unless the parser kept the one it
+    interned with.  No edge lookup is stored: :meth:`edge_between` scans an
+    adjacency row.
     """
 
-    __slots__ = ("labels", "label_index", "ends", "adjacency", "_edge_lookup",
+    __slots__ = ("labels", "_label_index", "ends", "adjacency",
                  "_weights", "_scaled", "_ratios")
 
     def __init__(self, labels, edges):
         """``labels``: iterable of strings; ``edges``: triples (u, v, w) of dense ids."""
-        self.labels = tuple(labels)
-        self.label_index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self.label_index) != len(self.labels):
+        labels = tuple(labels)
+        if len(set(labels)) != len(labels):
             raise GraphFormatError("duplicate vertex label", kind="syntax")
-        n = len(self.labels)
-        lookup = {}
-        ends, weights, nums, dens = [], [], [], []
-        for eid, (u, v, w) in enumerate(edges):
-            if u == v:
-                raise _self_loop(self.labels, u)
+        n = len(labels)
+        ends, nums, dens = [], [], []
+        for u, v, w in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError("edge endpoint out of range", kind="syntax")
-            end = (u, v)
-            key = end if u < v else (v, u)  # one tuple where u < v
-            if key in lookup:
-                raise _duplicate_edge(self.labels, u, v)
-            if type(w) is not Fraction:
+            if type(w) is not int and type(w) is not Fraction:
                 w = Fraction(w)
-            # a Fraction is in lowest terms with a positive denominator
-            p, q = w.numerator, w.denominator
-            if p <= 0:
-                raise _non_positive(self.labels, u, v, p, q)
-            lookup[key] = eid
-            ends.append(end)
-            weights.append(w)
-            nums.append(p)
-            dens.append(q)
-        self._link(ends, lookup, (nums, dens), tuple(weights))
+            ends.append((u, v))
+            # an int is w/1; a Fraction is in lowest terms with q > 0
+            nums.append(w.numerator)
+            dens.append(w.denominator)
+        fault = _first_fault(labels, ends, nums, dens)
+        if fault is not None:
+            raise fault
+        self._link(labels, ends, (nums, dens))
 
     @classmethod
     def _of_checked(cls, labels, ends, ratios):
@@ -110,23 +108,20 @@ class WeightedGraph:
         edges, positive weights as reduced ``(p, q)`` pairs.  Skips the
         per-edge checks."""
         g = cls.__new__(cls)
-        g.labels = tuple(labels)
-        g.label_index = {lab: i for i, lab in enumerate(g.labels)}
-        g._link(ends, {
-            (end if end[0] < end[1] else end[::-1]): eid for eid, end in enumerate(ends)
-        }, ratios)
+        g._link(labels, ends, ratios)
         return g
 
-    def _link(self, ends, lookup, ratios, weights=None):
+    def _link(self, labels, ends, ratios, index=None):
+        self.labels = tuple(labels)
+        self._label_index = index
         adjacency = [[] for _ in self.labels]
         for eid, (u, v) in enumerate(ends):
             adjacency[u].append(eid)
             adjacency[v].append(eid)
         self.ends = tuple(ends)
         self.adjacency = tuple(map(tuple, adjacency))
-        self._edge_lookup = lookup
         self._ratios = ratios
-        self._weights = weights
+        self._weights = None
         self._scaled = _word_view(*ratios)
 
     def _part(self, verts, eids):
@@ -158,9 +153,17 @@ class WeightedGraph:
         return len(self.ends)
 
     @property
+    def label_index(self):
+        """The dense id of each label: the dict the parser interned with,
+        or built on first use."""
+        if self._label_index is None:
+            self._label_index = {lab: i for i, lab in enumerate(self.labels)}
+        return self._label_index
+
+    @property
     def weights(self):
-        """The ``Fraction`` weights by edge id: those the constructor was
-        handed, or built from :meth:`ratios` on first use."""
+        """The ``Fraction`` weights by edge id, built from :meth:`ratios`
+        on first use."""
         if self._weights is None:
             self._weights = tuple(map(Fraction, *self._ratios))
         return self._weights
@@ -197,8 +200,11 @@ class WeightedGraph:
         return w if v == u else u
 
     def edge_between(self, u, v):
-        """Edge id joining u and v, or None."""
-        return self._edge_lookup.get((u, v) if u < v else (v, u))
+        """Edge id joining u and v, or None: a scan of the shorter of their
+        adjacency rows."""
+        row = min(self.adjacency[u], self.adjacency[v], key=len)
+        pair = (u, v), (v, u)
+        return next((eid for eid in row if self.ends[eid] in pair), None)
 
     def resolve(self, vertex):
         """Accept either a dense id (int) or a label (str)."""
@@ -261,12 +267,8 @@ class WeightedGraph:
 def _coerce_label(value, where):
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if isinstance(value, float) and not value.is_integer():
-            raise GraphFormatError(
-                f"vertex labels must be strings or integers ({where})"
-            )
-        return str(int(value) if isinstance(value, float) else value)
+    if type(value) is int or type(value) is float and value.is_integer():
+        return format_ratio(int(value), 1)
     raise GraphFormatError(f"vertex labels must be strings or integers ({where})")
 
 
@@ -285,7 +287,7 @@ def _coerce_weight(value, where):
 
 
 def _build(vertex_labels, rows, fault):
-    """The graph of ``rows``, each ``[u, v, w]``, in one pass.
+    """The graph of ``rows``, each ``[u, v, w]``.
 
     Labels are interned in first-seen order, ``vertex_labels`` first.  Each
     weight is read into ``(p, q)`` in lowest terms, and no ``Fraction`` is
@@ -293,10 +295,9 @@ def _build(vertex_labels, rows, fault):
     weight ``text``, or, when ``text`` is None, a row that is not
     ``[u, v, w]``.
 
-    A syntax fault raises at once, so it wins over a structural one in any
-    row.  Of the structural faults the first row's is raised, and within a
-    row a self-loop comes before a duplicate edge and that before a
-    non-positive weight.
+    A syntax fault raises at once; the structural faults are looked for
+    only after the last row, so a syntax fault in any row wins.  Of the
+    structural faults the first row's is raised (:func:`_first_fault`).
     """
     labels = []
     index = {}
@@ -305,8 +306,6 @@ def _build(vertex_labels, rows, fault):
             index[lab] = len(labels)
             labels.append(lab)
     ends, nums, dens = [], [], []
-    lookup = {}
-    found = None  # the first structural fault, raised after the last row
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 3:
             raise fault(i, None)
@@ -332,26 +331,14 @@ def _build(vertex_labels, rows, fault):
         if b is None:
             b = index[v] = len(labels)
             labels.append(v)
-        end = (a, b)
-        if found is None:
-            key = end if a < b else (b, a)
-            if a == b:
-                found = _self_loop(labels, a)
-            elif key in lookup:
-                found = _duplicate_edge(labels, a, b)
-            elif p <= 0:
-                found = _non_positive(labels, a, b, p, q)
-            else:
-                lookup[key] = i
-        ends.append(end)
+        ends.append((a, b))
         nums.append(p)
         dens.append(q)
+    found = _first_fault(labels, ends, nums, dens)
     if found is not None:
         raise found
     g = WeightedGraph.__new__(WeightedGraph)
-    g.labels = tuple(labels)
-    g.label_index = index
-    g._link(ends, lookup, (nums, dens))
+    g._link(labels, ends, (nums, dens), index)  # the dict labels were interned with
     return g
 
 
@@ -382,7 +369,8 @@ def _json_fault(i, text):
 
 def _parse_json(text):
     try:
-        doc = json.loads(text)
+        # json.loads's own int reader stops at Python's digit limit
+        doc = json.loads(text, parse_int=read_digits)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, position=exc.colno
@@ -420,7 +408,7 @@ def _parse_edge_list(text):
     def fault(i, text):
         lineno, line = lines[i]
         if text is None:
-            return GraphFormatError(f"expected 'u v w', got {line!r}", line=lineno)
+            return GraphFormatError(f"expected 'u v w', got {excerpt(line)}", line=lineno)
         return GraphFormatError(f"malformed weight {excerpt(text)}", line=lineno)
 
     return _build(vertex_labels, rows, fault)

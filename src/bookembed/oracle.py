@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _fast
 from .embedding import BookEmbedding
@@ -102,7 +101,7 @@ def random_outerplanar(n, weight_range=(1, 20), seed=0, biconnected=False):
     lo, hi = weight_range
 
     def w():
-        return Fraction(rng.randint(lo, hi))
+        return rng.randint(lo, hi)
 
     labels = [str(i) for i in range(n)]
     if n == 1:

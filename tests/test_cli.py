@@ -287,6 +287,26 @@ def test_check_order_integers_are_labels(tmp_path):
     assert as_ints[0] == 1 and json.loads(as_ints[1])["ok"] is False
 
 
+def test_json_integers_past_the_digit_limit(tmp_path):
+    # a 5,000-digit JSON number as a weight and as a label, in the graph and
+    # in the order; Python's own reader stops at 4,300 digits
+    big = "9" * 5000
+    path = tmp_path / "g.json"
+    path.write_text('{"edges": [["a", "b", %s], [%s, "b", "1"]]}' % (big, big))
+    code, out, err = run_cli(["embed-max", str(path)])
+    assert (code, err) == (0, "")
+    order = json.loads(out)
+    assert sorted(order) == sorted(["a", "b", big])
+    as_numbers = "[%s]" % ", ".join(v if v == big else json.dumps(v) for v in order)
+    for given in (out, as_numbers):
+        assert run_cli(["check", "max", str(path), "--order", given]) == (
+            0, '{"ok": true}\n', ""
+        )
+    arcs = [run_cli(["render", "--style", "arc", "--graph", str(path)], stdin_text=given)
+            for given in (out, as_numbers)]
+    assert arcs[0] == arcs[1] and arcs[0][0] == 0 and "<svg" in arcs[0][1]
+
+
 def test_unknown_order_labels_exit_2(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(INT_LABELS)
@@ -460,6 +480,15 @@ MALFORMED_EDGE = {
         '["b", "a", "1"]]}',
         "non-positive weight -3/4 on edge 'c'--'d'",
     ),
+    # past Python's 4,300-digit limit a number gives the error "-5" gives
+    "weight-negative-past-the-digit-limit": (
+        '{"edges": [["a", "b", "-%s"]]}' % ("9" * 5000),
+        f"non-positive weight -{'9' * 5000} on edge 'a'--'b'",
+    ),
+    "number-weight-negative-past-the-digit-limit": (
+        '{"edges": [["a", "b", -%s]]}' % ("9" * 5000),
+        f"non-positive weight -{'9' * 5000} on edge 'a'--'b'",
+    ),
 }
 # the same rules for edge-list input, where faults are located by line
 MALFORMED_EDGE_LIST = {
@@ -475,6 +504,10 @@ MALFORMED_EDGE_LIST = {
     "first-structural-edge-wins": (
         "a b 1\nc d 0  # zero\ne e 1\nb a 1\n",
         "non-positive weight 0 on edge 'c'--'d'",
+    ),
+    "long-bad-shape": (
+        "a b c " + "x" * 100 + "\n",
+        f"expected 'u v w', got {'a b c ' + 'x' * 34!r}... (106 characters) (line 1)",
     ),
 }
 MALFORMED = {

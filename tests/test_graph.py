@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -132,10 +133,60 @@ def test_parsed_graph_matches_the_constructed_one(fmt):
         assert type(nums) is type(g_nums)
         assert h.labels == g.labels and h.label_index == g.label_index
         assert h.ends == g.ends and h.adjacency == g.adjacency
-        assert h._edge_lookup == g._edge_lookup
+        _assert_lookups(h)
         assert [h.weight(e) for e in range(h.m)] == list(g.weights)
         assert h.edges == g.edges and h == g and hash(h) == hash(g)
         assert all(type(w) is Fraction for w in h.weights)
+
+
+def _assert_lookups(g):
+    """``edge_between`` and ``label_index`` agree with brute force."""
+    pairs = {frozenset(end): eid for eid, end in enumerate(g.ends)}
+    for u in range(g.n):
+        for v in range(g.n):
+            assert g.edge_between(u, v) == pairs.get(frozenset((u, v))), (u, v)
+    assert g.label_index == {lab: i for i, lab in enumerate(g.labels)}
+    assert all(g.resolve(lab) == i for i, lab in enumerate(g.labels))
+
+
+def test_edge_between_and_label_index_match_brute_force():
+    base = small_corpus(30, max_n=12)
+    built = [fractional(g) for g in base] + [
+        _shuffled_union(random.Random(i).sample(base, 3), i) for i in range(6)
+    ]
+    kinds = set()
+    for g in base + built:
+        for fmt in ("json", "edge-list"):
+            _assert_lookups(parse_graph(serialize_graph(g, fmt), format=fmt))
+        _assert_lookups(g)
+        _assert_lookups(g.induced(range(0, g.n, 2))[0])
+        parts = connected_components(g)
+        for sub in parts:
+            _assert_lookups(sub)
+        kinds.add(len(parts) > 1)
+    assert kinds == {False, True}  # subgraphs of many-component graphs too
+
+
+def _triangles(k):
+    """``k`` disjoint triangles with integer weights 1, 2 and 4."""
+    labels = [f"{c}{i}" for i in range(k) for c in "abc"]
+    return labels, [
+        e for i in range(k)
+        for e in ((3 * i, 3 * i + 1, 1), (3 * i + 1, 3 * i + 2, 2), (3 * i, 3 * i + 2, 4))
+    ]
+
+
+def test_constructed_graph_holds_at_most_250_bytes_an_edge():
+    # the labels, ends, adjacency rows, (p, q) lists and the 64-bit view:
+    # about 190 bytes an edge; no Fraction, edge lookup or label index
+    labels, edges = _triangles(20_000)
+    tracemalloc.start()
+    try:
+        g = WeightedGraph(labels, edges)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / g.m <= 250, held / g.m
 
 
 def _counted_fractions(monkeypatch):
@@ -149,6 +200,23 @@ def _counted_fractions(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
     return made
+
+
+@pytest.mark.parametrize("read", [
+    lambda g: g.weights, lambda g: g.weight(4), lambda g: g.edges,
+], ids=["weights", "weight", "edges"])
+def test_constructed_graph_builds_no_fraction_until_read(monkeypatch, read):
+    labels, edges = _triangles(20_000)
+    made = _counted_fractions(monkeypatch)
+    g = WeightedGraph(labels, edges)
+    nums, den = g.scaled
+    assert nums.typecode == "q" and den == 1 and g.ratios()[1][:3] == [1, 1, 1]
+    assert g.edge_between(0, 2) == 2 and g.label_index["c1"] == 5
+    assert serialize_graph(g, "edge-list").startswith("a0 b0 1\nb0 c0 2\na0 c0 4\n")
+    assert made == []
+    read(g)
+    assert made
+    assert g.weight(4) == 2 and g.weights[3:6] == (1, 2, 4)
 
 
 def test_parse_and_embed_max_build_no_fraction(monkeypatch, tmp_path):
@@ -258,6 +326,37 @@ def test_long_malformed_weights_are_quoted_in_part():
     assert len(str(err.value)) < 100
 
 
+@pytest.mark.parametrize("sign", ["-", "+", ""])
+def test_signed_digit_strings_past_the_digit_limit(sign):
+    # 5,000 digits pass Python's int-from-str limit of 4,300
+    value = -(10**5000 - 1) if sign == "-" else 10**5000 - 1
+    text = sign + "9" * 5000
+    assert parse_rational(text) == value
+    assert parse_rational(text + "/6") == Fraction(value, 6)
+    assert parse_rational(sign + "5") == (-5 if sign == "-" else 5)
+    for doc in (json.dumps({"edges": [["a", "b", text]]}),  # a string weight
+                '{"edges": [["a", "b", %s]]}' % text.lstrip("+")):  # a JSON number
+        if sign == "-":
+            # the error "-5" gives, not "malformed weight"
+            with pytest.raises(GraphFormatError) as err:
+                parse_graph(doc)
+            assert err.value.kind == "non-positive-weight"
+            assert str(err.value).startswith("non-positive weight -9999")
+        else:
+            g = parse_graph(doc)
+            assert g.weight(0) == value and g.ratios() == ([value], [1])
+
+
+def test_json_integer_labels_past_the_digit_limit():
+    big = "9" * 5000
+    g = parse_graph('{"vertices": [%s], "edges": [["a", %s, "1"], [-%s, "a", 2]]}'
+                    % (big, big, big))
+    assert g.labels == (big, "a", "-" + big)
+    assert g.resolve_labels([10**5000 - 1, "a", 1 - 10**5000]) == [0, 1, 2]
+    with pytest.raises(GraphFormatError, match="unknown vertex '1000"):
+        g.resolve_labels([10**5000])
+
+
 def test_components_order_and_content():
     g = graph_from([("a", "b", 1), ("c", "d", 1)])
     comps = connected_components(g)
@@ -310,7 +409,7 @@ def test_connected_components_match_induced():
                 assert sub.label_index == other.label_index
                 assert sub.edges == other.edges
                 assert sub.adjacency == other.adjacency
-                assert sub._edge_lookup == other._edge_lookup
+            _assert_lookups(sub)
             assert g.induced(verts)[1] == to_sub
             assert all(type(w) is Fraction for _, _, w in sub.edges)
 
