@@ -58,12 +58,12 @@ def read_digits(text: str) -> int:
         return read_digits(text[:half]) * 10**low + read_digits(text[half:])
 
 
-def excerpt(text, limit: int = 40) -> str:
-    """``repr(text)`` for an error message; a longer string is cut to its
+def excerpt(text, limit: int = 40, quote=repr) -> str:
+    """``quote(text)`` for an error message; a longer string is cut to its
     first ``limit`` characters and its length."""
     if isinstance(text, str) and len(text) > limit:
-        return f"{text[:limit]!r}... ({len(text)} characters)"
-    return repr(text)
+        return f"{quote(text[:limit])}... ({len(text)} characters)"
+    return quote(text)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -46,15 +46,16 @@ def _first_fault(labels, ends, nums, dens):
         u, v = end
         key = end if u < v else (v, u)
         if u == v:
-            return GraphFormatError(f"self-loop at vertex {labels[u]!r}", kind="self-loop")
-        if key in seen:
             return GraphFormatError(
-                f"duplicate edge {labels[u]!r}--{labels[v]!r}", kind="duplicate-edge"
+                f"self-loop at vertex {excerpt(labels[u])}", kind="self-loop"
             )
-        if p <= 0:
+        if key in seen or p <= 0:
+            edge = f"{excerpt(labels[u])}--{excerpt(labels[v])}"
+            if key in seen:
+                return GraphFormatError(f"duplicate edge {edge}", kind="duplicate-edge")
+            weight = excerpt(format_ratio(p, q), quote=str)
             return GraphFormatError(
-                f"non-positive weight {format_ratio(p, q)} on edge {labels[u]!r}--{labels[v]!r}",
-                kind="non-positive-weight",
+                f"non-positive weight {weight} on edge {edge}", kind="non-positive-weight"
             )
         seen.add(key)
     return None
@@ -227,7 +228,7 @@ class WeightedGraph:
                 label = _coerce_label(label, f"order[{i}]")
             v = index.get(label)
             if v is None:
-                raise GraphFormatError(f"unknown vertex {label!r} (order[{i}])")
+                raise GraphFormatError(f"unknown vertex {excerpt(label)} (order[{i}])")
             ids.append(v)
         return ids
 

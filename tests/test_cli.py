@@ -3,8 +3,10 @@
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -321,6 +323,15 @@ def test_unknown_order_labels_exit_2(tmp_path):
     assert code == 2 and out == "" and "order" in err
 
 
+def test_long_unknown_order_label_is_cut(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(TRI_5_6_11)
+    order = json.dumps(["a", "b", "x" * 5000])
+    code, out, err = run_cli(["check", "max", str(path), "--order", order])
+    assert (code, out) == (2, "")
+    assert err == f"bookembed: unknown vertex {'x' * 40!r}... (5000 characters) (order[2])\n"
+
+
 def test_options_may_precede_the_input(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(TRI_5_6_11)
@@ -331,6 +342,86 @@ def test_options_may_precede_the_input(tmp_path):
     out_path = tmp_path / "out.json"
     code, _, _ = run_cli(["embed-max", "--output", str(out_path), str(path)])
     assert code == 0 and sorted(json.loads(out_path.read_text())) == ["a", "b", "c"]
+
+
+# every subcommand that takes --output; GRAPH is a graph file, DOC_2D a 2-D document
+WRITERS = {
+    "check": ["check", "max", "GRAPH", "--order", '["a", "c", "b"]'],
+    "embed-max": ["embed-max", "GRAPH"],
+    "embed-sum": ["embed-sum", "GRAPH"],
+    "embed-minres": ["embed-minres", "GRAPH"],
+    "embed-2d": ["embed-2d", "GRAPH"],
+    "render": ["render", "DOC_2D"],
+    "gen": ["gen", "--n", "9", "--seed", "4"],
+}
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_output_rewrites_a_longer_file_in_place(tmp_path, command):
+    graph, doc = tmp_path / "g.json", tmp_path / "d.json"
+    graph.write_text(TRI_5_6_11)
+    doc.write_text(json.dumps(K2_2D))
+    argv = [{"GRAPH": str(graph), "DOC_2D": str(doc)}.get(a, a) for a in WRITERS[command]]
+    code, expected, err = run_cli(argv)
+    assert code in (0, 1) and err == ""
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"\xff" * (len(expected.encode()) + 4096))
+    assert run_cli(argv + ["--output", str(out)]) == (code, "", "")
+    assert out.read_bytes() == expected.encode()
+
+
+def test_output_creates_a_file_with_the_mode_open_gives(tmp_path):
+    graph = tmp_path / "g.json"
+    graph.write_text(TRI_5_6_11)
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "by-open", "w"):
+            pass
+        assert run_cli(["embed-max", str(graph), "--output", str(tmp_path / "new")])[0] == 0
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("by-open", "new")]
+    assert modes[0] == modes[1]
+
+
+def test_output_to_the_null_device():
+    assert run_cli(["embed-max", "--output", os.devnull], stdin_text=TRI_5_6_11) == (0, "", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+def test_output_to_a_fifo_is_a_stream(tmp_path):
+    # a document longer than a pipe buffer, so the writer blocks until read
+    argv = ["gen", "--n", "3000", "--seed", "2"]
+    code, expected, _ = run_cli(argv)
+    assert code == 0 and len(expected) > 1 << 16
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo, "rb") as handle:
+            received.append(handle.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    assert run_cli(argv + ["--output", str(fifo)]) == (0, "", "")
+    reader.join(timeout=60)
+    assert not reader.is_alive() and received == [expected.encode()]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_output_to_a_full_device_exits_2():
+    code, out, err = run_cli(["embed-max", "--output", "/dev/full"], stdin_text=TRI_5_6_11)
+    assert (code, out, err) == (2, "", "bookembed: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("target", [".", "missing/out.json"], ids=["directory", "no-parent"])
+def test_output_open_errors_match_open(tmp_path, target):
+    path = str(tmp_path / target)
+    with pytest.raises(OSError) as exc:
+        open(path, "w")
+    code, out, err = run_cli(["embed-max", "--output", path], stdin_text=TRI_5_6_11)
+    assert (code, out, err) == (2, "", f"bookembed: {exc.value}\n")
 
 
 def test_repeated_calls_match_a_fresh_parser(tmp_path, monkeypatch):
@@ -480,14 +571,15 @@ MALFORMED_EDGE = {
         '["b", "a", "1"]]}',
         "non-positive weight -3/4 on edge 'c'--'d'",
     ),
-    # past Python's 4,300-digit limit a number gives the error "-5" gives
+    # past Python's 4,300-digit limit a number gives the error "-5" gives,
+    # its text cut to 40 characters
     "weight-negative-past-the-digit-limit": (
         '{"edges": [["a", "b", "-%s"]]}' % ("9" * 5000),
-        f"non-positive weight -{'9' * 5000} on edge 'a'--'b'",
+        f"non-positive weight -{'9' * 39}... (5001 characters) on edge 'a'--'b'",
     ),
     "number-weight-negative-past-the-digit-limit": (
         '{"edges": [["a", "b", -%s]]}' % ("9" * 5000),
-        f"non-positive weight -{'9' * 5000} on edge 'a'--'b'",
+        f"non-positive weight -{'9' * 39}... (5001 characters) on edge 'a'--'b'",
     ),
 }
 # the same rules for edge-list input, where faults are located by line

@@ -357,6 +357,30 @@ def test_json_integer_labels_past_the_digit_limit():
         g.resolve_labels([10**5000])
 
 
+LONG = "x" * 5000
+CUT = f"{'x' * 40!r}... (5000 characters)"  # how an error message quotes LONG
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(LONG, LONG, "1")], f"self-loop at vertex {CUT}"),
+    ([("a", LONG, "1"), (LONG, "a", "2")], f"duplicate edge {CUT}--'a'"),
+    ([("a", LONG, "-" + "9" * 4999)],
+     f"non-positive weight -{'9' * 39}... (5000 characters) on edge 'a'--{CUT}"),
+    # 40 characters are quoted whole
+    ([("y" * 40, "y" * 40, "1")], f"self-loop at vertex {'y' * 40!r}"),
+    ([("a", "b", "-" + "9" * 39)], f"non-positive weight -{'9' * 39} on edge 'a'--'b'"),
+], ids=["self-loop", "duplicate-edge", "non-positive-weight", "label-of-40", "weight-of-40"])
+def test_long_values_are_cut_in_structural_errors(edges, message):
+    with pytest.raises(GraphFormatError) as parsed:
+        parse_graph(json.dumps({"edges": [list(e) for e in edges]}))
+    labels = list(dict.fromkeys(label for u, v, _ in edges for label in (u, v)))
+    with pytest.raises(GraphFormatError) as built:
+        WeightedGraph(labels, [(labels.index(u), labels.index(v), parse_rational(w))
+                               for u, v, w in edges])
+    assert str(parsed.value) == str(built.value) == message
+    assert parsed.value.kind == built.value.kind
+
+
 def test_components_order_and_content():
     g = graph_from([("a", "b", 1), ("c", "d", 1)])
     comps = connected_components(g)
