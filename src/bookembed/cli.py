@@ -52,6 +52,13 @@ def _both_stdin(path, other):
         return False
 
 
+def _is_stdout(path):
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:
+        return False
+
+
 def _read_text(path):
     if _is_stdin(path):
         return sys.stdin.read()
@@ -66,11 +73,14 @@ def _load_graph(args):
 def _emit(args, text):
     """Write ``text`` to ``--output`` or stdout.  A regular file is rewritten
     in place and cut to length, as closing one truncated to zero starts its
-    ext4 writeback (70 µs or more); other files are written as streams."""
-    if getattr(args, "output", None):
+    ext4 writeback (70 µs or more); other files are written as streams.
+    A path naming the file that stdout is, such as ``/dev/stdout``, is
+    written through stdout at its own offset, so a shell's ``>>`` appends."""
+    path = getattr(args, "output", None)
+    if path and not _is_stdout(path):
         # open's own flags, O_CLOEXEC and O_BINARY among them, less O_TRUNC
         opener = lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666)
-        with open(args.output, "w", encoding="utf-8", opener=opener) as handle:
+        with open(path, "w", encoding="utf-8", opener=opener) as handle:
             handle.write(text)
             if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
                 handle.truncate()

@@ -60,7 +60,10 @@ def read_digits(text: str) -> int:
 
 def excerpt(text, limit: int = 40, quote=repr) -> str:
     """``quote(text)`` for an error message; a longer string is cut to its
-    first ``limit`` characters and its length."""
+    first ``limit`` characters and its length.  An int is written as its
+    digits, which ``repr`` cannot do past Python's digit limit."""
+    if type(text) is int:
+        text, quote = format_ratio(text, 1), str
     if isinstance(text, str) and len(text) > limit:
         return f"{quote(text[:limit])}... ({len(text)} characters)"
     return quote(text)

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from . import seq
 from .embedding import BookEmbedding, _forest_or_raise, validate_minres_supporting
-from .errors import GraphFormatError, NotOuterplanarError, PreconditionError
-from .exact import format_ratio, format_rational, parse_rational
-from .graph import WeightedGraph, _over_lcm, component, components
+from .errors import GraphFormatError, NotOnePageError, NotOuterplanarError, PreconditionError
+from .exact import format_ratio, format_rational, parse_rational, read_digits
+from .graph import WeightedGraph, _coerce_label, _over_lcm, component, components
 from .outerplanar import _whole_graph_cycle, block_outer_cycle, nesting_forest, span
 
 
@@ -76,21 +76,26 @@ class TwoDimEmbedding:
         wrong type or names an unknown vertex, a number is not a rational
         string, or a rectangle does not have four coordinates.
         """
-        doc = json.loads(text)
+        # read as graph documents are: any length, ids as the labels they name
+        doc = json.loads(text, parse_int=read_digits)
         try:
-            labels = [entry["id"] for entry in doc["vertices"]]
+            labels = [
+                _coerce_label(entry["id"], f"vertices[{i}]")
+                for i, entry in enumerate(doc["vertices"])
+            ]
             index = {lab: i for i, lab in enumerate(labels)}
             g = WeightedGraph(
                 labels,
                 [
-                    (index[entry["u"]], index[entry["v"]], parse_rational(entry["w"]))
-                    for entry in doc["edges"]
+                    (
+                        index[_coerce_label(entry["u"], f"edges[{eid}]")],
+                        index[_coerce_label(entry["v"], f"edges[{eid}]")],
+                        parse_rational(entry["w"]),
+                    )
+                    for eid, entry in enumerate(doc["edges"])
                 ],
             )
-            x = {
-                index[entry["id"]]: parse_rational(entry["x"])
-                for entry in doc["vertices"]
-            }
+            x = {i: parse_rational(entry["x"]) for i, entry in enumerate(doc["vertices"])}
             rects = {}
             for eid, entry in enumerate(doc["edges"]):
                 rects[eid] = tuple(parse_rational(c) for c in entry["rect"])
@@ -323,8 +328,42 @@ def default_box_width(total_weight):
 
 
 def check_twodim(g, emb, *, exact_box=None, require_minres=False):
-    """Definitional audit of an embedding; returns a list of violation
-    messages (empty when everything holds)."""
+    """Definitional audit of a drawing; returns a list of violation
+    messages (empty when everything holds), in O(m log m).
+
+    Besides the per-edge and per-option checks, the audit reads the
+    nesting forest of the support order and requires:
+
+    1. x strictly increasing along the support order;
+    2. every rectangle's x-ends at its endpoints' x;
+    3. every rectangle of positive width and height, with a bottom at or
+       above 0 and an area exactly its weight;
+    4. no two edges crossing (reported as "edges i and j cross");
+    5. every rectangle's bottom equal to the largest top among its
+       children in the forest, or 0 for a leaf.
+
+    The definition is pairwise: each bottom equals the largest top nested
+    under it, no two rectangles overlap, and no connector (the segment
+    from a rectangle's lower corner straight down to the baseline)
+    pierces a rectangle.  Where 1-3 fail, both audits report it; where
+    they hold, the two agree.
+
+    4 and 5 imply the pairwise conditions.  By 3 and 5, every top
+    exceeds every top nested under it, so the largest child top is the
+    largest nested top.  Two edges that do not nest have x-ranges meeting
+    at most at an end (1, 2), and a rectangle nested under another lies
+    below its bottom, so no two rectangles overlap.  A connector drops at
+    an endpoint's x; a rectangle whose open x-range holds that x wraps the
+    connector's edge, so its bottom is at or above that edge's top.
+
+    The pairwise conditions imply 4 and 5.  Take edges ab and cd crossing
+    as a < c < b < d.  The connector at c must not pierce ab, so cd's
+    bottom is at most ab's; the one at b must not pierce cd, so ab's is
+    at most cd's.  The bottoms are equal, and the two rectangles overlap
+    over (x_c, x_b).  So nothing crosses.  Each bottom meets the largest
+    top nested under it, so every top exceeds the tops nested under it,
+    and the largest nested top is the largest child top.
+    """
     problems = []
     order = emb.support.order
     pos = emb.support.position
@@ -333,13 +372,13 @@ def check_twodim(g, emb, *, exact_box=None, require_minres=False):
     for a, b in zip(order, order[1:]):
         if not emb.x[a] < emb.x[b]:
             problems.append(f"x not strictly increasing at {g.labels[b]}")
-    norm = [span(pos, u, v) for u, v in g.ends]
-    for eid, w in enumerate(g.weights):
-        if eid not in emb.rects:
+    rect = emb.rects
+    for eid, ((u, v), w) in enumerate(zip(g.ends, g.weights)):
+        if eid not in rect:
             problems.append(f"edge {eid} has no rectangle")
             continue
-        xmin, xmax, ymin, ymax = emb.rects[eid]
-        a, b = norm[eid]
+        xmin, xmax, ymin, ymax = rect[eid]
+        a, b = span(pos, u, v)
         if xmin != emb.x[order[a]] or xmax != emb.x[order[b]]:
             problems.append(f"edge {eid}: rectangle ends differ from endpoint x")
         if ymin < 0 or xmax <= xmin or ymax <= ymin:
@@ -358,39 +397,16 @@ def check_twodim(g, emb, *, exact_box=None, require_minres=False):
             if b - a < 1:
                 problems.append("vertex spacing below 1")
                 break
-    # nesting condition: y_min = max y_max over nested edges (0 if none)
-    rect = emb.rects
-    m = g.m
-    for i in range(m):
-        if i not in rect:
-            continue
-        nested_tops = [
-            rect[j][3]
-            for j in range(m)
-            if j != i and j in rect
-            and norm[i][0] <= norm[j][0] and norm[j][1] <= norm[i][1]
-        ]
-        want = max(nested_tops) if nested_tops else Fraction(0)
-        if rect[i][2] != want:
-            problems.append(f"edge {i}: bottom does not meet the nested tops")
-    # pairwise internal disjointness
-    items = sorted(rect.items())
-    for idx, (i, (ax0, ax1, ay0, ay1)) in enumerate(items):
-        for j, (bx0, bx1, by0, by1) in items[idx + 1:]:
-            if ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1:
-                problems.append(f"edges {i} and {j}: rectangles overlap")
-    # connector segments (from each rectangle's lower corners straight down
-    # to the baseline) must stay clear of rectangle interiors
-    for i, (x0, x1, y0, _y1) in rect.items():
-        for j, (bx0, bx1, by0, by1) in rect.items():
-            if i == j:
-                continue
-            for xs_ in (x0, x1):
-                # segment {xs_} x [0, y0] vs open rect (bx0,bx1)x(by0,by1)
-                if bx0 < xs_ < bx1 and by0 < y0 and by1 > 0:
-                    problems.append(
-                        f"edge {i}: connector at x={xs_} pierces edge {j}"
-                    )
+    try:
+        # the spans are listed by edge id, so forest node i is edge i
+        _spans, _parent, children, _roots = _forest_or_raise(g, emb.support)
+    except NotOnePageError as exc:
+        problems.append(str(exc))
+    else:
+        for i, kids in enumerate(children):
+            top = max((rect[k][3] for k in kids if k in rect), default=Fraction(0))
+            if i in rect and rect[i][2] != top:
+                problems.append(f"edge {i}: bottom does not meet the nested tops")
     if exact_box is not None:
         want_l, want_h = Fraction(exact_box[0]), Fraction(exact_box[1])
         width, height = emb.bounding_box()

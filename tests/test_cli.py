@@ -13,6 +13,7 @@ import pytest
 
 import bookembed
 from bookembed.cli import main
+from bookembed.errors import GraphFormatError
 from bookembed.graph import parse_graph, serialize_graph
 from bookembed.oracle import random_outerplanar
 from bookembed.twodim import TwoDimEmbedding, check_twodim, twodim_general
@@ -307,6 +308,46 @@ def test_json_integers_past_the_digit_limit(tmp_path):
     arcs = [run_cli(["render", "--style", "arc", "--graph", str(path)], stdin_text=given)
             for given in (out, as_numbers)]
     assert arcs[0] == arcs[1] and arcs[0][0] == 0 and "<svg" in arcs[0][1]
+
+
+def test_2d_documents_read_json_integers_past_the_digit_limit():
+    # a 2-D document is read as a graph document is: a 5,000-digit JSON
+    # number names the vertex whose label is its digits
+    big = "9" * 5000
+    as_string = json.dumps({
+        "vertices": [{"id": "a", "x": "0"}, {"id": big, "x": "1"}],
+        "edges": [{"u": "a", "v": big, "w": "1", "rect": ["0", "1", "0", "1"]}],
+    })
+    as_number = as_string.replace(f'"{big}"', big)
+    assert as_number.count(big) == 2 and f'"{big}"' not in as_number
+    for style in ("rect", "arc"):
+        drawn = [run_cli(["render", "--style", style], stdin_text=text)
+                 for text in (as_string, as_number)]
+        assert drawn[0] == drawn[1] and drawn[0][0] == 0 and "<svg" in drawn[0][1]
+    # a weight must be a string rational at any length
+    number_weight = as_string.replace('"w": "1"', f'"w": {big}')
+    with pytest.raises(GraphFormatError, match=r"not a rational number: 9{40}\.\.\. \(5000"):
+        TwoDimEmbedding.from_json(number_weight)
+    code, out, err = run_cli(["render"], stdin_text=number_weight)
+    assert (code, out) == (2, "") and "limit" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_output_naming_stdout_appends_to_a_redirected_stdout(tmp_path):
+    # echo earlier > log; bookembed embed-max g.json --output /dev/stdout >> log
+    graph, log = tmp_path / "g.json", tmp_path / "log"
+    graph.write_text(TRI_5_6_11)
+    log.write_text("earlier\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bookembed.__file__)))
+    with open(log, "a") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from bookembed.cli import main; sys.exit(main())",
+             "embed-max", str(graph), "--output", "/dev/stdout"],
+            stdout=stdout, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert log.read_text() == "earlier\n" + run_cli(["embed-max", str(graph)])[1]
 
 
 def test_unknown_order_labels_exit_2(tmp_path):

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,22 @@ def _unit_triangle():
     return g, minres_construct(g, minres_be_drawer(g)), {"require_minres": True}
 
 
+def _two_edges():
+    # a-c (id 0) and b-d (id 1) side by side over the order a, c, b, d
+    g = graph_from([("a", "c", 2), ("b", "d", 2)])
+    x = {v: Fraction(v) for v in range(4)}
+    rects = {0: (0, 1, 0, 2), 1: (2, 3, 0, 2)}
+    return g, TwoDimEmbedding(BookEmbedding((0, 1, 2, 3)), x, rects), {}
+
+
+def _cross(t):
+    # the order a, b, c, d with every rectangle at its endpoints and of its
+    # weight's area, b-d on top of a-c: only the crossing is wrong
+    t.support = BookEmbedding((0, 2, 1, 3))
+    t.x.update({2: Fraction(1), 1: Fraction(2)})
+    t.rects.update({0: (0, 2, 0, 1), 1: (1, 3, 1, 2)})
+
+
 def _set(table, key, value):
     table[key] = value
 
@@ -174,10 +191,7 @@ _DEFECTS = {
     "vertex spacing below 1": (_unit_triangle, lambda t: _set(t.x, 1, Fraction(5, 2))),
     "edge 2: bottom does not meet the nested tops":
         (_box_triangle, lambda t: _set(t.rects, 2, (0, 1, Fraction(5, 2), Fraction(7, 2)))),
-    "edges 0 and 2: rectangles overlap":
-        (_box_triangle, lambda t: _set(t.rects, 2, (0, 1, 1, 2))),
-    "edge 2: connector at x=0 pierces edge 0":
-        (_box_triangle, lambda t: _set(t.rects, 0, (Fraction(-1, 2), Fraction(1, 2), 0, 2))),
+    "edges 0 and 1 cross": (_two_edges, _cross),
     "bounding box differs from the requested box":
         (_box_triangle, lambda t: _set(t.rects, 2, (0, 1, 2, 4))),
     "holes: rectangle areas do not fill the box": (_box_triangle, lambda t: t.rects.pop(1)),
@@ -191,6 +205,128 @@ def test_check_twodim_reports_each_defect(message):
     assert check_twodim(g, drawing, **options) == []
     mutate(drawing)
     assert message in check_twodim(g, drawing, **options)
+    assert bool(check_twodim(g, drawing)) == bool(_pairwise_problems(g, drawing))
+
+
+# mutations whose messages only the pairwise definition gives
+_PAIRWISE_DEFECTS = {
+    "edges 0 and 2: rectangles overlap":
+        (_box_triangle, lambda t: _set(t.rects, 2, (0, 1, 1, 2))),
+    "edge 2: connector at x=0 pierces edge 0":
+        (_box_triangle, lambda t: _set(t.rects, 0, (Fraction(-1, 2), Fraction(1, 2), 0, 2))),
+}
+
+
+@pytest.mark.parametrize("message", _PAIRWISE_DEFECTS)
+def test_pairwise_defects_are_rejected(message):
+    build, mutate = _PAIRWISE_DEFECTS[message]
+    g, drawing, options = build()
+    assert check_twodim(g, drawing, **options) == [] == _pairwise_problems(g, drawing)
+    mutate(drawing)
+    assert message in _pairwise_problems(g, drawing)
+    assert check_twodim(g, drawing) and check_twodim(g, drawing, **options)
+
+
+# -- the forest audit against the pairwise definition --------------------
+
+
+def _pairwise_problems(g, emb):
+    """The definitional audit compared pair by pair, in O(m^2): each bottom
+    meets the largest top nested under it, no two rectangles overlap, and no
+    connector pierces a rectangle, besides the per-edge checks."""
+    problems = []
+    order = emb.support.order
+    pos = emb.support.position
+    if sorted(order) != list(range(g.n)):
+        return ["support order is not a permutation"]
+    for a, b in zip(order, order[1:]):
+        if not emb.x[a] < emb.x[b]:
+            problems.append(f"x not strictly increasing at {g.labels[b]}")
+    norm = [span(pos, u, v) for u, v in g.ends]
+    rect = emb.rects
+    for eid, w in enumerate(g.weights):
+        if eid not in rect:
+            problems.append(f"edge {eid} has no rectangle")
+            continue
+        xmin, xmax, ymin, ymax = rect[eid]
+        a, b = norm[eid]
+        if xmin != emb.x[order[a]] or xmax != emb.x[order[b]]:
+            problems.append(f"edge {eid}: rectangle ends differ from endpoint x")
+        if ymin < 0 or xmax <= xmin or ymax <= ymin:
+            problems.append(f"edge {eid}: degenerate rectangle")
+            continue
+        if (xmax - xmin) * (ymax - ymin) != w:
+            problems.append(f"edge {eid}: area is not exactly the weight")
+    for i in range(g.m):
+        if i not in rect:
+            continue
+        nested_tops = [
+            rect[j][3]
+            for j in range(g.m)
+            if j != i and j in rect
+            and norm[i][0] <= norm[j][0] and norm[j][1] <= norm[i][1]
+        ]
+        if rect[i][2] != max(nested_tops, default=Fraction(0)):
+            problems.append(f"edge {i}: bottom does not meet the nested tops")
+    items = sorted(rect.items())
+    for idx, (i, (ax0, ax1, ay0, ay1)) in enumerate(items):
+        for j, (bx0, bx1, by0, by1) in items[idx + 1:]:
+            if ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1:
+                problems.append(f"edges {i} and {j}: rectangles overlap")
+    # a connector runs from a rectangle's lower corner straight down to the
+    # baseline; it must stay clear of every open rectangle
+    for i, (x0, x1, y0, _y1) in rect.items():
+        for j, (bx0, bx1, by0, by1) in rect.items():
+            for xs in (x0, x1):
+                if i != j and bx0 < xs < bx1 and by0 < y0 and by1 > 0:
+                    problems.append(f"edge {i}: connector at x={xs} pierces edge {j}")
+    return problems
+
+
+def _mutated(emb):
+    """Copies of ``emb`` broken in one way each: every rectangle lifted by 1,
+    lowered by 1/2, its top grown by 1/3 or its left end moved by -1/2;
+    every vertex x moved by 1/7; every adjacent pair of the support order
+    swapped, with the x-coordinates kept in place, which makes crossings."""
+    def copy(x=emb.x, rects=emb.rects, support=emb.support):
+        return TwoDimEmbedding(support, x, rects)
+
+    for eid, (x0, x1, y0, y1) in emb.rects.items():
+        for rect in ((x0, x1, y0 + 1, y1 + 1),
+                     (x0, x1, y0 - Fraction(1, 2), y1 - Fraction(1, 2)),
+                     (x0, x1, y0, y1 + Fraction(1, 3)),
+                     (x0 - Fraction(1, 2), x1, y0, y1)):
+            yield copy(rects={**emb.rects, eid: rect})
+    for v in emb.x:
+        yield copy(x={**emb.x, v: emb.x[v] + Fraction(1, 7)})
+    order = emb.support.order
+    for i in range(len(order) - 1):
+        swapped = list(order)
+        swapped[i], swapped[i + 1] = order[i + 1], order[i]
+        x = {**emb.x, swapped[i]: emb.x[order[i]], swapped[i + 1]: emb.x[order[i + 1]]}
+        yield copy(x=x, support=BookEmbedding(swapped))
+
+
+def test_forest_audit_agrees_with_the_pairwise_definition():
+    graphs = [
+        random_outerplanar(n, (1, 9), seed=seed, biconnected=biconnected)
+        for n in range(2, 11) for biconnected in (False, True) for seed in range(3)
+    ]
+    drawings = []
+    for g in graphs:
+        drawings.append((g, twodim_general(g, eps=Fraction(1, 2))))
+        order = minres_be_drawer(g)
+        if isinstance(order, BookEmbedding):
+            drawings.append((g, minres_construct(g, order)))
+    verdicts = Counter()
+    for g, emb in drawings:
+        assert check_twodim(g, emb) == []
+        for drawing in (emb, *_mutated(emb)):
+            found = check_twodim(g, drawing)
+            assert bool(found) == bool(_pairwise_problems(g, drawing)), found
+            verdicts[bool(found)] += 1
+    assert verdicts[False] >= len(drawings) and verdicts[True] > 0
+    assert sum(verdicts.values()) > 3000
 
 
 def test_serialization_round_trip():
