@@ -212,27 +212,32 @@ def validate_max(g, embedding):
     else the first violating pair in lexicographic span order.
 
     Checking parent/child pairs of the nesting forest suffices: strict
-    inequality is transitive along nesting chains.
+    inequality is transitive along nesting chains.  The pair reported has
+    the outer edge smallest in ``(left, -right)`` and, under it, the
+    leftmost inner edge.
     """
     spans, parent, children, roots = _forest_or_raise(g, embedding)
     nums = g.scaled[0]
-    ordered = sorted(range(g.m), key=lambda i: (spans[i][0], -spans[i][1]))
-    for idx in ordered:
-        eid = spans[idx][2]
+    worst = None
+    for (a, b, eid), kids in zip(spans, children):
         w = nums[eid]
-        for kid in children[idx]:
+        for kid in kids:
             if not w > nums[spans[kid][2]]:
-                return MaxViolation(eid, spans[kid][2])
-    return None
+                if worst is None or (a, -b) < worst[0]:
+                    worst = ((a, -b), MaxViolation(eid, spans[kid][2]))
+                break
+    return worst[1] if worst else None
 
 
-def _max_antichains(nums, spans, children):
+def _max_antichains(nums, spans, children, roots):
     """Per edge: the maximum total weight of disjointly placed edges under it
     (``nums`` holds the weights), plus a witness antichain attaining it."""
-    order_by_depth = sorted(range(len(spans)), key=lambda i: spans[i][1] - spans[i][0])
     best = [None] * len(spans)
     witness = [None] * len(spans)
-    for idx in order_by_depth:
+    order = list(roots)
+    for idx in order:  # breadth first, so reversed each edge follows its children
+        order.extend(children[idx])
+    for idx in reversed(order):
         total = 0
         wit = []
         for kid in children[idx]:
@@ -251,17 +256,17 @@ def _max_antichains(nums, spans, children):
 
 def validate_sum(g, embedding):
     """None if every edge strictly outweighs every sequence of disjointly
-    placed edges under it, else a violation carrying a maximum-weight witness.
+    placed edges under it, else a violation carrying a maximum-weight witness:
+    for the violating edge smallest in ``(left, -right)``.
     """
     spans, parent, children, roots = _forest_or_raise(g, embedding)
     nums = g.scaled[0]
-    best, witness = _max_antichains(nums, spans, children)
-    ordered = sorted(range(g.m), key=lambda i: (spans[i][0], -spans[i][1]))
-    for idx in ordered:
-        eid = spans[idx][2]
-        if children[idx] and not nums[eid] > best[idx]:
-            return SumViolation(eid, witness[idx])
-    return None
+    best, witness = _max_antichains(nums, spans, children, roots)
+    worst = None
+    for (a, b, eid), kids, under in zip(spans, children, best):
+        if kids and not nums[eid] > under and (worst is None or (a, -b) < worst[0]):
+            worst = ((a, -b), SumViolation(eid, witness[eid]))
+    return worst[1] if worst else None
 
 
 def burdens(g, embedding):
@@ -371,9 +376,10 @@ def metrics(g, embedding):
         n_right[v] = n - 1 - p
 
     free = INF
-    if n and g.adjacency[embedding.order[0]]:
-        first = embedding.order[0]
-        low_eid = min(g.adjacency[first], key=lambda e: pos[g.other_end(e, first)])
+    first = embedding.order[0] if n else None
+    at_first = [eid for eid, end in enumerate(g.ends) if first in end]
+    if at_first:
+        low_eid = min(at_first, key=lambda e: pos[g.other_end(e, first)])
         under = sum((g.weight(k) for k in children[low_eid]), Fraction(0))
         free = g.weight(low_eid) - under
 

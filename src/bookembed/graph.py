@@ -74,12 +74,12 @@ class WeightedGraph:
     :attr:`scaled` when that fits 64 bits.  ``Fraction``s come only from
     :attr:`weights`, :meth:`weight` and :attr:`edges`, and are built on
     first use; so is :attr:`label_index`, unless the parser kept the one it
-    interned with.  No edge lookup is stored: :meth:`edge_between` scans an
-    adjacency row.
+    interned with.  Equal denominators are one ``int`` object.  No
+    adjacency rows and no edge lookup are stored: :attr:`adjacency` is made
+    anew on every access, and :meth:`edge_between` scans :attr:`ends`.
     """
 
-    __slots__ = ("labels", "_label_index", "ends", "adjacency",
-                 "_weights", "_scaled", "_ratios")
+    __slots__ = ("labels", "_label_index", "ends", "_weights", "_scaled", "_ratios")
 
     def __init__(self, labels, edges):
         """``labels``: iterable of strings; ``edges``: triples (u, v, w) of dense ids."""
@@ -88,6 +88,7 @@ class WeightedGraph:
             raise GraphFormatError("duplicate vertex label", kind="syntax")
         n = len(labels)
         ends, nums, dens = [], [], []
+        shared = {}  # one int per distinct denominator
         for u, v, w in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError("edge endpoint out of range", kind="syntax")
@@ -96,7 +97,7 @@ class WeightedGraph:
             ends.append((u, v))
             # an int is w/1; a Fraction is in lowest terms with q > 0
             nums.append(w.numerator)
-            dens.append(w.denominator)
+            dens.append(shared.setdefault(w.denominator, w.denominator))
         fault = _first_fault(labels, ends, nums, dens)
         if fault is not None:
             raise fault
@@ -115,12 +116,7 @@ class WeightedGraph:
     def _link(self, labels, ends, ratios, index=None):
         self.labels = tuple(labels)
         self._label_index = index
-        adjacency = [[] for _ in self.labels]
-        for eid, (u, v) in enumerate(ends):
-            adjacency[u].append(eid)
-            adjacency[v].append(eid)
         self.ends = tuple(ends)
-        self.adjacency = tuple(map(tuple, adjacency))
         self._ratios = ratios
         self._weights = None
         self._scaled = _word_view(*ratios)
@@ -170,6 +166,12 @@ class WeightedGraph:
         return self._weights
 
     @property
+    def adjacency(self):
+        """The edge ids at each vertex, increasing, as a tuple of tuples by
+        vertex id: made anew from :attr:`ends` on every access, in O(n + m)."""
+        return tuple(map(tuple, _rows(self.n, self.ends)))
+
+    @property
     def edges(self):
         """``(u, v, w)`` triples with ``Fraction`` weights, built anew on
         every access; the hot paths read :attr:`ends` and :attr:`scaled`."""
@@ -201,11 +203,13 @@ class WeightedGraph:
         return w if v == u else u
 
     def edge_between(self, u, v):
-        """Edge id joining u and v, or None: a scan of the shorter of their
-        adjacency rows."""
-        row = min(self.adjacency[u], self.adjacency[v], key=len)
-        pair = (u, v), (v, u)
-        return next((eid for eid in row if self.ends[eid] in pair), None)
+        """Edge id joining u and v, or None: an O(m) scan of :attr:`ends`."""
+        for end in (u, v), (v, u):
+            try:
+                return self.ends.index(end)
+            except ValueError:
+                pass
+        return None
 
     def resolve(self, vertex):
         """Accept either a dense id (int) or a label (str)."""
@@ -307,6 +311,7 @@ def _build(vertex_labels, rows, fault):
             index[lab] = len(labels)
             labels.append(lab)
     ends, nums, dens = [], [], []
+    shared = {}  # one int per distinct denominator
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 3:
             raise fault(i, None)
@@ -334,7 +339,7 @@ def _build(vertex_labels, rows, fault):
             labels.append(v)
         ends.append((a, b))
         nums.append(p)
-        dens.append(q)
+        dens.append(shared.setdefault(q, q))
     found = _first_fault(labels, ends, nums, dens)
     if found is not None:
         raise found
@@ -439,11 +444,22 @@ def serialize_graph(g, format="json"):
 # -- connectivity ----------------------------------------------------------
 
 
+def _rows(n, ends):
+    """The edge ids at each of the ``n`` vertices, increasing: a list of
+    lists the caller owns.  A graph stores no rows; each pass that walks
+    them builds its own and drops them when it returns."""
+    rows = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(ends):
+        rows[u].append(eid)
+        rows[v].append(eid)
+    return rows
+
+
 def component_vertex_sets(g):
     """Vertex sets of connected components, ordered by smallest dense id."""
     n = g.n
     ends = g.ends
-    adjacency = g.adjacency
+    adjacency = _rows(n, ends)
     seen = [False] * n
     comps = []
     for start in range(n):
@@ -490,8 +506,9 @@ def is_connected(g):
 class Block:
     """One biconnected component: a vertex subset, an edge subset,
     ``max_weight``, the largest edge weight in units of its component's
-    view (None if edgeless), and ``cuts``, its cut vertices in id order
-    (filled in by :class:`BlockCutTree`)."""
+    view (None if edgeless), and ``cuts``, the tuple of its cut vertices in
+    id order (set by :class:`BlockCutTree`; the shared ``()`` for a block
+    without cut vertices)."""
 
     __slots__ = ("vertices", "edge_ids", "max_weight", "cuts")
 
@@ -499,7 +516,7 @@ class Block:
         self.vertices = vertices
         self.edge_ids = edge_ids
         self.max_weight = max_weight
-        self.cuts = []
+        self.cuts = ()
 
     def __repr__(self):
         return f"Block(vertices={self.vertices})"
@@ -520,8 +537,8 @@ def _biconnected_components(g):
     edge_stack = []
     parts = []
     counter = 1
-    adjacency = g.adjacency
     ends = g.ends
+    adjacency = _rows(n, ends)
     for root in range(n):
         if disc[root]:
             continue
@@ -597,8 +614,9 @@ class BlockCutTree:
 
     B-nodes are :class:`Block` objects indexed ``0..len(blocks)-1``; C-nodes
     are identified by their cut-vertex dense id.  ``parts`` holds each
-    component's smallest vertex, the range of its block ids and its vertex
-    count (a vertex without edges is a block without edges).  Edge ``e`` of
+    component's smallest vertex, its first block id and its vertex count;
+    a component's blocks run up to the next component's first (a vertex
+    without edges is a block without edges).  Edge ``e`` of
     component ``c`` weighs ``Fraction(nums[e], dens[c])``, the units of
     ``Block.max_weight`` (:func:`_component_views`).  Use :meth:`rooted`
     to attach rooting-dependent aggregates.
@@ -641,14 +659,17 @@ class BlockCutTree:
                 edge_ids.sort()
                 best = max(map(nums.__getitem__, edge_ids))
                 blocks.append(Block(vertices, tuple(edge_ids), best))
-            self.parts.append((root, range(start, len(blocks)), size))
+            self.parts.append((root, start, size))
         # a vertex is a cut vertex exactly when it lies in several blocks
         self.cut_vertices = tuple(
             v for v, bids in enumerate(blocks_of_vertex) if len(bids) > 1
         )
+        cuts = {}  # only the blocks that have cut vertices
         for v in self.cut_vertices:
             for bid in blocks_of_vertex[v]:
-                blocks[bid].cuts.append(v)
+                cuts.setdefault(bid, []).append(v)
+        for bid, vs in cuts.items():
+            blocks[bid].cuts = tuple(vs)
         self.blocks = tuple(blocks)
         self.blocks_of_vertex = tuple(map(tuple, blocks_of_vertex))
         self.block_of_edge = tuple(block_of_edge)
@@ -667,7 +688,9 @@ class Component:
 
     def __init__(self, g, tree, c):
         self.tree = tree
-        self.root, self.block_ids, self.n = tree.parts[c]
+        self.root, start, self.n = tree.parts[c]
+        stop = tree.parts[c + 1][1] if c + 1 < len(tree.parts) else len(tree.blocks)
+        self.block_ids = range(start, stop)
         self.ends = g.ends
         self.scaled = tree.nums, tree.dens[c]
 

@@ -99,8 +99,9 @@ def star_sort_demo(weights):
     if not isinstance(result, BookEmbedding):
         raise RuntimeError("star embedding unexpectedly failed")
     center_pos = result.position[0]
-    left = [g.weight(g.edge_between(0, v)) for v in result.order[:center_pos]]
-    right = [g.weight(g.edge_between(0, v)) for v in result.order[center_pos + 1:]]
+    # leaf v is joined to the center by edge v - 1, of weight ws[v - 1]
+    left = [ws[v - 1] for v in result.order[:center_pos]]
+    right = [ws[v - 1] for v in result.order[center_pos + 1:]]
     # left reads outermost-first (descending), right innermost-first (ascending)
     left.reverse()
     merged = []

@@ -218,19 +218,25 @@ def test_forest_cut_vertices_and_blocks_match_the_definition():
     for g in graphs:
         forest = BlockCutTree(g, forest=True)
         count = len(component_vertex_sets(g))
+        adjacency = g.adjacency  # made anew on every access
         # a vertex with edges is a cut vertex when removing it splits its component
         cuts = tuple(
-            v for v in range(g.n) if g.adjacency[v] and len(
+            v for v in range(g.n) if adjacency[v] and len(
                 component_vertex_sets(g.induced([x for x in range(g.n) if x != v])[0])
             ) > count
         )
         assert forest.cut_vertices == cuts
-        assert all(block.cuts == [v for v in block.vertices if v in cuts]
+        assert all(block.cuts == tuple(v for v in block.vertices if v in cuts)
                    for block in forest.blocks)
         # the components' blocks are contiguous and partition the edges
-        assert [root for root, _, _ in forest.parts] == [
+        parts = list(components(g))
+        assert [part.root for part in parts] == [
             verts[0] for verts in component_vertex_sets(g)
         ]
-        ranges = [ids for _, ids, _ in forest.parts]
-        assert [b for ids in ranges for b in ids] == list(range(len(forest.blocks)))
+        assert [first for _, first, _ in forest.parts] == [
+            part.block_ids[0] for part in parts
+        ]
+        assert [b for part in parts for b in part.block_ids] == list(
+            range(len(forest.blocks))
+        )
         assert sorted(e for b in forest.blocks for e in b.edge_ids) == list(range(g.m))

@@ -1,5 +1,6 @@
 """Validators and metrics, checked against independent recomputation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from bookembed.embedding import (
 )
 from bookembed.exact import INF
 from bookembed.errors import NotOnePageError
+from bookembed.graph import WeightedGraph
 from bookembed.oracle import (
     definitional_check,
     enumerate_one_page,
@@ -24,6 +26,8 @@ from bookembed.oracle import (
 )
 
 from conftest import graph_from
+
+import planted  # the benchmark's generator (perfbench/planted.py)
 
 
 def order_of(g, labels):
@@ -172,9 +176,10 @@ def naive_metrics(g, L):
         p = pos[v]
         lam[v] = sum((spans[i][2] for i in top if spans[i][1] <= p), Fraction(0))
         rho[v] = sum((spans[i][2] for i in top if spans[i][0] >= p), Fraction(0))
-    if n and g.adjacency[L.order[0]]:
+    at_first = g.adjacency[L.order[0]] if n else ()
+    if at_first:
         first = L.order[0]
-        low = min(g.adjacency[first], key=lambda e: pos[g.other_end(e, first)])
+        low = min(at_first, key=lambda e: pos[g.other_end(e, first)])
         b = max(pos[g.edges[low][0]], pos[g.edges[low][1]])
         # induced subgraph: the low edge's right endpoint plus everything
         # strictly under the low edge (positions 1..b)
@@ -257,3 +262,74 @@ def test_is_one_page_agrees_with_enumeration_on_random_orders():
             rng.shuffle(verts)
             order = tuple(verts)
             assert is_one_page(g, BookEmbedding(order)) == (order in valid)
+
+
+def _mutated(cls, seed):
+    """A planted ``cls`` yes-instance with a fifth of its weights redrawn,
+    and its planted order."""
+    inst = planted.planted_yes(40 + seed % 30, cls, seed, seed % 2 == 1)
+    rng = random.Random(seed)
+    weights = list(inst.graph.weights)
+    for e in rng.sample(range(len(weights)), len(weights) // 5):
+        weights[e] = rng.choice(weights)
+    g = inst.graph
+    return WeightedGraph(g.labels, [(u, v, w) for (u, v), w in zip(g.ends, weights)]), \
+        BookEmbedding(inst.order)
+
+
+def _spans_by_edge(g, L):
+    pos = L.position
+    return [tuple(sorted((pos[u], pos[v]))) for u, v in g.ends]
+
+
+def _best_under(g, spans, i):
+    """Largest total weight of edges strictly under edge ``i`` of which no
+    one lies under another: a sweep over the positions of ``i``'s span."""
+    a, b = spans[i]
+    best = {a: Fraction(0)}
+    for x in range(a + 1, b + 1):
+        best[x] = max([best[x - 1]] + [
+            best[s] + g.weight(e) for e, (s, t) in enumerate(spans)
+            if t == x and s >= a and e != i
+        ])
+    return best[b]
+
+
+def test_validators_report_the_first_violation_on_mutated_instances():
+    reported = {"max": 0, "sum": 0}
+    for seed in range(24):
+        for cls in ("max", "sum"):
+            g, L = _mutated(cls, seed)
+            spans = _spans_by_edge(g, L)
+            if cls == "max":
+                # the innermost edge over each edge, and every parent/child
+                # pair whose parent does not strictly outweigh its child
+                found = []
+                for j, (c, d) in enumerate(spans):
+                    over = [i for i, (a, b) in enumerate(spans)
+                            if i != j and a <= c and d <= b]
+                    if over:
+                        i = min(over, key=lambda i: spans[i][1] - spans[i][0])
+                        if not g.weight(i) > g.weight(j):
+                            found.append(((spans[i][0], -spans[i][1], c), i, j))
+                got = validate_max(g, L)
+                if found:
+                    _, outer, inner = min(found)
+                    assert (got.outer_edge, got.inner_edge) == (outer, inner), seed
+                else:
+                    assert got is None, seed
+            else:
+                found = []
+                for i, (a, b) in enumerate(spans):
+                    under = [e for e, (c, d) in enumerate(spans) if e != i and a <= c and d <= b]
+                    if under and not g.weight(i) > _best_under(g, spans, i):
+                        found.append(((a, -b), i))
+                got = validate_sum(g, L)
+                if found:
+                    edge = min(found)[1]
+                    assert got.edge == edge, seed
+                    assert sum(map(g.weight, got.witness)) == _best_under(g, spans, edge)
+                else:
+                    assert got is None, seed
+            reported[cls] += len(found) > 1
+    assert min(reported.values()) >= 12  # most instances have several violations

@@ -176,17 +176,48 @@ def _triangles(k):
     ]
 
 
-def test_constructed_graph_holds_at_most_250_bytes_an_edge():
-    # the labels, ends, adjacency rows, (p, q) lists and the 64-bit view:
-    # about 190 bytes an edge; no Fraction, edge lookup or label index
-    labels, edges = _triangles(20_000)
+def _bytes_an_edge(build):
+    """Bytes an edge that the graph ``build()`` returns holds, by
+    ``tracemalloc``."""
     tracemalloc.start()
     try:
-        g = WeightedGraph(labels, edges)
+        g = build()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held / g.m <= 250, held / g.m
+    return held / g.m
+
+
+def test_constructed_graph_holds_at_most_130_bytes_an_edge():
+    # the labels, ends, (p, q) lists and the 64-bit view: about 96 bytes an
+    # edge; no adjacency rows, Fraction, edge lookup or label index
+    labels, edges = _triangles(20_000)
+    held = _bytes_an_edge(lambda: WeightedGraph(labels, edges))
+    assert held <= 130, held
+
+
+@pytest.mark.parametrize("fmt", ["json", "edge-list"])
+def test_parsed_graph_holds_at_most_250_bytes_an_edge(fmt):
+    # as a constructed graph, plus the labels' strings and the parser's
+    # label index: about 210 bytes an edge
+    text = serialize_graph(WeightedGraph(*_triangles(20_000)), fmt)
+    held = _bytes_an_edge(lambda: parse_graph(text, format=fmt))
+    assert held <= 250, held
+
+
+def test_equal_denominators_are_one_object():
+    labels, edges = _triangles(300)
+    # three odd denominators past the small-int cache: each Fraction and each
+    # parsed weight makes its own int
+    edges = [(u, v, Fraction(w, 10**20 + 1 + 2 * (e % 3)))
+             for e, (u, v, w) in enumerate(edges)]
+    g = WeightedGraph(labels, edges)
+    graphs = [g] + [parse_graph(serialize_graph(g, fmt), format=fmt)
+                    for fmt in ("json", "edge-list")]
+    for h in graphs:
+        dens = h.ratios()[1]
+        assert dens == g.ratios()[1] and len(set(dens)) == 3
+        assert len(set(map(id, dens))) == 3
 
 
 def _counted_fractions(monkeypatch):

@@ -8,6 +8,7 @@ from bookembed.blocks import forced_block_order, rooted_block_orders
 from bookembed.embedding import BookEmbedding, Failure, validate_max
 from bookembed.errors import NotOuterplanarError
 from bookembed.exact import INF
+from bookembed import graph
 from bookembed.graph import BlockCutTree, build_bc_tree
 from bookembed.maxdraw import embed_max, max_be_drawer, star_sort_demo
 from bookembed.oracle import oracle_exists, random_outerplanar
@@ -161,17 +162,18 @@ def test_embed_max_components():
     assert validate_max(g, out) is None
 
 
-def _lowest_edges_by_scan(g, tree, bid, order, x):
+def _lowest_edges_by_scan(g, adjacency, tree, bid, order, x):
     """Weights of the lowest-left and lowest-right edges at ``order[x]``
     (INF where there is none), found by scanning the vertex's whole
-    adjacency for the edges of block ``bid``: the rule the drawers used
-    before the forced orders carried their consecutive-edge weights."""
+    adjacency row (``adjacency``, ``g.adjacency`` read once) for the edges
+    of block ``bid``: the rule the drawers used before the forced orders
+    carried their consecutive-edge weights."""
     pos = {v: i for i, v in enumerate(order)}
     v = order[x]
     left = right = None
     lw = rw = INF
     nums = g.scaled[0]
-    for eid in g.adjacency[v]:
+    for eid in adjacency[v]:
         if tree.block_of_edge[eid] != bid:
             continue
         a, b = g.ends[eid]
@@ -184,14 +186,16 @@ def _lowest_edges_by_scan(g, tree, bid, order, x):
     return lw, rw
 
 
-def _assert_steps_are_the_lowest_edges(g, tree, bid, order, steps):
+def _assert_steps_are_the_lowest_edges(g, adjacency, tree, bid, order, steps):
     assert len(steps) == len(order) - 1
     for flip in (False, True):
         if flip:
             order, steps = order[::-1], steps[::-1]
         padded = [INF, *steps, INF]
         for x in range(len(order)):
-            assert _lowest_edges_by_scan(g, tree, bid, order, x) == (padded[x], padded[x + 1])
+            assert _lowest_edges_by_scan(g, adjacency, tree, bid, order, x) == (
+                padded[x], padded[x + 1]
+            )
 
 
 def _step_corpus():
@@ -209,27 +213,30 @@ def test_block_steps_are_the_lowest_edges_of_every_vertex():
     checked = 0
     for g in _step_corpus():
         tree = BlockCutTree(g)
+        adjacency = g.adjacency  # made anew on every access
         for under in (max, sum):
             for bid, block in enumerate(tree.blocks):
                 order, steps, detail = forced_block_order(g, block, under, "r")
                 if order is None:
                     assert steps is None and detail
                     continue
-                _assert_steps_are_the_lowest_edges(g, tree, bid, order, steps)
+                _assert_steps_are_the_lowest_edges(g, adjacency, tree, bid, order, steps)
                 checked += len(order) > 2
         # the orders as the drawers get them, parent cut vertex first
         rooted = build_bc_tree(g)
         orders, steps, failure = rooted_block_orders(g, rooted, max, "r")
         if failure is None:
             for bid, order in orders.items():
-                _assert_steps_are_the_lowest_edges(g, tree, bid, order, steps[bid])
+                _assert_steps_are_the_lowest_edges(
+                    g, adjacency, tree, bid, order, steps[bid]
+                )
     assert checked > 500  # cycles with chords, not only bridges
 
 
-def test_max_drawer_reads_each_adjacency_entry_at_most_once_on_a_star():
+def test_max_drawer_reads_each_adjacency_entry_at_most_once_on_a_star(monkeypatch):
     reads = 0
 
-    class CountingRow(tuple):
+    class CountingRow(list):
         """An adjacency row that counts the entries read through it."""
 
         def __iter__(self):
@@ -238,10 +245,13 @@ def test_max_drawer_reads_each_adjacency_entry_at_most_once_on_a_star():
                 reads += 1
                 yield eid
 
+    rows = graph._rows
+    # the graph stores no rows: count reads through the ones the block-cut
+    # pass builds
+    monkeypatch.setattr(graph, "_rows", lambda n, ends: list(map(CountingRow, rows(n, ends))))
     leaves = 2000
     g = graph_from([("c", f"u{i}", (i * 7919) % leaves + 1) for i in range(leaves)])
     assert len(set(g.weights)) == g.m
-    g.adjacency = tuple(map(CountingRow, g.adjacency))
     out = max_be_drawer(g)
     assert 0 < reads <= 2 * g.m
     assert isinstance(out, BookEmbedding) and validate_max(g, out) is None
