@@ -1,10 +1,15 @@
 """Internal helpers shared by the drawers: the forced block orders of the
 max and sum classes, each a cut of the block's outer-cycle record, with
-the weights of their consecutive edges."""
+the weights of their consecutive edges; and the fold of a cut vertex's
+child blocks into a Pareto front, for the sum and minres drawers."""
 
 from __future__ import annotations
 
+from operator import itemgetter
+
+from . import seq
 from .embedding import Failure
+from .exact import INF
 from .errors import NotOuterplanarError
 from .outerplanar import block_outer_cycle, nesting_forest
 
@@ -79,3 +84,44 @@ def rooted_block_orders(g, rooted, under, reason):
         orders[bid] = order
         block_steps[bid] = steps
     return orders, block_steps, None
+
+
+def fold_cut(c, children, keep):
+    """The Pareto front ``[(rope, left, right), ...]`` of cut vertex ``c``
+    over its child blocks, ``left`` rising and ``right`` falling strictly,
+    or None when the children do not fit together.
+
+    ``children`` gives each child's options ``(rope, room, grow)`` in fold
+    order: block ropes with ``c`` first, and ``room > 0``.  The first child
+    takes its first option, which must have its least ``grow``, on either
+    side.  A later child fits beside extension ``x`` when ``room > x`` and
+    makes it ``grow + keep * x``: sum passes 0 as ``keep``, minres 1.  Of
+    equal values the first placed wins, and an entry is extended to the
+    right before the left.
+    """
+    children = iter(children)
+    rope, _room, grow = next(children)[0]
+    entries = [(rope, 0, grow), (seq.flip(rope), grow, 0)]
+    for options in children:
+        tails = [(seq.skipping(rope, c), room, grow) for rope, room, grow in options]
+        new = []
+        for rope, left, right in entries:
+            for tail, room, grow in tails:
+                if room > right:
+                    new.append((seq.cat(rope, tail), left, grow + keep * right))
+                if room > left:
+                    new.append((seq.cat(seq.flip(tail), rope), grow + keep * left, right))
+        if not new:
+            return None
+        # a stable sort by left, and of equal lefts the first least right
+        # wins: a (left, right) tuple key would allocate a tuple per entry
+        new.sort(key=itemgetter(1))
+        entries, least = [], INF
+        for entry in new:
+            if entry[2] < least:
+                least = entry[2]
+                if entries and entries[-1][1] == entry[1]:
+                    entries[-1] = entry
+                else:
+                    entries.append(entry)
+    return entries

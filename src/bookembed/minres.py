@@ -4,8 +4,9 @@ finite-resolution two-dimensional drawing: every edge must satisfy
 
 The driver anchors one edge at a time as the globally unnested edge and runs
 a bottom-up pass over the block-cut-vertex tree rooted at the anchor's block.
-Cut vertices carry fronts keyed by the vertex counts left/right of the cut;
-blocks keep a single maximum-residual extension.
+Cut vertices carry fronts keyed by the vertex counts left/right of the cut
+(:func:`blocks.fold_cut`, children by residual plus size); blocks keep a
+single maximum-residual extension.
 
 A subtree's result depends only on its top node and that node's parent, so
 one drawer call caches the block result per (block, parent cut) and the cut
@@ -29,6 +30,7 @@ from itertools import accumulate
 from math import inf
 
 from . import seq
+from .blocks import fold_cut
 from .embedding import BookEmbedding, Failure, per_component
 from .errors import NotOuterplanarError
 from .graph import BlockCutTree, component
@@ -162,42 +164,21 @@ class _AnchorSearch:
 
     def _process_cut(self, c, parent):
         den = self.den
-        results = self.results
-        kids = sorted(
-            (b2 for b2 in self.tree.blocks_of_vertex[c] if b2 != parent),
-            key=lambda b2: (results["B", b2, c][1] + results["B", b2, c][2] * den, b2),
-        )
-        entries = None
-        partial_n = 1
-        for b2 in kids:
-            rope_b, resid, size = results["B", b2, c]
-            partial_n += size - 1
-            if entries is None:
-                entries = [(rope_b, 0, size - 1), (seq.flip(rope_b), size - 1, 0)]
-            else:
-                new = []
-                tail = seq.skipping(rope_b, c)
-                for rope, nl, nr in entries:
-                    if resid >= nr * den:
-                        new.append((seq.cat(rope, tail), nl, nr + size - 1))
-                    if resid >= nl * den:
-                        new.append((seq.cat(seq.flip(tail), rope), nl + size - 1, nr))
-                if not new:
-                    return None
-                new.sort(key=lambda e: e[1])
-                entries = []
-                for e in new:
-                    if entries and entries[-1][1] == e[1]:
-                        continue
-                    entries.append(e)
-            assert len(entries) <= partial_n, "front exceeds the size bound"
+        kids = []
+        for b2 in self.tree.blocks_of_vertex[c]:
+            if b2 != parent:
+                result = self.results["B", b2, c]
+                kids.append((result[1] + result[2] * den, b2, result))
+        kids.sort()  # b2 breaks every tie
+        # room > x iff resid >= x * den; made lazily, as the fold stops at
+        # the first child that fits nowhere
+        options = ([(rope, resid // den + 1, size - 1)] for _, _, (rope, resid, size) in kids)
+        entries = fold_cut(c, options, 1)
+        if entries is None:
+            return None
         if self.audit is not None:
             self.audit("C", c, entries)
-        return (
-            [e[0] for e in entries],
-            [e[1] for e in entries],
-            [e[2] for e in entries],
-        )
+        return tuple(zip(*entries))
 
     def _process_block(self, bid, parent, cuts):
         best = None

@@ -3,8 +3,9 @@ sequence of disjointly placed edges under it (the "sum" class).
 
 The general drawer is a bottom-up dynamic program over the block-cut-vertex
 tree.  Cut vertices carry a Pareto front of partial embeddings keyed by the
-left/right extensions around the cut; blocks carry a front keyed by free
-space and total extension.  Fronts hold weights in units of ``1/g.scaled[1]``.
+left/right extensions around the cut (:func:`blocks.fold_cut`, children
+by heaviest edge); blocks carry a front keyed by free space and total
+extension.  Fronts hold weights in units of ``1/g.scaled[1]``.
 """
 
 from __future__ import annotations
@@ -13,24 +14,12 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from . import seq
-from .blocks import rooted_block_orders
+from .blocks import fold_cut, rooted_block_orders
 from .embedding import BookEmbedding, Failure, per_component
 from .exact import INF
 from .graph import build_bc_tree, component
 
 _UNDER = "an edge does not outweigh the edges directly under it"
-
-
-def _polish_left_right(entries):
-    """Keep the Pareto-minimal (lambda, rho) entries: lambda strictly
-    increasing, rho strictly decreasing."""
-    entries.sort(key=lambda e: (e[1], e[2]))
-    kept = []
-    for e in entries:
-        if kept and kept[-1][2] <= e[2]:
-            continue
-        kept.append(e)
-    return kept
 
 
 def _greedy(order, ell, cuts, centries, forced_first=None):
@@ -96,34 +85,13 @@ def sum_be_drawer(g, audit=None):
 
     def process_cut(c):
         kids = sorted(rooted.child_blocks[c], key=lambda b2: (tree.blocks[b2].max_weight, b2))
-        entries = None
-        partial_n = 1
-        for b2 in kids:
-            bent = bentries[b2]
-            partial_n += rooted.n_plus_b[b2] - 1
-            if entries is None:
-                rope0, _alpha0, tau0 = bent[0]
-                entries = [(rope0, 0, tau0), (seq.flip(rope0), tau0, 0)]
-            else:
-                new = []
-                for rope_l, lam, rho in entries:
-                    for rope_b, alpha, tau in bent:
-                        tail = seq.skipping(rope_b, c)
-                        if alpha > rho:
-                            new.append((seq.cat(rope_l, tail), lam, tau))
-                        if alpha > lam:
-                            new.append((seq.cat(seq.flip(tail), rope_l), tau, rho))
-                if not new:
-                    return None
-                entries = _polish_left_right(new)
-            assert len(entries) <= partial_n, "Pareto front exceeds the size bound"
+        entries = fold_cut(c, [bentries[b2] for b2 in kids], 0)
+        if entries is None:
+            return None
+        assert len(entries) <= rooted.n_plus_c[c], "Pareto front exceeds the size bound"
         if audit is not None:
             audit("C", c, [(r, Fraction(a, den), Fraction(b, den)) for r, a, b in entries])
-        centries[c] = (
-            [e[0] for e in entries],
-            [e[1] for e in entries],
-            [e[2] for e in entries],
-        )
+        centries[c] = tuple(zip(*entries))
         return entries
 
     def process_block(bid):

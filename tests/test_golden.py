@@ -135,3 +135,32 @@ def digests(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_cli_output_matches_its_golden_digest(digests, name):
     assert digests[name] == DIGESTS[name]
+
+
+# The inputs above give cut fronts of at most two entries.  These give sum
+# fronts of four entries and minres fronts of four, and twelve at the
+# centre of a minres yes-star.
+FRONT_DIGESTS = {
+    "embed-sum": "34d8396b638d2672f14cb25da49a5ec96f24d4c61cddcc3fdc44f3cf8278d792",
+    "embed-minres": "fededbc7f294895ea54be697a46ba1f372cab9aaffb5dd6c87ddfd59871e3240",
+}
+
+
+def _front_inputs(command):
+    if command == "embed-sum":
+        return [(f"sum-{s}", planted.planted_yes(40, "sum", s, False).graph)
+                for s in range(10)]
+    star = graph_from([("c", f"l{i}", 13) for i in range(12)])
+    return [(f"minres-{s}", planted.planted_yes(20, "minres", s, False).graph)
+            for s in range(8)] + [("star-12", star)]
+
+
+@pytest.mark.parametrize("command", sorted(FRONT_DIGESTS))
+def test_multi_entry_fronts_match_their_golden_digest(tmp_path, command):
+    digest = hashlib.sha256()
+    for key, g in _front_inputs(command):
+        path = tmp_path / f"{key}.json"
+        path.write_text(serialize_graph(g))
+        code, out = _run([command, str(path)])
+        digest.update(f"{key}\n{code}\n{out}\n".encode())
+    assert digest.hexdigest() == FRONT_DIGESTS[command]
