@@ -1,10 +1,11 @@
 """Internal helpers shared by the drawers: the forced block orders of the
-max and sum classes, each a cut of the block's outer-cycle record, with
-the weights of their consecutive edges; and the fold of a cut vertex's
-child blocks into a Pareto front, for the sum and minres drawers."""
+max and sum classes, each a cut of the block's outer-cycle record with its
+parent cut vertex first, and the weights of their consecutive edges; and
+the fold of a cut vertex's child blocks, for the sum and minres drawers."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from operator import itemgetter
 
 from . import seq
@@ -14,76 +15,70 @@ from .errors import NotOuterplanarError
 from .outerplanar import block_outer_cycle, nesting_forest
 
 
-def forced_block_order(g, block, under, reason):
+def forced_block_order(g, block, parent, under, reason):
     """The one order of a block that the max and sum classes allow:
-    ``(order, steps, None)``, or ``(None, None, detail)`` when the block
-    has none.
+    ``(cut, steps, None)`` with the cut read from ``parent``, or from the
+    smaller end when ``parent`` is None; else ``(None, None, failure)``.
 
     The block's outer cycle is searched first, so a block that is not
     outerplanar raises :class:`NotOuterplanarError` whatever its weights.
-    Its unique maximum-weight edge must lie on that cycle, which is cut
-    there (canonical flip).  Every edge must then strictly outweigh
-    ``under`` (``max`` or ``sum``) of the weights of the edges directly
-    under it, else the detail is ``reason``.
+    Condition 1 fails unless its unique maximum-weight edge lies on that
+    cycle, which is cut there, and every edge strictly outweighs ``under``
+    (``max`` or ``sum``) of the weights of the edges directly under it (the
+    detail of this last test is ``reason``).  Condition 2 fails when
+    ``parent`` is no end of the cut edge and so lies inside the order.
 
     ``steps[x]`` is the weight, in units of ``1/g.scaled[1]``, of the edge
-    joining ``order[x]`` and ``order[x + 1]``.  Consecutive vertices of a cut
-    outer cycle are adjacent, so these are the lowest edges on either side
-    of every vertex of the order.
+    joining the vertices at positions x and x + 1.  Consecutive vertices of
+    a cut outer cycle are adjacent, so these are the lowest edges on either
+    side of every vertex of the order.
     """
-    vertices, edge_ids = block.vertices, block.edge_ids
-    if len(vertices) == 2:
-        return sorted(vertices), [block.max_weight], None
-    record = block_outer_cycle(g, vertices, edge_ids)
+    record = block_outer_cycle(g, block.vertices, block.edge_ids)
     if record is None:
         raise NotOuterplanarError("block is not outerplanar")
+    if len(block.vertices) == 2:  # a bridge: its one edge is the whole order
+        s = block.vertices[0] if parent is None else parent
+        return record.cuts(s)[0], (block.max_weight,), None
     nums = g.scaled[0]
-    top = [eid for eid in edge_ids if nums[eid] == block.max_weight]
+    top = [eid for eid in block.edge_ids if nums[eid] == block.max_weight]
     if len(top) != 1:
-        return None, None, "no unique maximum-weight edge"
-    # the two flips start at s and at t: the smaller one starts at min(s, t)
-    cut = record.cut(*sorted(g.ends[top[0]]))
+        return None, None, Failure(1, "no unique maximum-weight edge")
+    s, t = g.ends[top[0]]
+    if t == parent or parent != s and t < s:
+        s, t = t, s
+    cut = record.cut(s, t)
     if cut is None:
-        return None, None, "maximum-weight edge is not on the outer face"
+        return None, None, Failure(1, "maximum-weight edge is not on the outer face")
     spans = cut.spans()
-    _parent, children, _roots = nesting_forest(len(vertices), spans)
+    _parent, children, _roots = nesting_forest(len(block.vertices), spans)
     for idx, kids in enumerate(children):
         if kids and not nums[spans[idx][2]] > under(nums[spans[k][2]] for k in kids):
-            return None, None, reason
-    steps = [0] * (len(vertices) - 1)
+            return None, None, Failure(1, reason)
+    if parent not in (None, s):
+        detail = "parent cut vertex is interior to the block order"
+        return None, None, Failure(2, detail, cut_vertex=parent)
+    steps = [0] * (len(block.vertices) - 1)
     for a, b, eid in spans:
         if b == a + 1:
             steps[a] = nums[eid]
-    return cut.order(), steps, None
+    return cut, tuple(steps), None
 
 
 def rooted_block_orders(g, rooted, under, reason):
-    """Forced orders of every block of ``rooted``, each with its parent cut
-    vertex first: ``(orders, steps, None)``, both keyed by block id, or
-    ``(None, None, failure)`` for the first block in id order without one.
-    The :class:`Failure` has condition 1 and the detail of
-    :func:`forced_block_order`, or condition 2 for a parent cut vertex
-    inside the order."""
-    orders = {}
+    """Forced orders of every block of ``rooted``, as cuts with the parent
+    cut vertex first: ``(cuts, steps, None)``, both keyed by block id, or
+    ``(None, None, failure)`` for the first block in id order without one,
+    the :class:`Failure` of :func:`forced_block_order` naming the block."""
+    cuts = {}
     block_steps = {}
-    blocks = rooted.tree.blocks
-    for bid in sorted(rooted.parent_cut):
-        order, steps, detail = forced_block_order(g, blocks[bid], under, reason)
-        if order is None:
-            return None, None, Failure(1, detail, block=bid)
-        parent = rooted.parent_cut[bid]
-        if parent is not None:
-            if order[-1] == parent:
-                order = order[::-1]
-                steps = steps[::-1]
-            elif order[0] != parent:
-                return None, None, Failure(
-                    2, "parent cut vertex is interior to the block order",
-                    block=bid, cut_vertex=parent,
-                )
-        orders[bid] = order
+    blocks, parents = rooted.tree.blocks, rooted.parent_cut
+    for bid in sorted(parents):
+        cut, steps, failure = forced_block_order(g, blocks[bid], parents[bid], under, reason)
+        if cut is None:
+            return None, None, replace(failure, block=bid)
+        cuts[bid] = cut
         block_steps[bid] = steps
-    return orders, block_steps, None
+    return cuts, block_steps, None
 
 
 def fold_cut(c, children, keep):

@@ -33,19 +33,18 @@ def max_be_drawer(g):
     rooted = build_bc_tree(g)
     den = g.scaled[1]
 
-    block_order, block_steps, failure = rooted_block_orders(g, rooted, max, _WRAPS)
+    block_cuts, block_steps, failure = rooted_block_orders(g, rooted, max, _WRAPS)
     if failure is not None:
         return failure
 
     ropes = {}
     for bid in rooted.block_postorder:
         repl = {}
-        order = block_order[bid]
+        cut = block_cuts[bid]
         steps = block_steps[bid]
-        pos = {v: i for i, v in enumerate(order)} if rooted.child_cuts[bid] else None
         for ci in rooted.child_cuts[bid]:
             # the lowest edges on either side of ci join it to its neighbours
-            p = pos[ci]
+            p = cut.position(ci)
             left_w = steps[p - 1] if p > 0 else INF
             right_w = steps[p] if p < len(steps) else INF
             left_parts = []
@@ -69,10 +68,8 @@ def max_be_drawer(g):
                 else:
                     left_parts.append(seq.flip(child))
                     left_w = r_child
-            repl[ci] = seq.cat(
-                *left_parts, seq.one(ci), *reversed(right_parts)
-            )
-        ropes[bid] = seq.blk(order, repl or None)
+            repl[ci] = seq.cat(*left_parts, seq.one(ci), *reversed(right_parts))
+        ropes[bid] = seq.blk(cut.order(), repl or None)
     return BookEmbedding(seq.materialize(ropes[rooted.root]))
 
 

@@ -34,7 +34,7 @@ from .blocks import fold_cut
 from .embedding import BookEmbedding, Failure, per_component
 from .errors import NotOuterplanarError
 from .graph import BlockCutTree, component
-from .outerplanar import block_outer_cycle
+from .outerplanar import Cut, block_outer_cycle
 
 
 class _AnchorSearch:
@@ -71,8 +71,8 @@ class _AnchorSearch:
         results = self.results
         root = self.tree.block_of_edge[e_star]
         u, v = self.ends[e_star]
-        cut = self._cut(root, u, v) if u < v else self._cut(root, v, u)
-        if cut is None:
+        cut = self.cycles[root].cut(min(u, v), max(u, v))
+        if cut is None or not self._supports(root, cut):
             return None
 
         # a frame (node, unsolved children, candidate cuts) per unsolved node
@@ -134,11 +134,10 @@ class _AnchorSearch:
         An edge at positions p < q spans k - (q - p) under the cuts p..q-1
         and q - p under the others, so one difference array counts the
         failing edges of every cut at once."""
-        record = self.cycles[bid]
-        k = len(record.cycle)
+        k = len(self.tree.blocks[bid].vertices)
         w, den = self.w, self.den
         fails = [0] * (k + 1)
-        for p, q, eid in record.spans:
+        for p, q, eid in self.cycles[bid].spans:
             outside = w[eid] < den * (q - p)
             shift = (w[eid] < den * (k - q + p)) - outside  # on cuts p..q-1
             fails[0] += outside
@@ -146,21 +145,19 @@ class _AnchorSearch:
             fails[q] -= shift
         return [f == 0 for f in accumulate(fails[:k])]
 
-    def _cut(self, bid, s, t):
-        """The cut of block ``bid`` with s first and t last if that order
-        satisfies weight >= span everywhere, else None.  The block is
-        swept on first use."""
+    def _supports(self, bid, cut):
+        """Whether ``cut``, an order of block ``bid``, satisfies weight >=
+        span everywhere.  The block is swept on first use."""
         ok = self.sweeps.get(bid)
         if ok is None:
             ok = self.sweeps[bid] = self._sweep(bid)
-        cut = self.cycles[bid].cut(s, t)
-        return cut if cut is not None and ok[cut.dropped()] else None
+        return ok[cut.dropped()]
 
     def _candidates(self, bid, c):
-        """Supporting cuts of block ``bid`` with its parent cut ``c`` first."""
-        cycle, i = self.cycles[bid].cycle, self.cycles[bid].pos[c]
-        ends = {cycle[i - 1], cycle[(i + 1) % len(cycle)]}
-        return [cut for x in sorted(ends) if (cut := self._cut(bid, c, x)) is not None]
+        """Supporting cuts of block ``bid`` with its parent cut ``c`` first,
+        by the id of their last vertex."""
+        cuts = sorted(self.cycles[bid].cuts(c), key=Cut.last)
+        return [cut for cut in cuts if self._supports(bid, cut)]
 
     def _process_cut(self, c, parent):
         den = self.den
@@ -236,7 +233,7 @@ class _AnchorSearch:
                     slack[i] -= nls[j] * den
                 elif a == x:
                     slack[i] -= nrs[j] * den
-            repl[order[x]] = ropes[j]
+            repl[c] = ropes[j]
         residual = inf
         for i, (a, _b, _eid) in enumerate(spans):
             if a == 0 and slack[i] < residual:

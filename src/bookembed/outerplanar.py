@@ -52,28 +52,33 @@ def nesting_forest(num_positions, edge_spans):
 
 
 class OuterCycle:
-    """The outer cycle of an outerplanar block, placed once: ``cycle`` in
-    its canonical flip (of the two reflections, the one that reads smaller
-    from the smallest id), ``pos`` each vertex's position on it, and
-    ``spans`` one ``(p, q, eid)`` per block edge, ``p < q`` the positions
-    of its ends.  Every 1-page order of the block is one of its cuts."""
+    """The outer cycle of an outerplanar block, placed once: the tuple
+    ``cycle`` in its canonical flip (of the two reflections, the one that
+    reads smaller from the smallest id), ``pos`` each vertex's position on
+    it, and the tuple ``spans``, one ``(p, q, eid)`` per block edge, ``p < q``
+    the positions of its ends.  Every 1-page order of the block is one of
+    its cuts."""
 
     __slots__ = ("cycle", "pos", "spans")
 
-    def __init__(self, cycle, spans):
-        self.cycle = cycle
-        self.pos = {v: i for i, v in enumerate(cycle)}
-        self.spans = spans
+    def __init__(self, cycle, pos, spans):
+        self.cycle, self.pos, self.spans = cycle, pos, spans
 
     def cut(self, s, t):
         """The :class:`Cut` with s first and t last, or None unless the
         block vertices s and t are consecutive on the cycle."""
         i, j, k = self.pos[s], self.pos[t], len(self.cycle)
-        if (i + 1) % k == j:
-            return Cut(self, i, -1)  # the cycle reads ... s t ...: walk back from s
-        if (j + 1) % k == i:
-            return Cut(self, i, 1)
-        return None
+        # the cycle reads ... s t ...: walk back from s
+        step = -1 if (i + 1) % k == j else 1 if (j + 1) % k == i else 0
+        return Cut(self, i, step) if step else None
+
+    def cuts(self, s):
+        """The cuts with block vertex s first: the one that reads the cycle
+        forward from s, then the one that reads it backward, unless the
+        cycle has two vertices and the two are one order."""
+        i = self.pos[s]
+        forward = Cut(self, i, 1)
+        return [forward, Cut(self, i, -1)] if len(self.cycle) > 2 else [forward]
 
 
 class Cut:
@@ -86,11 +91,15 @@ class Cut:
         self.record, self.start, self.step = record, start, step
 
     def order(self):
-        """The vertices in order, built on each call."""
+        """The vertices in order, a tuple built on each call."""
         cycle, i = self.record.cycle, self.start
         if self.step > 0:
             return cycle[i:] + cycle[:i]
         return cycle[i::-1] + cycle[:i:-1]
+
+    def last(self):
+        """The last vertex of the order."""
+        return self.record.cycle[(self.start - self.step) % len(self.record.cycle)]
 
     def dropped(self):
         """The cycle position j whose ring edge to position j + 1 the cut drops."""
@@ -168,14 +177,20 @@ def block_outer_cycle(g, vertices, edge_ids):
     """The :class:`OuterCycle` of a biconnected block, its ``vertices`` in
     increasing order, or None if the block is not outerplanar."""
     k = len(vertices)
+    if k == 2:  # a bridge
+        u, v = vertices
+        return OuterCycle((u, v), {u: 0, v: 1}, ((0, 1, edge_ids[0]),))
     if k <= 3:
-        # a simple block of at most 3 vertices is outerplanar exactly when it
-        # is one vertex, one edge or a triangle
+        # a simple block of 1 or 3 vertices is outerplanar exactly when it is
+        # one vertex or a triangle; the vertices increase along the cycle
         if k == 3 and len(edge_ids) != 3:
             return None
-        record = OuterCycle(sorted(vertices), None)
-        record.spans = [span(record.pos, *g.ends[eid]) + (eid,) for eid in edge_ids]
-        return record
+        pos = {v: i for i, v in enumerate(vertices)}
+        spans = []
+        for eid in edge_ids:
+            u, v = g.ends[eid]
+            spans.append((pos[u], pos[v], eid) if u < v else (pos[v], pos[u], eid))
+        return OuterCycle(tuple(vertices), pos, tuple(spans))
     if len(edge_ids) > 2 * k - 3:
         return None
     local = {v: i for i, v in enumerate(vertices)}
@@ -224,7 +239,8 @@ def block_outer_cycle(g, vertices, edge_ids):
         if rights and -neg_b > rights[-1]:
             return None
         rights.append(-neg_b)
-    return OuterCycle([vertices[a] for a in cycle_local], spans)
+    cycle = tuple([vertices[a] for a in cycle_local])
+    return OuterCycle(cycle, {v: i for i, v in enumerate(cycle)}, tuple(spans))
 
 
 def _whole_graph_cycle(g):
@@ -244,4 +260,4 @@ def outerplane_embedding(g):
     Raises :class:`PreconditionError` on non-biconnected input.
     """
     record = _whole_graph_cycle(g)
-    return tuple(record.cycle) if record is not None else None
+    return record.cycle if record is not None else None

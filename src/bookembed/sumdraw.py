@@ -22,15 +22,15 @@ from .graph import build_bc_tree, component
 _UNDER = "an edge does not outweigh the edges directly under it"
 
 
-def _greedy(order, ell, cuts, centries, forced_first=None):
+def _greedy(ell, cuts, centries, forced_first=None):
     """Fill each cut position with the max-left-extension entry that fits.
 
     ``cuts``: ascending ``(position, cut)`` pairs; ``ell``: remaining free
-    space indexed by position (mutated).  ``forced_first`` pins the entry index
-    used for ``cuts[0]``, a cut at position 1.  Returns ``(repl, alpha_sub,
-    tau_extra)`` or None.
+    space at each position of the block order (mutated).  ``forced_first``
+    pins the entry index used for ``cuts[0]``, a cut at position 1.  Returns
+    ``(repl, alpha_sub, tau_extra)`` or None.
     """
-    k_last = len(order) - 1
+    k_last = len(ell) - 1
     repl = {}
     alpha_sub = 0
     tau_extra = 0
@@ -52,7 +52,7 @@ def _greedy(order, ell, cuts, centries, forced_first=None):
             alpha_sub = lams[j]
         if x == k_last:
             tau_extra = rhos[j]
-        repl[order[x]] = ropes[j]
+        repl[c] = ropes[j]
     return repl, alpha_sub, tau_extra
 
 
@@ -75,7 +75,7 @@ def sum_be_drawer(g, audit=None):
         return BookEmbedding((g.root,))
     rooted = build_bc_tree(g)
     tree = rooted.tree
-    block_order, block_steps, failure = rooted_block_orders(g, rooted, sum, _UNDER)
+    block_cuts, block_steps, failure = rooted_block_orders(g, rooted, sum, _UNDER)
     if failure is not None:
         return failure
     den = g.scaled[1]
@@ -95,9 +95,9 @@ def sum_be_drawer(g, audit=None):
         return entries
 
     def process_block(bid):
-        order = block_order[bid]
-        pos = {v: i for i, v in enumerate(order)}
-        cuts = sorted((pos[c], c) for c in rooted.child_cuts[bid])
+        forced = block_cuts[bid]
+        order = forced.order()
+        cuts = sorted((forced.position(c), c) for c in rooted.child_cuts[bid])
         steps = block_steps[bid]
         # the order is cut at the block's unique heaviest edge
         w_top = tree.blocks[bid].max_weight
@@ -115,7 +115,7 @@ def sum_be_drawer(g, audit=None):
             branches = []
             ropes1, lams1, _rhos1 = centries[cuts[0][1]]
             for j in range(len(ropes1)):
-                res = _greedy(order, fresh_ell(), cuts, centries, forced_first=j)
+                res = _greedy(fresh_ell(), cuts, centries, forced_first=j)
                 if res is None:
                     continue
                 repl, alpha_sub, tau_extra = res
@@ -133,7 +133,7 @@ def sum_be_drawer(g, audit=None):
             kept.reverse()
             entries = kept
         else:
-            res = _greedy(order, fresh_ell(), cuts, centries)
+            res = _greedy(fresh_ell(), cuts, centries)
             if res is None:
                 return None
             repl, alpha_sub, tau_extra = res

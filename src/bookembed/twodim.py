@@ -211,17 +211,14 @@ def one_page_order(g):
         return [g.root]
     tree = g.tree
     rooted = tree.rooted(g.block_ids[0])
-    orders = {}
-    for bid in g.block_ids:
+    ropes = {}
+    for bid in rooted.block_postorder:
         block = tree.blocks[bid]
         record = block_outer_cycle(g, block.vertices, block.edge_ids)
         if record is None:
             raise NotOuterplanarError("graph is not outerplanar")
         parent = rooted.parent_cut[bid]
-        i = 0 if parent is None else record.pos[parent]
-        orders[bid] = record.cycle[i:] + record.cycle[:i]
-    ropes = {}
-    for bid in rooted.block_postorder:
+        cut = record.cuts(block.vertices[0] if parent is None else parent)[0]
         repl = {}
         for c in rooted.child_cuts[bid]:
             parts = [seq.one(c)]
@@ -229,7 +226,7 @@ def one_page_order(g):
                 seq.skipping(ropes[b2], c) for b2 in rooted.child_blocks[c]
             )
             repl[c] = seq.cat(*parts)
-        ropes[bid] = seq.blk(orders[bid], repl or None)
+        ropes[bid] = seq.blk(cut.order(), repl or None)
     return seq.materialize(ropes[rooted.root])
 
 
@@ -246,6 +243,8 @@ def twodim_general(g, eps=Fraction(1), length=None):
     eps = Fraction(eps)
     if eps <= 0:
         raise PreconditionError("eps must be positive")
+    if length is not None and Fraction(length) <= 0:
+        raise PreconditionError("length must be positive")
     n = g.n
     order_all = [v for part in components(g) for v in one_page_order(part)]
 
@@ -269,12 +268,7 @@ def twodim_general(g, eps=Fraction(1), length=None):
     nums += [nums.pop()] * (len(ends) - g.m)
     total = Fraction(sum(nums), den)
 
-    if length is None:
-        length = default_box_width(total)
-    length = Fraction(length)
-    if length <= 0:
-        raise PreconditionError("length must be positive")
-
+    length = default_box_width(total) if length is None else Fraction(length)
     vx, all_rects = _draw_region(order_all, ends, nums, den, length)
     rects = {eid: rect for eid, rect in all_rects.items() if eid < g.m}
     return TwoDimEmbedding(BookEmbedding(order_all), vx, rects)

@@ -762,3 +762,13 @@ def test_non_outerplanar_input_exits_2(argv):
         assert (code, out) == (2, ""), text
         assert err.startswith("bookembed: ") and "not outerplanar" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("width", ["0", "-1"])
+@pytest.mark.parametrize(
+    "graph", ['{"vertices": ["a"], "edges": []}', TRI111], ids=["edgeless", "triangle"]
+)
+def test_embed_2d_rejects_a_box_width_that_is_not_positive(graph, width):
+    code, out, err = run_cli(["embed-2d", f"--L={width}"], stdin_text=graph)
+    assert (code, out) == (2, "")
+    assert "length must be positive" in err

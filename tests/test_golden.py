@@ -16,8 +16,11 @@ import sys
 import pytest
 
 from bookembed.cli import main
+from bookembed.embedding import Failure
 from bookembed.errors import NotOuterplanarError
 from bookembed.graph import components, serialize_graph
+from bookembed.maxdraw import max_be_drawer
+from bookembed.sumdraw import sum_be_drawer
 from bookembed.twodim import one_page_order
 
 import planted  # the benchmark's generator (perfbench/planted.py)
@@ -164,3 +167,33 @@ def test_multi_entry_fronts_match_their_golden_digest(tmp_path, command):
         code, out = _run([command, str(path)])
         digest.update(f"{key}\n{code}\n{out}\n".encode())
     assert digest.hexdigest() == FRONT_DIGESTS[command]
+
+
+# The drawers' Failures beyond what the CLI prints: the block, cut vertex
+# and weights that locate each rejection, per component, for max and sum.
+FAILURE_DIGEST = "e4cd5686e1cfb1b8778530f1aae0df0abfd6a68236397a280124afc0f697034c"
+
+
+def _failure_inputs():
+    for n in (40, 120):
+        for cls in ("max", "sum"):
+            for s in range(10):
+                yield f"planted-no-{n}-{cls}-{s}", planted.planted_no(n, cls, s, s % 3 == 2).graph
+    yield from _inputs()
+
+
+def test_drawer_failures_match_their_golden_digest():
+    digest = hashlib.sha256()
+    for key, g in _failure_inputs():
+        for drawer in (max_be_drawer, sum_be_drawer):
+            for part in components(g):
+                try:
+                    f = drawer(part)
+                except NotOuterplanarError:
+                    f = "not outerplanar"
+                if isinstance(f, Failure):
+                    f = (f.condition, f.detail, f.block, f.cut_vertex, f.weights)
+                elif not isinstance(f, str):
+                    f = "ok"
+                digest.update(f"{key}\n{drawer.__name__}\n{f!r}\n".encode())
+    assert digest.hexdigest() == FAILURE_DIGEST

@@ -214,22 +214,28 @@ def test_block_steps_are_the_lowest_edges_of_every_vertex():
     for g in _step_corpus():
         tree = BlockCutTree(g)
         adjacency = g.adjacency  # made anew on every access
+        rooted = build_bc_tree(g)
         for under in (max, sum):
             for bid, block in enumerate(tree.blocks):
-                order, steps, detail = forced_block_order(g, block, under, "r")
-                if order is None:
-                    assert steps is None and detail
+                cut, steps, failure = forced_block_order(g, block, None, under, "r")
+                if cut is None:
+                    assert steps is None and failure.condition == 1
                     continue
+                order = cut.order()
                 _assert_steps_are_the_lowest_edges(g, adjacency, tree, bid, order, steps)
                 checked += len(order) > 2
-        # the orders as the drawers get them, parent cut vertex first
-        rooted = build_bc_tree(g)
-        orders, steps, failure = rooted_block_orders(g, rooted, max, "r")
-        if failure is None:
-            for bid, order in orders.items():
-                _assert_steps_are_the_lowest_edges(
-                    g, adjacency, tree, bid, order, steps[bid]
-                )
+            # the orders as the drawers get them, parent cut vertex first
+            cuts, steps, failure = rooted_block_orders(g, rooted, under, "r")
+            if failure is None:
+                for bid, cut in cuts.items():
+                    order = cut.order()
+                    assert rooted.parent_cut[bid] in (None, order[0])
+                    assert [cut.position(v) for v in tree.blocks[bid].vertices] == [
+                        order.index(v) for v in tree.blocks[bid].vertices
+                    ]
+                    _assert_steps_are_the_lowest_edges(
+                        g, adjacency, tree, bid, order, steps[bid]
+                    )
     assert checked > 500  # cycles with chords, not only bridges
 
 

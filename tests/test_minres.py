@@ -268,8 +268,8 @@ def _assert_sweep_matches_definition(graphs):
                 for first, last in ((s, t), (t, s)):
                     expected = _supporting_cut(g, cycle, block.edge_ids, first, last)
                     verdicts.add(expected is not None)
-                    cut = search._cut(bid, first, last)
-                    assert (cut and cut.order()) == expected
+                    cut = cycles[bid].cut(first, last)
+                    assert (list(cut.order()) if search._supports(bid, cut) else None) == expected
     assert verdicts == {True, False}
 
 
@@ -299,19 +299,19 @@ def test_every_block_is_swept_once_per_drawer_call(monkeypatch, biconnected):
     edge_ids = {frozenset(b.vertices): b.edge_ids for b in tree.blocks}
     swept, passing, orders, anchors = [], [], [], []
     search = minres._AnchorSearch
-    sweep, run, cut_of, order_of = search._sweep, search.run, search._cut, Cut.order
+    sweep, run, supports, order_of = search._sweep, search.run, search._supports, Cut.order
 
     def counted_sweep(self, bid):
         swept.append(bid)
         return sweep(self, bid)
 
-    def checked_cut(self, bid, s, t):
-        cut = cut_of(self, bid, s, t)
-        cycle = self.cycles[bid].cycle
-        expected = _supporting_cut(g, cycle, edge_ids[frozenset(cycle)], s, t)
-        assert (cut and order_of(cut)) == expected
-        passing.append(cut is not None)
-        return cut
+    def checked_supports(self, bid, cut):
+        verdict = supports(self, bid, cut)
+        order, cycle = order_of(cut), self.cycles[bid].cycle
+        expected = _supporting_cut(g, cycle, edge_ids[frozenset(cycle)], order[0], order[-1])
+        assert (list(order) if verdict else None) == expected
+        passing.append(verdict)
+        return verdict
 
     def counted_order(cut):
         orders.append(cut)
@@ -325,7 +325,7 @@ def test_every_block_is_swept_once_per_drawer_call(monkeypatch, biconnected):
 
     monkeypatch.setattr(search, "_sweep", counted_sweep)
     monkeypatch.setattr(search, "run", counted_run)
-    monkeypatch.setattr(search, "_cut", checked_cut)
+    monkeypatch.setattr(search, "_supports", checked_supports)
     monkeypatch.setattr(Cut, "order", counted_order)
     for _call in range(2):
         swept.clear()

@@ -179,7 +179,7 @@ def _check_outer_cycle(g, block):
     # the canonical flip: smallest id first, then its smaller neighbour
     assert cycle[0] == min(cycle) and (k < 3 or cycle[1] < cycle[-1]), cycle
     assert record.pos == pos
-    assert record.spans == [outerplanar.span(pos, *g.ends[e]) + (e,) for e in edge_ids]
+    assert list(record.spans) == [outerplanar.span(pos, *g.ends[e]) + (e,) for e in edge_ids]
     _check_cuts(g, record, edge_ids)
     return True
 
@@ -196,7 +196,7 @@ def _check_cuts(g, record, edge_ids):
             assert cut is None, (cycle, s, t)
             continue
         order = cut.order()
-        assert order == cut_cycle(cycle, s, t), (cycle, s, t)
+        assert list(order) == cut_cycle(cycle, s, t), (cycle, s, t)
         pos = {v: i for i, v in enumerate(order)}
         want = [outerplanar.span(pos, *g.ends[e]) + (e,) for e in edge_ids]
         assert cut.spans() == want, (cycle, s, t)
