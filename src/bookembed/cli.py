@@ -24,7 +24,7 @@ from .embedding import (
     validate_sum,
 )
 from .errors import BookEmbedError, NotOnePageError
-from .exact import parse_rational, read_digits
+from .exact import parse_rational, read_json
 from .graph import parse_graph, serialize_graph
 from .maxdraw import embed_max
 from .minres import embed_minres, minres_be_drawer
@@ -158,7 +158,7 @@ def _cmd_render(args):
         weight_labels=args.weight_labels,
     )
     text = _read_text(args.input)
-    doc = json.loads(text, parse_int=read_digits)
+    doc = read_json(text)
     if isinstance(doc, dict) and "vertices" in doc and "edges" in doc:
         g, emb2d = TwoDimEmbedding.from_json(text)
         if spec.style == "arc":

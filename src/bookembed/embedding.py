@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotOnePageError, PreconditionError
-from .exact import INF, format_ratio, read_digits
+from .exact import INF, format_ratio, read_json
 from .graph import components
 from .outerplanar import nesting_forest, span
 
@@ -54,7 +54,7 @@ class BookEmbedding:
 
     @staticmethod
     def from_json(text, g):
-        return BookEmbedding(g.resolve_labels(json.loads(text, parse_int=read_digits)))
+        return BookEmbedding(g.resolve_labels(read_json(text)))
 
 
 @dataclass(frozen=True)

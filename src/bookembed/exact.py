@@ -3,6 +3,7 @@ element."""
 
 from __future__ import annotations
 
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -56,6 +57,20 @@ def read_digits(text: str) -> int:
         half = len(text) // 2
         low = len(text) - half
         return read_digits(text[:half]) * 10**low + read_digits(text[half:])
+
+
+# json.loads builds a decoder on each call that passes parse_int; its own
+# int reader stops at Python's digit limit
+_DECODER = json.JSONDecoder(parse_int=read_digits)
+
+
+def read_json(text: str):
+    """``json.loads(text)`` with JSON integers read by :func:`read_digits`,
+    at any length, through one shared decoder.  A leading byte order mark
+    raises the ``JSONDecodeError`` that ``json.loads`` raises."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _DECODER.decode(text)
 
 
 def excerpt(text, limit: int = 40, quote=repr) -> str:

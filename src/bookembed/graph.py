@@ -8,7 +8,7 @@ from array import array
 from fractions import Fraction
 
 from .errors import GraphFormatError, PreconditionError
-from .exact import excerpt, format_ratio, parse_ratio, read_digits
+from .exact import excerpt, format_ratio, parse_ratio, read_digits, read_json
 
 
 def _word_view(nums, dens):
@@ -375,8 +375,7 @@ def _json_fault(i, text):
 
 def _parse_json(text):
     try:
-        # json.loads's own int reader stops at Python's digit limit
-        doc = json.loads(text, parse_int=read_digits)
+        doc = read_json(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, position=exc.colno

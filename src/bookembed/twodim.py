@@ -9,27 +9,77 @@ supporting 1-page embedding.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
-from . import seq
 from .embedding import BookEmbedding, _forest_or_raise, validate_minres_supporting
 from .errors import GraphFormatError, NotOnePageError, NotOuterplanarError, PreconditionError
-from .exact import format_ratio, format_rational, parse_rational, read_digits
+from .exact import format_ratio, parse_ratio, parse_rational, read_json
 from .graph import WeightedGraph, _coerce_label, _over_lcm, component, components
-from .outerplanar import _whole_graph_cycle, block_outer_cycle, nesting_forest, span
+from .outerplanar import Cut, _whole_graph_cycle, block_outer_cycle, nesting_forest, span
+
+
+def _mapped(x, rects, f):
+    """``x`` and ``rects`` with ``f`` applied to every coordinate."""
+    return ({v: f(c) for v, c in x.items()},
+            {eid: tuple(map(f, rect)) for eid, rect in rects.items()})
 
 
 class TwoDimEmbedding:
-    """Vertex x-coordinates plus one rectangle per edge, all exact rationals."""
+    """Vertex x-coordinates plus one rectangle per edge, all exact rationals.
 
-    __slots__ = ("support", "x", "rects")
+    A drawing made here holds each coordinate as a reduced ``(p, q)`` pair
+    of ints, one pair object per distinct coordinate.  :attr:`x` and
+    :attr:`rects` are the ``Fraction`` views, built from the pairs on first
+    use; from then on they are what the embedding holds, so a change made
+    to them is what :meth:`to_json` writes.
+    """
+
+    __slots__ = ("support", "_pairs", "_fractions")
 
     def __init__(self, support, x, rects):
+        """``x``: Fractions by vertex; ``rects``: ``(xmin, xmax, ymin,
+        ymax)`` Fractions by edge id."""
         self.support = support
-        self.x = dict(x)
-        self.rects = dict(rects)
+        self._pairs = None
+        self._fractions = (dict(x), dict(rects))
+
+    @classmethod
+    def _of_pairs(cls, support, x, rects):
+        """The embedding of the pairs ``x`` by vertex and the 4-tuples of
+        pairs ``rects`` by edge id, held as given."""
+        emb = cls.__new__(cls)
+        emb.support, emb._pairs, emb._fractions = support, (x, rects), None
+        return emb
+
+    @property
+    def x(self):
+        """x-coordinates by vertex as Fractions."""
+        return self._views()[0]
+
+    @property
+    def rects(self):
+        """``(xmin, xmax, ymin, ymax)`` as Fractions by edge id."""
+        return self._views()[1]
+
+    def _views(self):
+        if self._fractions is None:
+            x, rects = self._pairs
+            # one Fraction per distinct coordinate
+            made = dict.fromkeys(chain(x.values(), chain.from_iterable(rects.values())))
+            for pair in made:
+                made[pair] = Fraction(*pair)
+            self._fractions, self._pairs = _mapped(x, rects, made.__getitem__), None
+        return self._fractions
+
+    def _ratios(self):
+        """``(x, rects)`` as pairs: the held pairs, or pairs of the held
+        Fractions."""
+        if self._pairs is not None:
+            return self._pairs
+        return _mapped(*self._fractions, lambda c: (c.numerator, c.denominator))
 
     def bounding_box(self):
         """(width, height) of the smallest box enclosing the rectangles."""
@@ -47,25 +97,27 @@ class TwoDimEmbedding:
 
     def to_json(self, g):
         """The document ``{"vertices": [{"id", "x"}], "edges": [{"u", "v",
-        "w", "rect"}]}`` as the text ``json.dumps`` gives; each coordinate
-        object is formatted once."""
-        text = {}  # by id: every value formatted is held by self or g meanwhile
-
-        def quoted(value):
-            out = text.get(id(value))
-            if out is None:
-                out = text[id(value)] = f'"{format_rational(value)}"'
-            return out
-
-        labels = [json.dumps(label) for label in g.labels]
-        vertices = ", ".join(
-            f'{{"id": {labels[v]}, "x": {quoted(self.x[v])}}}' for v in self.support.order
-        )
+        "w", "rect"}]}`` as the text ``json.dumps`` gives.  Each distinct
+        coordinate and each label is formatted once, and the document is
+        filled in with no Python call per coordinate."""
+        x, rects = self._ratios()
+        order = self.support.order
+        n = len(order)
+        coords = list(map(x.__getitem__, order))
+        coords += chain.from_iterable(map(rects.__getitem__, range(g.m)))
+        distinct = dict.fromkeys(coords)
+        text = dict(zip(distinct, [format_ratio(p, q) for p, q in distinct]))
+        coords = list(map(text.__getitem__, coords))
+        labels = list(map(encode_basestring_ascii, g.labels))
+        ends = list(map(labels.__getitem__, chain.from_iterable(g.ends)))
+        vertices = ", ".join(['{"id": %s, "x": "%s"}'] * n) % tuple(
+            chain.from_iterable(zip(map(labels.__getitem__, order), coords)))
         edges = ", ".join(
-            f'{{"u": {labels[u]}, "v": {labels[v]}, "w": "{format_ratio(p, q)}", "rect": '
-            f'[{", ".join(map(quoted, self.rects[eid]))}]}}'
-            for eid, ((u, v), p, q) in enumerate(zip(g.ends, *g.ratios()))
-        )
+            ['{"u": %s, "v": %s, "w": "%s", "rect": ["%s", "%s", "%s", "%s"]}'] * g.m
+        ) % tuple(chain.from_iterable(zip(
+            ends[0::2], ends[1::2], map(format_ratio, *g.ratios()),
+            coords[n::4], coords[n + 1::4], coords[n + 2::4], coords[n + 3::4],
+        )))
         return f'{{"vertices": [{vertices}], "edges": [{edges}]}}'
 
     @staticmethod
@@ -74,10 +126,10 @@ class TwoDimEmbedding:
 
         Raises :class:`GraphFormatError` when a member is missing, has the
         wrong type or names an unknown vertex, a number is not a rational
-        string, or a rectangle does not have four coordinates.
+        string, or a rectangle is not an array of four coordinates.
         """
         # read as graph documents are: any length, ids as the labels they name
-        doc = json.loads(text, parse_int=read_digits)
+        doc = read_json(text)
         try:
             labels = [
                 _coerce_label(entry["id"], f"vertices[{i}]")
@@ -95,81 +147,90 @@ class TwoDimEmbedding:
                     for eid, entry in enumerate(doc["edges"])
                 ],
             )
-            x = {i: parse_rational(entry["x"]) for i, entry in enumerate(doc["vertices"])}
+            x = {i: parse_ratio(entry["x"]) for i, entry in enumerate(doc["vertices"])}
             rects = {}
             for eid, entry in enumerate(doc["edges"]):
-                rects[eid] = tuple(parse_rational(c) for c in entry["rect"])
-                if len(rects[eid]) != 4:
-                    raise GraphFormatError(f"edges[{eid}]: rect needs four coordinates")
+                rect = entry["rect"]
+                if type(rect) is not list or len(rect) != 4:
+                    raise GraphFormatError(
+                        f"edges[{eid}]: rect must be an array of four coordinates")
+                rects[eid] = tuple(map(parse_ratio, rect))
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphFormatError(
                 f"malformed 2-D embedding document ({type(exc).__name__}: {exc})"
             ) from None
         order = list(range(g.n))  # vertices are serialized in support order
-        return g, TwoDimEmbedding(BookEmbedding(order), x, rects)
+        return g, TwoDimEmbedding._of_pairs(BookEmbedding(order), x, rects)
 
 
-def _draw_region(order, ends, nums, den, length):
+def _draw_region(order, spans, nums, den, length):
     """Exact-area drawing of a biconnected structure given its forced order,
     in a box of width ``length`` whose area is the weight total.
 
-    Edge i joins ``ends[i]`` and weighs ``nums[i] / den``; the nesting
-    forest must have a single root (the edge joining the order's
-    endpoints).  Returns (vx, rects by edge index).
+    ``spans[i]`` is ``(a, b, i)``, the order positions ``a < b`` of edge
+    i's ends, and edge i weighs ``nums[i] / den``; ``length`` is a reduced
+    ``(p, q)`` pair.  The nesting forest must have a single root (the edge
+    joining the order's endpoints).  Returns (vx, rects by edge index) with
+    every coordinate a reduced ``(p, q)`` pair of ints, one pair object per
+    distinct coordinate, shared by ``vx`` and the rectangles.
 
-    A region of width W whose subtree weighs S (in units of 1/den) is
-    S/(den·W) tall; its edge takes the top and leaves C/(den·W) to the
-    children, C being their total, and child k gets the width W·S_k/C.
-    Widths and the running junction are reduced (num, den) pairs of ints;
-    each new coordinate is one Fraction, shared by ``vx`` and the rectangles.
+    A region whose subtree weighs S (in units of 1/den) and whose top is
+    at height T is S/(den·T) wide.  Its edge takes the top and leaves the
+    height y = T·C/S to the children, C being their total; so every child
+    region's top is y, and child k ends at x_lo + P/(den·y), P the
+    children's total up to k.  Each new coordinate costs one gcd.
     """
-    pos = {v: i for i, v in enumerate(order)}
-    spans = [span(pos, u, v) + (i,) for i, (u, v) in enumerate(ends)]
     _parent, children, roots = nesting_forest(len(order), spans)
     assert len(roots) == 1, "top edge must wrap every other edge"
     subtree = list(nums)
-    rest = [0] * len(ends)  # C: the children's total
-    post = []
+    pre = []
     stack = list(roots)
     while stack:
         i = stack.pop()
-        post.append(i)
+        pre.append(i)
         stack.extend(children[i])
-    for i in reversed(post):
+    for i in reversed(pre):
         for k in children[i]:
-            rest[i] += subtree[k]
-        subtree[i] += rest[i]
+            subtree[i] += subtree[k]
 
     gcd = math.gcd
-    zero = Fraction(0)
-    length = Fraction(length)
-    ln, ld = length.numerator, length.denominator
+    zero = (0, 1)
+    ln, ld = length
     vx = {order[0]: zero, order[-1]: length}
     rects = {}
-    frames = [(roots[0], zero, length, ln, ld, Fraction(subtree[roots[0]] * ld, den * ln))]
+    root = roots[0]
+    tn, td = subtree[root] * ld, den * ln
+    g = gcd(tn, td)
+    frames = [(root, zero, length, (tn // g, td // g))]
     while frames:
-        i, x_lo, x_hi, wn, wd, top = frames.pop()
+        i, x_lo, x_hi, top = frames.pop()
         kids = children[i]
         if not kids:
             rects[i] = (x_lo, x_hi, zero, top)
             continue
-        c = rest[i]
-        y = Fraction(c * wd, den * wn)
+        tn, td = top
+        yn, yd = tn * (subtree[i] - nums[i]), td * subtree[i]
+        g = gcd(yn, yd)
+        yn, yd = yn // g, yd // g
+        y = (yn, yd)
         rects[i] = (x_lo, x_hi, y, top)
-        cursor, xn, xd = x_lo, x_lo.numerator, x_lo.denominator
-        for idx, k in enumerate(kids):
-            g = gcd(subtree[k], c)
-            sn, sd = subtree[k] // g, c // g
-            g1, g2 = gcd(wn, sd), gcd(sn, wd)
-            kn, kd = wn // g1 * (sn // g2), wd // g2 * (sd // g1)
-            if idx + 1 < len(kids):
-                g = gcd(xd, kd)
-                nxt = Fraction(xn * (kd // g) + kn * (xd // g), xd // g * kd)
-                xn, xd = nxt.numerator, nxt.denominator
+        # x_lo + P/(den·y) is (a + P·b) / d
+        xn, xd = x_lo
+        d = xd * den * yn
+        a, b = xn * den * yn, yd * xd
+        cursor = x_lo
+        prefix = 0
+        last = kids[-1]
+        for k in kids:
+            if k != last:
+                prefix += subtree[k]
+                t = a + prefix * b
+                g = gcd(t, d)
+                nxt = (t // g, d // g)
                 vx[order[spans[k][1]]] = nxt
             else:
                 nxt = x_hi
-            frames.append((k, cursor, nxt, kn, kd, y))
+            frames.append((k, cursor, nxt, y))
             cursor = nxt
     assert len(vx) == len(order), "every vertex must receive an x-coordinate"
     return vx, rects
@@ -199,35 +260,49 @@ def twodim_biconnected(g, s, t, length, height):
     if cut is None:
         raise PreconditionError("(s, t) is not on the outer face")
     order = cut.order()
-    vx, rects = _draw_region(order, g.ends, *_over_lcm(*g.ratios()), length)
-    return TwoDimEmbedding(BookEmbedding(order), vx, rects)
+    # the whole graph's cycle lists its spans by edge id
+    vx, rects = _draw_region(order, cut.spans(), *_over_lcm(*g.ratios()),
+                             (length.numerator, length.denominator))
+    return TwoDimEmbedding._of_pairs(BookEmbedding(order), vx, rects)
 
 
 def one_page_order(g):
     """A 1-page order of a connected outerplanar graph or one ``Component``
-    of any graph (one always exists): block outer cycles hung on cuts."""
+    of any graph (one always exists): block outer cycles hung on cuts.
+
+    Each block is read along its outer cycle from its parent cut vertex
+    (the root block, the first, from its smallest vertex); a cut vertex is
+    followed by its child blocks' orders, less the cut vertex itself."""
     g = component(g)
     if g.n == 1:
         return [g.root]
-    tree = g.tree
-    rooted = tree.rooted(g.block_ids[0])
-    ropes = {}
-    for bid in rooted.block_postorder:
-        block = tree.blocks[bid]
+    blocks, blocks_of_vertex = g.tree.blocks, g.tree.blocks_of_vertex
+
+    def block_order(bid, first):
+        block = blocks[bid]
         record = block_outer_cycle(g, block.vertices, block.edge_ids)
         if record is None:
             raise NotOuterplanarError("graph is not outerplanar")
-        parent = rooted.parent_cut[bid]
-        cut = record.cuts(block.vertices[0] if parent is None else parent)[0]
-        repl = {}
-        for c in rooted.child_cuts[bid]:
-            parts = [seq.one(c)]
-            parts.extend(
-                seq.skipping(ropes[b2], c) for b2 in rooted.child_blocks[c]
-            )
-            repl[c] = seq.cat(*parts)
-        ropes[bid] = seq.blk(cut.order(), repl or None)
-    return seq.materialize(ropes[rooted.root])
+        return iter(Cut(record, record.pos[first], 1).order())
+
+    root = g.block_ids[0]
+    out = []
+    stack = [(root, block_order(root, blocks[root].vertices[0]))]
+    while stack:
+        bid, rest = stack[-1]
+        for v in rest:
+            out.append(v)
+            if len(blocks_of_vertex[v]) > 1:
+                # the blocks of a cut vertex but this one hang below it
+                for child in reversed(blocks_of_vertex[v]):
+                    if child != bid:
+                        below = block_order(child, v)
+                        next(below)
+                        stack.append((child, below))
+                break
+        else:
+            stack.pop()
+    return out
 
 
 def twodim_general(g, eps=Fraction(1), length=None):
@@ -249,29 +324,31 @@ def twodim_general(g, eps=Fraction(1), length=None):
     order_all = [v for part in components(g) for v in one_page_order(part)]
 
     if g.m == 0:
-        x = {v: Fraction(i) for i, v in enumerate(order_all)}
-        return TwoDimEmbedding(BookEmbedding(order_all), x, {})
+        x = {v: (i, 1) for i, v in enumerate(order_all)}
+        return TwoDimEmbedding._of_pairs(BookEmbedding(order_all), x, {})
 
     pos = {v: i for i, v in enumerate(order_all)}
-    present = {span(pos, u, v) for u, v in g.ends}
+    spans = [span(pos, u, v) + (eid,) for eid, (u, v) in enumerate(g.ends)]
+    present = {(a, b) for a, b, _eid in spans}
     # the dummy edges are the indices from g.m on
-    ends = list(g.ends)
-    ends += [(order_all[i], order_all[i + 1])
-             for i in range(n - 1) if (i, i + 1) not in present]
-    if n >= 2 and (0, n - 1) not in present:
-        ends.append((order_all[0], order_all[-1]))
+    dummies = [(i, i + 1) for i in range(n - 1) if (i, i + 1) not in present]
+    if (0, n - 1) not in present:
+        dummies.append((0, n - 1))
+    spans += [(a, b, eid) for eid, (a, b) in enumerate(dummies, g.m)]
     # the dummy weight eps/n is one more pair, after the graph's, and its
     # numerator is then dealt to every dummy edge
     dummy_w = eps / n
     ps, qs = g.ratios()
     nums, den = _over_lcm(ps + [dummy_w.numerator], qs + [dummy_w.denominator])
-    nums += [nums.pop()] * (len(ends) - g.m)
+    nums += [nums.pop()] * (len(spans) - g.m)
     total = Fraction(sum(nums), den)
 
     length = default_box_width(total) if length is None else Fraction(length)
-    vx, all_rects = _draw_region(order_all, ends, nums, den, length)
-    rects = {eid: rect for eid, rect in all_rects.items() if eid < g.m}
-    return TwoDimEmbedding(BookEmbedding(order_all), vx, rects)
+    vx, all_rects = _draw_region(order_all, spans, nums, den,
+                                 (length.numerator, length.denominator))
+    m = g.m
+    rects = {eid: rect for eid, rect in all_rects.items() if eid < m}
+    return TwoDimEmbedding._of_pairs(BookEmbedding(order_all), vx, rects)
 
 
 def minres_construct(g, embedding):

@@ -121,4 +121,16 @@ MALFORMED_2D = {
     "2d-number-coordinate": json.dumps(
         {**K2_2D, "edges": [{"u": "a", "v": "b", "w": "1", "rect": [0, 1, 0, 1]}]}
     ),
+    # a rect that is not an array, though its characters or keys would spell
+    # the rectangle (0, 2, 0, 3) of an edge that weighs 6 from x = 0 to 2
+    **{
+        f"2d-rect-{name}": json.dumps({
+            "vertices": [{"id": "a", "x": "0"}, {"id": "b", "x": "2"}],
+            "edges": [{"u": "a", "v": "b", "w": "6", "rect": rect}],
+        })
+        for name, rect in (
+            ("string", "0203"),
+            ("object", {"0": "x0", "2": "x1", "00": "y0", "3": "y1"}),
+        )
+    },
 }

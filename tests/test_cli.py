@@ -267,6 +267,18 @@ def test_embed_2d_writes_numbers_past_the_digit_limit():
     assert (code, err) == (0, "") and "<svg" in svg
 
 
+
+def test_embed_2d_writes_weights_past_the_digit_limit():
+    # the weights are formatted together; one past the limit must not lose
+    # the others
+    big = "9" * 5000 + "/7"
+    code, out, err = run_cli(
+        ["embed-2d"], stdin_text=json.dumps({"edges": [["a", "b", big], ["b", "c", "1/2"]]}))
+    assert (code, err) == (0, "")
+    assert [e["w"] for e in json.loads(out)["edges"]] == [big, "1/2"]
+    code, svg, err = run_cli(["render"], stdin_text=out)
+    assert (code, err) == (2, "bookembed: a coordinate is too large to draw\n")
+
 def test_disconnected_input_handled():
     g = '{"vertices":["z"],"edges":[["a","b","2"],["c","d","3"]]}'
     code, out, _ = run_cli(["embed-max"], stdin_text=g)
@@ -734,6 +746,43 @@ def test_malformed_input_exits_2(tmp_path, argv, stdin_text):
     if "--graph" in argv and argv[argv.index("--graph") + 1] == "-":
         assert err == "bookembed: the input and --graph cannot both be read from stdin\n"
 
+
+
+@pytest.mark.parametrize("name", ["2d-rect-string", "2d-rect-object"])
+def test_render_rejects_a_rect_that_is_not_an_array(name):
+    code, out, err = run_cli(["render"], stdin_text=MALFORMED_2D[name])
+    assert (code, out) == (2, "")
+    assert err.startswith("bookembed: ") and "edges[0]" in err
+
+
+# a byte order mark is reported as ``json.loads`` reports it, wherever the
+# JSON is read
+BOM_CASES = {
+    "graph": (
+        lambda g, order, drawing: ["embed-max", str(g)],
+        "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig) (line 1, at 1)",
+    ),
+    "order": (
+        lambda g, order, drawing: ["check", "max", str(g), "--order", f"@{order}"],
+        "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+    ),
+    "2-D document": (
+        lambda g, order, drawing: ["render", str(drawing)],
+        "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BOM_CASES)
+def test_a_byte_order_mark_is_reported_as_json_loads_reports_it(tmp_path, case):
+    argv, message = BOM_CASES[case]
+    paths = [tmp_path / name for name in ("g.json", "order.json", "drawing.json")]
+    texts = [TRI_5_6_11, '["a", "b", "c"]', json.dumps(K2_2D)]
+    for path, text in zip(paths, texts):
+        path.write_text(text, encoding="utf-8")
+    bommed = paths[list(BOM_CASES).index(case)]
+    bommed.write_text("\ufeff" + bommed.read_text(encoding="utf-8"), encoding="utf-8")
+    assert run_cli(argv(*paths)) == (2, "", f"bookembed: {message}\n")
 
 def test_render_arc_names_two_crossing_edges(tmp_path):
     path = tmp_path / "c.json"

@@ -197,3 +197,34 @@ def test_drawer_failures_match_their_golden_digest():
                     f = "ok"
                 digest.update(f"{key}\n{drawer.__name__}\n{f!r}\n".encode())
     assert digest.hexdigest() == FAILURE_DIGEST
+
+
+# The inputs above give 2-D coordinates of a few dozen bits.  These unions
+# of three planted components, of every class, give denominators of about
+# 130 bits at n = 60 and 330-360 bits at n = 150.
+TWODIM_DIGEST = "29aa09b4de69d51b77a943eadecee85a853f10bcb181fa8656f62a90730019b1"
+TWODIM_COMMANDS = (
+    ["embed-2d", "--eps", "1"],
+    ["embed-2d", "--eps", "1/3", "--L", "7/3"],
+)
+
+
+def _twodim_inputs():
+    for n in (60, 150):
+        for cls in planted.CLASSES:
+            for make in (planted.planted_yes, planted.planted_no):
+                parts = [make(n // 3, cls, s, s % 3 == 2, check=False) for s in range(3)]
+                inst = planted.disjoint_union(parts)
+                yield f"{make.__name__}-{n}-{cls}", inst.graph, make is planted.planted_yes
+
+
+def test_large_2d_coordinates_match_their_golden_digest(tmp_path):
+    digest = hashlib.sha256()
+    for key, g, yes in _twodim_inputs():
+        path = tmp_path / f"{key}.json"
+        path.write_text(serialize_graph(g))
+        commands = TWODIM_COMMANDS + ((["embed-2d", "--minres"],) if yes else ())
+        for argv in commands:
+            code, out = _run(argv + [str(path)])
+            digest.update(f"{key}\n{argv}\n{code}\n{out}\n".encode())
+    assert digest.hexdigest() == TWODIM_DIGEST

@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from bookembed import twodim
+from bookembed import cli, twodim
 from bookembed.embedding import BookEmbedding
 from bookembed.errors import GraphFormatError, PreconditionError
-from bookembed.graph import BlockCutTree, WeightedGraph
+from bookembed.graph import BlockCutTree, WeightedGraph, serialize_graph
 from bookembed.minres import minres_be_drawer
 from bookembed.oracle import random_outerplanar
 from bookembed.outerplanar import nesting_forest, outerplane_embedding, span
@@ -358,15 +358,13 @@ def test_one_page_order_always_works():
 # -- the integer build against a per-operation Fraction reference --------
 
 
-def _reference_draw_region(order, ends, nums, den, length):
+def _reference_draw_region(order, spans, nums, den, length):
     """Reference drawing with one Fraction operation per step: an edge takes
     w / width off the top of its region, and a child's width is its
-    subtree total / the height left."""
-    pos = {v: i for i, v in enumerate(order)}
-    spans = [span(pos, u, v) + (i,) for i, (u, v) in enumerate(ends)]
+    subtree total / the height left.  Coordinates are Fractions."""
     _parent, children, roots = nesting_forest(len(order), spans)
     weights = [Fraction(p, den) for p in nums]
-    subtree = [None] * len(ends)
+    subtree = [None] * len(spans)
     post = []
     stack = list(roots)
     while stack:
@@ -379,7 +377,7 @@ def _reference_draw_region(order, ends, nums, den, length):
             total += subtree[k]
         subtree[i] = total
 
-    length = Fraction(length)
+    length = Fraction(*length)
     vx = {order[0]: Fraction(0), order[-1]: length}
     rects = {}
     frames = [(roots[0], Fraction(0), length, subtree[roots[0]] / length)]
@@ -418,11 +416,21 @@ def _reference_json(g, emb):
     })
 
 
+def _reference_pairs(*args):
+    """:func:`_reference_draw_region` with its Fractions as the ``(p, q)``
+    pairs that ``_draw_region`` returns."""
+    vx, rects = _reference_draw_region(*args)
+    pair = {id(c): (c.numerator, c.denominator)
+            for c in (*vx.values(), *(c for rect in rects.values() for c in rect))}
+    return ({v: pair[id(c)] for v, c in vx.items()},
+            {eid: tuple(pair[id(c)] for c in rect) for eid, rect in rects.items()})
+
+
 def _both_ways(monkeypatch, build):
     """``build()``, and the same build drawn by the reference."""
     emb = build()
     with monkeypatch.context() as patch:
-        patch.setattr(twodim, "_draw_region", _reference_draw_region)
+        patch.setattr(twodim, "_draw_region", _reference_pairs)
         return emb, build()
 
 
@@ -465,7 +473,7 @@ def test_integer_build_is_byte_identical_to_the_fraction_reference(
     assert checked > 180
 
 
-def test_draw_region_does_no_fraction_arithmetic(monkeypatch):
+def test_draw_region_does_no_fraction_arithmetic(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(PERFBENCH)
     planted = importlib.import_module("planted")
     g = planted.planted_yes(120, "sum", seed=4, biconnected=False).graph
@@ -493,3 +501,23 @@ def test_draw_region_does_no_fraction_arithmetic(monkeypatch):
     assert drawn == [0]
     monkeypatch.undo()
     assert check_twodim(g, emb) == []
+
+    # and an embed-2d call builds as many Fractions at n = 240 as at 60:
+    # every coordinate stays a pair of ints from the drawing to the JSON
+    made = Counter()
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made[n] += 1
+        return new(cls, *args, **kwargs)
+
+    out = tmp_path / "drawing.json"
+    for n in (60, 240):
+        parts = [planted.planted_no(n // 3, cls, s, s % 3 == 2, check=False)
+                 for s, cls in enumerate(planted.CLASSES)]
+        path = tmp_path / f"g{n}.json"
+        path.write_text(serialize_graph(planted.disjoint_union(parts).graph))
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", staticmethod(counted))
+            assert cli.main(["embed-2d", str(path), "--output", str(out)]) == 0
+    assert made[60] == made[240] < 20, made
