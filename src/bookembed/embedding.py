@@ -12,7 +12,7 @@ from fractions import Fraction
 from .errors import NotOnePageError, PreconditionError
 from .exact import INF, format_ratio, read_json
 from .graph import components
-from .outerplanar import nesting_forest, span
+from .outerplanar import nesting_forest, preorder, span
 
 
 class BookEmbedding:
@@ -110,12 +110,12 @@ def is_one_page(g, embedding):
 
 
 def _forest_or_raise(g, embedding):
-    """``(spans, parent, children, roots)``: the span of every edge, by
-    edge id, and their nesting forest."""
+    """``(spans, children, roots)``: the span of every edge, by edge id,
+    and their nesting forest, whose node i is thus edge i."""
     _check_permutation(g, embedding)
     pos = embedding.position
     spans = [span(pos, u, v) + (eid,) for eid, (u, v) in enumerate(g.ends)]
-    return (spans, *nesting_forest(g.n, spans))
+    return (spans, *nesting_forest(g.n, spans)[1:])
 
 
 @dataclass(frozen=True)
@@ -212,61 +212,56 @@ def validate_max(g, embedding):
     else the first violating pair in lexicographic span order.
 
     Checking parent/child pairs of the nesting forest suffices: strict
-    inequality is transitive along nesting chains.  The pair reported has
-    the outer edge smallest in ``(left, -right)`` and, under it, the
-    leftmost inner edge.
+    inequality is transitive along nesting chains.  The forest is read in
+    :func:`~bookembed.outerplanar.preorder`, so the pair reported has the
+    outer edge smallest in ``(left, -right)`` and, under it, the leftmost
+    inner edge.
     """
-    spans, parent, children, roots = _forest_or_raise(g, embedding)
+    _spans, children, roots = _forest_or_raise(g, embedding)
     nums = g.scaled[0]
-    worst = None
-    for (a, b, eid), kids in zip(spans, children):
+    for eid in preorder(children, roots):
         w = nums[eid]
-        for kid in kids:
-            if not w > nums[spans[kid][2]]:
-                if worst is None or (a, -b) < worst[0]:
-                    worst = ((a, -b), MaxViolation(eid, spans[kid][2]))
-                break
-    return worst[1] if worst else None
-
-
-def _max_antichains(nums, spans, children, roots):
-    """Per edge: the maximum total weight of disjointly placed edges under it
-    (``nums`` holds the weights), plus a witness antichain attaining it."""
-    best = [None] * len(spans)
-    witness = [None] * len(spans)
-    order = list(roots)
-    for idx in order:  # breadth first, so reversed each edge follows its children
-        order.extend(children[idx])
-    for idx in reversed(order):
-        total = 0
-        wit = []
-        for kid in children[idx]:
-            kid_eid = spans[kid][2]
-            w_kid = nums[kid_eid]
-            if best[kid] is not None and best[kid] > w_kid:
-                total += best[kid]
-                wit.extend(witness[kid])
-            else:
-                total += w_kid
-                wit.append(kid_eid)
-        best[idx] = total
-        witness[idx] = tuple(wit)
-    return best, witness
+        for kid in children[eid]:
+            if not w > nums[kid]:
+                return MaxViolation(eid, kid)
+    return None
 
 
 def validate_sum(g, embedding):
     """None if every edge strictly outweighs every sequence of disjointly
     placed edges under it, else a violation carrying a maximum-weight witness:
     for the violating edge smallest in ``(left, -right)``.
+
+    The most weight placed disjointly under an edge is, summed over its
+    children, each child's weight or, when more, the most under the child.
+    The sums are taken over the reversed preorder and the witness is
+    rebuilt for the reported edge only, so past the forest's one sort, time
+    and memory are linear in the edge count.
     """
-    spans, parent, children, roots = _forest_or_raise(g, embedding)
+    _spans, children, roots = _forest_or_raise(g, embedding)
     nums = g.scaled[0]
-    best, witness = _max_antichains(nums, spans, children, roots)
-    worst = None
-    for (a, b, eid), kids, under in zip(spans, children, best):
-        if kids and not nums[eid] > under and (worst is None or (a, -b) < worst[0]):
-            worst = ((a, -b), SumViolation(eid, witness[eid]))
-    return worst[1] if worst else None
+    walk = preorder(children, roots)
+    best = [0] * len(children)
+    for eid in reversed(walk):
+        total = 0
+        for kid in children[eid]:
+            under, w = best[kid], nums[kid]
+            total += under if under > w else w
+        best[eid] = total
+    for eid in walk:
+        if children[eid] and not nums[eid] > best[eid]:
+            # a kid with more weight beneath it than its own gives way to
+            # its kids, as in the sums
+            witness = []
+            open_kids = set(children[eid])
+            for kid in preorder(children, children[eid]):
+                if kid in open_kids:
+                    if best[kid] > nums[kid]:
+                        open_kids.update(children[kid])
+                    else:
+                        witness.append(kid)
+            return SumViolation(eid, tuple(witness))
+    return None
 
 
 def burdens(g, embedding):
@@ -282,15 +277,13 @@ def validate_minres_supporting(g, embedding):
     comparison), else the first violating edge in span order.  Each edge
     is compared with its own burden only, so its reduced ``(p, q)`` serves
     and no graph-wide view is built."""
-    spans = _forest_or_raise(g, embedding)[0]
+    spans, children, roots = _forest_or_raise(g, embedding)
     ps, qs = g.ratios()
-    worst = None
-    for a, b, eid in spans:
+    for eid in preorder(children, roots):
+        a, b, _eid = spans[eid]
         if ps[eid] < (b - a) * qs[eid]:  # the burden is b - a - 1
-            key = (a, -b, eid)
-            if worst is None or key < worst[0]:
-                worst = (key, MinresViolation(eid, b - a - 1))
-    return worst[1] if worst else None
+            return MinresViolation(eid, b - a - 1)
+    return None
 
 
 @dataclass
@@ -327,10 +320,9 @@ def metrics(g, embedding):
     spanning edge) computes identical numbers; the minima below range over
     the original edges only, exactly as that construction prescribes.
     """
-    spans, _parent, children, roots = _forest_or_raise(g, embedding)
+    spans, children, roots = _forest_or_raise(g, embedding)
     n = g.n
     pos = embedding.position
-    # _forest_or_raise lists the spans by edge id, so index i below IS edge id i.
     beta = tuple(b - a - 1 for a, b, _ in spans)
 
     # Gap minima of slack = w - (burden+1) over edges covering each gap.

@@ -1,6 +1,6 @@
 """Outerplanarity recognition: the outer cycle of a biconnected block with
 its edge spans, the cuts of that cycle into linear orders, and the nesting
-forest of edge spans over a linear order."""
+forest of edge spans over a linear order with its one walk."""
 
 from __future__ import annotations
 
@@ -49,6 +49,22 @@ def nesting_forest(num_positions, edge_spans):
         stack.append(idx)
         rights.append(-neg_right)
     return parent, children, roots
+
+
+def preorder(children, roots):
+    """The nodes of a forest, each parent before its children and the
+    children left to right.  In a :func:`nesting_forest` that is the order
+    of the spans by ``(left, -right)``; read reversed, every node follows
+    its children."""
+    out = []
+    stack = roots[::-1]
+    while stack:
+        i = stack.pop()
+        out.append(i)
+        kids = children[i]
+        if kids:
+            stack += kids[::-1]
+    return out
 
 
 class OuterCycle:

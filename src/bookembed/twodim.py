@@ -13,16 +13,22 @@ import math
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
 
 from .embedding import BookEmbedding, _forest_or_raise, validate_minres_supporting
 from .errors import GraphFormatError, NotOnePageError, NotOuterplanarError, PreconditionError
 from .exact import format_ratio, parse_ratio, parse_rational, read_json
 from .graph import WeightedGraph, _coerce_label, _over_lcm, component, components
-from .outerplanar import Cut, _whole_graph_cycle, block_outer_cycle, nesting_forest, span
+from .outerplanar import Cut, _whole_graph_cycle, block_outer_cycle, nesting_forest, preorder, span
 
 
 def _mapped(x, rects, f):
-    """``x`` and ``rects`` with ``f`` applied to every coordinate."""
+    """``x`` and ``rects`` with ``f`` applied to every coordinate, once per
+    distinct coordinate, so that equal coordinates share one result."""
+    made = dict.fromkeys(chain(x.values(), chain.from_iterable(rects.values())))
+    for c in made:
+        made[c] = f(c)
+    f = made.__getitem__
     return ({v: f(c) for v, c in x.items()},
             {eid: tuple(map(f, rect)) for eid, rect in rects.items()})
 
@@ -30,21 +36,20 @@ def _mapped(x, rects, f):
 class TwoDimEmbedding:
     """Vertex x-coordinates plus one rectangle per edge, all exact rationals.
 
-    A drawing made here holds each coordinate as a reduced ``(p, q)`` pair
-    of ints, one pair object per distinct coordinate.  :attr:`x` and
-    :attr:`rects` are the ``Fraction`` views, built from the pairs on first
-    use; from then on they are what the embedding holds, so a change made
-    to them is what :meth:`to_json` writes.
+    The embedding holds each coordinate as a reduced ``(p, q)`` pair of
+    ints, one pair object per distinct coordinate, and :meth:`to_json`
+    writes the pairs.  :attr:`x` and :attr:`rects` are read-only
+    ``Fraction`` views of them, made on first use and kept beside them.
     """
 
     __slots__ = ("support", "_pairs", "_fractions")
 
     def __init__(self, support, x, rects):
-        """``x``: Fractions by vertex; ``rects``: ``(xmin, xmax, ymin,
-        ymax)`` Fractions by edge id."""
+        """``x``: exact rationals (ints or Fractions) by vertex; ``rects``:
+        ``(xmin, xmax, ymin, ymax)`` of them by edge id."""
         self.support = support
-        self._pairs = None
-        self._fractions = (dict(x), dict(rects))
+        self._pairs = _mapped(x, rects, lambda c: (c.numerator, c.denominator))
+        self._fractions = None
 
     @classmethod
     def _of_pairs(cls, support, x, rects):
@@ -56,30 +61,19 @@ class TwoDimEmbedding:
 
     @property
     def x(self):
-        """x-coordinates by vertex as Fractions."""
+        """x-coordinates by vertex as Fractions, read-only."""
         return self._views()[0]
 
     @property
     def rects(self):
-        """``(xmin, xmax, ymin, ymax)`` as Fractions by edge id."""
+        """``(xmin, xmax, ymin, ymax)`` as Fractions by edge id, read-only."""
         return self._views()[1]
 
     def _views(self):
         if self._fractions is None:
-            x, rects = self._pairs
-            # one Fraction per distinct coordinate
-            made = dict.fromkeys(chain(x.values(), chain.from_iterable(rects.values())))
-            for pair in made:
-                made[pair] = Fraction(*pair)
-            self._fractions, self._pairs = _mapped(x, rects, made.__getitem__), None
+            x, rects = _mapped(*self._pairs, lambda pair: Fraction(*pair))
+            self._fractions = MappingProxyType(x), MappingProxyType(rects)
         return self._fractions
-
-    def _ratios(self):
-        """``(x, rects)`` as pairs: the held pairs, or pairs of the held
-        Fractions."""
-        if self._pairs is not None:
-            return self._pairs
-        return _mapped(*self._fractions, lambda c: (c.numerator, c.denominator))
 
     def bounding_box(self):
         """(width, height) of the smallest box enclosing the rectangles."""
@@ -100,7 +94,7 @@ class TwoDimEmbedding:
         "w", "rect"}]}`` as the text ``json.dumps`` gives.  Each distinct
         coordinate and each label is formatted once, and the document is
         filled in with no Python call per coordinate."""
-        x, rects = self._ratios()
+        x, rects = self._pairs
         order = self.support.order
         n = len(order)
         coords = list(map(x.__getitem__, order))
@@ -182,14 +176,9 @@ def _draw_region(order, spans, nums, den, length):
     """
     _parent, children, roots = nesting_forest(len(order), spans)
     assert len(roots) == 1, "top edge must wrap every other edge"
+    walk = preorder(children, roots)
     subtree = list(nums)
-    pre = []
-    stack = list(roots)
-    while stack:
-        i = stack.pop()
-        pre.append(i)
-        stack.extend(children[i])
-    for i in reversed(pre):
+    for i in reversed(walk):
         for k in children[i]:
             subtree[i] += subtree[k]
 
@@ -201,9 +190,13 @@ def _draw_region(order, spans, nums, den, length):
     root = roots[0]
     tn, td = subtree[root] * ld, den * ln
     g = gcd(tn, td)
-    frames = [(root, zero, length, (tn // g, td // g))]
-    while frames:
-        i, x_lo, x_hi, top = frames.pop()
+    # (x_lo, x_hi, top) of each region, set by its parent and dropped once
+    # read, so that only the regions still to be drawn hold one
+    frames = [None] * len(spans)
+    frames[root] = (zero, length, (tn // g, td // g))
+    for i in walk:
+        x_lo, x_hi, top = frames[i]
+        frames[i] = None
         kids = children[i]
         if not kids:
             rects[i] = (x_lo, x_hi, zero, top)
@@ -230,7 +223,7 @@ def _draw_region(order, spans, nums, den, length):
                 vx[order[spans[k][1]]] = nxt
             else:
                 nxt = x_hi
-            frames.append((k, cursor, nxt, y))
+            frames[k] = (cursor, nxt, y)
             cursor = nxt
     assert len(vx) == len(order), "every vertex must receive an x-coordinate"
     return vx, rects
@@ -360,18 +353,11 @@ def minres_construct(g, embedding):
             f"order is not a supporting embedding: {violation}"
         )
     pos = embedding.position
-    # the spans are listed by edge id, so index i is edge i
-    spans, _parent, children, roots = _forest_or_raise(g, embedding)
+    spans, children, roots = _forest_or_raise(g, embedding)
     ps, qs = g.ratios()
     x = {v: Fraction(pos[v] + 1) for v in embedding.order}
     rects = {}
-    post = []
-    stack = list(roots)
-    while stack:
-        i = stack.pop()
-        post.append(i)
-        stack.extend(children[i])
-    for i in reversed(post):
+    for i in reversed(preorder(children, roots)):
         a, b, _eid = spans[i]
         y_min = Fraction(0)
         for k in children[i]:
@@ -444,12 +430,12 @@ def check_twodim(g, emb, *, exact_box=None, require_minres=False):
         if not emb.x[a] < emb.x[b]:
             problems.append(f"x not strictly increasing at {g.labels[b]}")
     rect = emb.rects
-    for eid, ((u, v), w) in enumerate(zip(g.ends, g.weights)):
+    spans = [span(pos, u, v) + (eid,) for eid, (u, v) in enumerate(g.ends)]
+    for (a, b, eid), w in zip(spans, g.weights):
         if eid not in rect:
             problems.append(f"edge {eid} has no rectangle")
             continue
         xmin, xmax, ymin, ymax = rect[eid]
-        a, b = span(pos, u, v)
         if xmin != emb.x[order[a]] or xmax != emb.x[order[b]]:
             problems.append(f"edge {eid}: rectangle ends differ from endpoint x")
         if ymin < 0 or xmax <= xmin or ymax <= ymin:
@@ -470,7 +456,7 @@ def check_twodim(g, emb, *, exact_box=None, require_minres=False):
                 break
     try:
         # the spans are listed by edge id, so forest node i is edge i
-        _spans, _parent, children, _roots = _forest_or_raise(g, emb.support)
+        _parent, children, _roots = nesting_forest(g.n, spans)
     except NotOnePageError as exc:
         problems.append(str(exc))
     else:

@@ -1,6 +1,7 @@
 """Validators and metrics, checked against independent recomputation."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,25 @@ def test_validate_sum_reports_maximum_witness():
     assert violation.edge == g.edge_between(g.resolve("3"), g.resolve("7"))
     witness_w = sum(g.weight(e) for e in violation.witness)
     assert witness_w == 14
+
+
+def test_validate_sum_is_linear_on_a_deep_nest():
+    # a path of n vertices (edge i joins i and i + 1) under k nested
+    # chords, the outermost first; with every weight 1 the whole path
+    # outweighs the outermost chord
+    k = 2000
+    n = 2 * k + 2
+    edges = [(i, i + 1, 1) for i in range(n - 1)] + [(i, n - 1 - i, 1) for i in range(k)]
+    g = WeightedGraph([str(v) for v in range(n)], edges)
+    L = BookEmbedding(range(n))
+    tracemalloc.start()
+    try:
+        violation = validate_sum(g, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (violation.edge, violation.witness) == (n - 1, tuple(range(n - 1)))
+    assert peak / g.m < 1000, f"{peak / g.m:.0f} bytes an edge"
 
 
 def test_validate_sum_ok_triangle():

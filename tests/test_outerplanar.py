@@ -326,6 +326,8 @@ def test_nesting_forest_matches_the_pairwise_reference():
         else:
             assert not crossing, spans
             assert got == _forest_reference(spans), spans
+            assert outerplanar.preorder(got[1], got[2]) == sorted(
+                range(len(spans)), key=lambda i: (spans[i][0], -spans[i][1]))
         verdicts[crossing] += 1
     assert verdicts[True] > 300 and verdicts[False] > 300, verdicts
 

@@ -36,6 +36,8 @@ def test_k2_box():
     t = twodim_biconnected(g, "a", "b", 2, 3)
     assert t.rects[0] == (0, 2, 0, 3)
     assert check_twodim(g, t, exact_box=(2, 3)) == []
+    with pytest.raises(TypeError):  # the Fraction views are read-only
+        t.rects[0] = (0, 1, 0, 6)
 
 
 def test_triangle_slabs():
@@ -160,41 +162,47 @@ def _two_edges():
     return g, TwoDimEmbedding(BookEmbedding((0, 1, 2, 3)), x, rects), {}
 
 
+def _changed(t, support=None, x=(), rects=()):
+    """A copy of drawing ``t`` with ``support`` as its order and the given
+    ``x`` and ``rects`` entries replaced; a rectangle given as None is
+    dropped."""
+    rects = {**t.rects, **dict(rects)}
+    return TwoDimEmbedding(support or t.support, {**t.x, **dict(x)},
+                           {eid: r for eid, r in rects.items() if r is not None})
+
+
 def _cross(t):
     # the order a, b, c, d with every rectangle at its endpoints and of its
     # weight's area, b-d on top of a-c: only the crossing is wrong
-    t.support = BookEmbedding((0, 2, 1, 3))
-    t.x.update({2: Fraction(1), 1: Fraction(2)})
-    t.rects.update({0: (0, 2, 0, 1), 1: (1, 3, 1, 2)})
+    return _changed(t, BookEmbedding((0, 2, 1, 3)), x={2: Fraction(1), 1: Fraction(2)},
+                    rects={0: (0, 2, 0, 1), 1: (1, 3, 1, 2)})
 
 
-def _set(table, key, value):
-    table[key] = value
-
-
-# one mutation of a correct drawing per message check_twodim reports
+# one defective copy of a correct drawing per message check_twodim reports
 _DEFECTS = {
     "support order is not a permutation":
-        (_box_triangle, lambda t: setattr(t, "support", BookEmbedding((0, 0, 1)))),
-    "x not strictly increasing at b": (_box_triangle, lambda t: _set(t.x, 1, Fraction(0))),
-    "edge 1 has no rectangle": (_box_triangle, lambda t: t.rects.pop(1)),
+        (_box_triangle, lambda t: _changed(t, BookEmbedding((0, 0, 1)))),
+    "x not strictly increasing at b": (_box_triangle, lambda t: _changed(t, x={1: Fraction(0)})),
+    "edge 1 has no rectangle": (_box_triangle, lambda t: _changed(t, rects={1: None})),
     "edge 0: rectangle ends differ from endpoint x":
-        (_box_triangle, lambda t: _set(t.x, 1, Fraction(1, 4))),
+        (_box_triangle, lambda t: _changed(t, x={1: Fraction(1, 4)})),
     "edge 0: degenerate rectangle":
-        (_box_triangle, lambda t: _set(t.rects, 0, (0, Fraction(1, 2), 2, 2))),
+        (_box_triangle, lambda t: _changed(t, rects={0: (0, Fraction(1, 2), 2, 2)})),
     "edge 2: area is not exactly the weight":
-        (_box_triangle, lambda t: _set(t.rects, 2, (0, 1, 2, 4))),
+        (_box_triangle, lambda t: _changed(t, rects={2: (0, 1, 2, 4)})),
     "edge 2: width below 1":
-        (_unit_triangle, lambda t: _set(t.rects, 2, (1, Fraction(3, 2), 0, 2))),
+        (_unit_triangle, lambda t: _changed(t, rects={2: (1, Fraction(3, 2), 0, 2)})),
     "edge 0: height below 1":
-        (_unit_triangle, lambda t: _set(t.rects, 0, (1, 3, 1, Fraction(3, 2)))),
-    "vertex spacing below 1": (_unit_triangle, lambda t: _set(t.x, 1, Fraction(5, 2))),
+        (_unit_triangle, lambda t: _changed(t, rects={0: (1, 3, 1, Fraction(3, 2))})),
+    "vertex spacing below 1": (_unit_triangle, lambda t: _changed(t, x={1: Fraction(5, 2)})),
     "edge 2: bottom does not meet the nested tops":
-        (_box_triangle, lambda t: _set(t.rects, 2, (0, 1, Fraction(5, 2), Fraction(7, 2)))),
+        (_box_triangle,
+         lambda t: _changed(t, rects={2: (0, 1, Fraction(5, 2), Fraction(7, 2))})),
     "edges 0 and 1 cross": (_two_edges, _cross),
     "bounding box differs from the requested box":
-        (_box_triangle, lambda t: _set(t.rects, 2, (0, 1, 2, 4))),
-    "holes: rectangle areas do not fill the box": (_box_triangle, lambda t: t.rects.pop(1)),
+        (_box_triangle, lambda t: _changed(t, rects={2: (0, 1, 2, 4)})),
+    "holes: rectangle areas do not fill the box":
+        (_box_triangle, lambda t: _changed(t, rects={1: None})),
 }
 
 
@@ -203,7 +211,7 @@ def test_check_twodim_reports_each_defect(message):
     build, mutate = _DEFECTS[message]
     g, drawing, options = build()
     assert check_twodim(g, drawing, **options) == []
-    mutate(drawing)
+    drawing = mutate(drawing)
     assert message in check_twodim(g, drawing, **options)
     assert bool(check_twodim(g, drawing)) == bool(_pairwise_problems(g, drawing))
 
@@ -211,9 +219,10 @@ def test_check_twodim_reports_each_defect(message):
 # mutations whose messages only the pairwise definition gives
 _PAIRWISE_DEFECTS = {
     "edges 0 and 2: rectangles overlap":
-        (_box_triangle, lambda t: _set(t.rects, 2, (0, 1, 1, 2))),
+        (_box_triangle, lambda t: _changed(t, rects={2: (0, 1, 1, 2)})),
     "edge 2: connector at x=0 pierces edge 0":
-        (_box_triangle, lambda t: _set(t.rects, 0, (Fraction(-1, 2), Fraction(1, 2), 0, 2))),
+        (_box_triangle,
+         lambda t: _changed(t, rects={0: (Fraction(-1, 2), Fraction(1, 2), 0, 2)})),
 }
 
 
@@ -222,7 +231,7 @@ def test_pairwise_defects_are_rejected(message):
     build, mutate = _PAIRWISE_DEFECTS[message]
     g, drawing, options = build()
     assert check_twodim(g, drawing, **options) == [] == _pairwise_problems(g, drawing)
-    mutate(drawing)
+    drawing = mutate(drawing)
     assert message in _pairwise_problems(g, drawing)
     assert check_twodim(g, drawing) and check_twodim(g, drawing, **options)
 
