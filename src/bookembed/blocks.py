@@ -50,7 +50,7 @@ def forced_block_order(g, block, parent, under, reason):
     if cut is None:
         return None, None, Failure(1, "maximum-weight edge is not on the outer face")
     spans = cut.spans()
-    _parent, children, _roots = nesting_forest(len(block.vertices), spans)
+    _walk, children, _roots = nesting_forest(len(block.vertices), spans)
     for idx, kids in enumerate(children):
         if kids and not nums[spans[idx][2]] > under(nums[spans[k][2]] for k in kids):
             return None, None, Failure(1, reason)

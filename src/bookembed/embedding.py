@@ -12,7 +12,7 @@ from fractions import Fraction
 from .errors import NotOnePageError, PreconditionError
 from .exact import INF, format_ratio, read_json
 from .graph import components
-from .outerplanar import nesting_forest, preorder, span
+from .outerplanar import nesting_forest, span
 
 
 class BookEmbedding:
@@ -110,12 +110,12 @@ def is_one_page(g, embedding):
 
 
 def _forest_or_raise(g, embedding):
-    """``(spans, children, roots)``: the span of every edge, by edge id,
-    and their nesting forest, whose node i is thus edge i."""
+    """``(spans, walk, children, roots)``: the span of every edge, by edge
+    id, and their nesting forest, whose node i is thus edge i."""
     _check_permutation(g, embedding)
     pos = embedding.position
     spans = [span(pos, u, v) + (eid,) for eid, (u, v) in enumerate(g.ends)]
-    return (spans, *nesting_forest(g.n, spans)[1:])
+    return (spans, *nesting_forest(g.n, spans))
 
 
 @dataclass(frozen=True)
@@ -213,13 +213,13 @@ def validate_max(g, embedding):
 
     Checking parent/child pairs of the nesting forest suffices: strict
     inequality is transitive along nesting chains.  The forest is read in
-    :func:`~bookembed.outerplanar.preorder`, so the pair reported has the
-    outer edge smallest in ``(left, -right)`` and, under it, the leftmost
-    inner edge.
+    its walk, the spans' ``(left, -right)`` order, so the pair reported has
+    the outer edge smallest in that order and, under it, the leftmost inner
+    edge.
     """
-    _spans, children, roots = _forest_or_raise(g, embedding)
+    _spans, walk, children, _roots = _forest_or_raise(g, embedding)
     nums = g.scaled[0]
-    for eid in preorder(children, roots):
+    for eid in walk:
         w = nums[eid]
         for kid in children[eid]:
             if not w > nums[kid]:
@@ -234,13 +234,14 @@ def validate_sum(g, embedding):
 
     The most weight placed disjointly under an edge is, summed over its
     children, each child's weight or, when more, the most under the child.
-    The sums are taken over the reversed preorder and the witness is
-    rebuilt for the reported edge only, so past the forest's one sort, time
-    and memory are linear in the edge count.
+    The sums are taken over the forest's walk reversed, and the witness is
+    rebuilt for the reported edge only, from the edges under it: the run of
+    the walk after it up to the first span that starts at or past its right
+    end.  So past the forest's one sort, time and memory are linear in the
+    edge count.
     """
-    _spans, children, roots = _forest_or_raise(g, embedding)
+    spans, walk, children, _roots = _forest_or_raise(g, embedding)
     nums = g.scaled[0]
-    walk = preorder(children, roots)
     best = [0] * len(children)
     for eid in reversed(walk):
         total = 0
@@ -248,13 +249,16 @@ def validate_sum(g, embedding):
             under, w = best[kid], nums[kid]
             total += under if under > w else w
         best[eid] = total
-    for eid in walk:
+    for at, eid in enumerate(walk):
         if children[eid] and not nums[eid] > best[eid]:
             # a kid with more weight beneath it than its own gives way to
             # its kids, as in the sums
             witness = []
             open_kids = set(children[eid])
-            for kid in preorder(children, children[eid]):
+            right = spans[eid][1]
+            for kid in walk[at + 1:]:
+                if spans[kid][0] >= right:
+                    break
                 if kid in open_kids:
                     if best[kid] > nums[kid]:
                         open_kids.update(children[kid])
@@ -277,9 +281,9 @@ def validate_minres_supporting(g, embedding):
     comparison), else the first violating edge in span order.  Each edge
     is compared with its own burden only, so its reduced ``(p, q)`` serves
     and no graph-wide view is built."""
-    spans, children, roots = _forest_or_raise(g, embedding)
+    spans, walk, _children, _roots = _forest_or_raise(g, embedding)
     ps, qs = g.ratios()
-    for eid in preorder(children, roots):
+    for eid in walk:
         a, b, _eid = spans[eid]
         if ps[eid] < (b - a) * qs[eid]:  # the burden is b - a - 1
             return MinresViolation(eid, b - a - 1)
@@ -320,7 +324,7 @@ def metrics(g, embedding):
     spanning edge) computes identical numbers; the minima below range over
     the original edges only, exactly as that construction prescribes.
     """
-    spans, children, roots = _forest_or_raise(g, embedding)
+    spans, _walk, children, roots = _forest_or_raise(g, embedding)
     n = g.n
     pos = embedding.position
     beta = tuple(b - a - 1 for a, b, _ in spans)

@@ -70,16 +70,17 @@ class WeightedGraph:
     construction and safe to share across threads.
 
     Every graph holds its weights as reduced ``(p, q)`` pairs,
-    :meth:`ratios`, however it was built, and with them the view
-    :attr:`scaled` when that fits 64 bits.  ``Fraction``s come only from
-    :attr:`weights`, :meth:`weight` and :attr:`edges`, and are built on
-    first use; so is :attr:`label_index`, unless the parser kept the one it
-    interned with.  Equal denominators are one ``int`` object.  No
-    adjacency rows and no edge lookup are stored: :attr:`adjacency` is made
-    anew on every access, and :meth:`edge_between` scans :attr:`ends`.
+    :meth:`ratios`, however it was built, and no other form of them:
+    :attr:`scaled` is made from the pairs on every access.  ``Fraction``s
+    come only from :attr:`weights`, :meth:`weight` and :attr:`edges`, and
+    are built on first use; so is :attr:`label_index`, unless the parser
+    kept the one it interned with.  Equal denominators are one ``int``
+    object.  No adjacency rows and no edge lookup are stored:
+    :attr:`adjacency` is made anew on every access, and
+    :meth:`edge_between` scans :attr:`ends`.
     """
 
-    __slots__ = ("labels", "_label_index", "ends", "_weights", "_scaled", "_ratios")
+    __slots__ = ("labels", "_label_index", "ends", "_weights", "_ratios")
 
     def __init__(self, labels, edges):
         """``labels``: iterable of strings; ``edges``: triples (u, v, w) of dense ids."""
@@ -119,13 +120,12 @@ class WeightedGraph:
         self.ends = tuple(ends)
         self._ratios = ratios
         self._weights = None
-        self._scaled = _word_view(*ratios)
 
     def _part(self, verts, eids):
         """Checked subgraph whose vertex i is ``verts[i]`` and edge i is
-        edge ``eids[i]`` of this graph (both lists increasing).  Its view
-        is its own: over its weights' least common denominator, which may
-        fit 64 bits when this graph's does not."""
+        edge ``eids[i]`` of this graph (both lists increasing).  Its
+        :attr:`scaled` is its own: over its weights' least common
+        denominator, which may fit 64 bits when this graph's does not."""
         local = {v: i for i, v in enumerate(verts)}
         labels = [self.labels[v] for v in verts]
         ends = [(local[u], local[v]) for u, v in map(self.ends.__getitem__, eids)]
@@ -188,12 +188,11 @@ class WeightedGraph:
 
     @property
     def scaled(self):
-        """``(nums, den)`` with ``Fraction(nums[e], den) == weight(e)``:
-        :func:`_word_view`, made with the graph, or, when that needs more
-        than 64 bits, the Fraction weights over 1, made on first use."""
-        if self._scaled is None:
-            self._scaled = (self.weights, 1)
-        return self._scaled
+        """``(nums, den)`` with ``Fraction(nums[e], den) == weight(e)``,
+        made from :meth:`ratios` on every access: :func:`_word_view`, or,
+        when that needs more than 64 bits, the :attr:`weights` over 1."""
+        view = _word_view(*self._ratios)
+        return view if view is not None else (self.weights, 1)
 
     def endpoints(self, eid):
         return self.ends[eid]
@@ -583,13 +582,14 @@ def _component_views(g, groups):
     """``(nums, dens)`` with ``Fraction(nums[e], dens[c])`` the weight of
     every edge ``e`` in the blocks ``groups[c]`` of component ``c``.
 
-    That is :attr:`WeightedGraph.scaled` for one component or when it holds
-    words.  Otherwise one ``array("q")`` holds each component's edges over
-    the component's own least common denominator, or, for a component that
-    needs more than 64 bits, its ``Fraction`` weights over 1."""
-    words = g._scaled  # the view made with the graph, if it fits 64 bits
-    if len(groups) < 2 or words is not None and type(words[0]) is array:
-        nums, den = g.scaled
+    That is :attr:`WeightedGraph.scaled` for one component or when the
+    whole graph fits 64 bits.  Otherwise one ``array("q")`` holds each
+    component's edges over the component's own least common denominator,
+    or, for a component that needs more than 64 bits, its ``Fraction``
+    weights over 1."""
+    words = _word_view(*g.ratios())
+    if words is not None or len(groups) < 2:
+        nums, den = words or (g.weights, 1)
         return nums, [den] * len(groups)
     ps, qs = g.ratios()
     nums, dens = array("q", bytes(8 * g.m)), []

@@ -241,6 +241,18 @@ class _AnchorSearch:
         return seq.blk(order, repl or None), residual, size
 
 
+def _outer_cycles(g, blocks, bids, cycles=None):
+    """``cycles``, or when None the :class:`~bookembed.outerplanar.OuterCycle`
+    record of every block ``blocks[b]`` for ``b`` in ``bids``, by block id;
+    :class:`NotOuterplanarError` if a block in ``bids`` has none."""
+    if cycles is None:
+        cycles = {b: block_outer_cycle(g, blocks[b].vertices, blocks[b].edge_ids)
+                  for b in bids}
+    if any(cycles[b] is None for b in bids):
+        raise NotOuterplanarError("graph is not outerplanar")
+    return cycles
+
+
 def minres_be_drawer_anchor(g, e_star, *, decomposition=None, cycles=None, audit=None):
     """Supporting embedding of a connected graph in which ``e_star`` is
     nested under no edge, or a Failure.  ``cycles``, when given, holds the
@@ -248,10 +260,7 @@ def minres_be_drawer_anchor(g, e_star, *, decomposition=None, cycles=None, audit
     of ``decomposition`` by block id.  Each call starts from empty caches,
     so ``audit`` sees every node it solves."""
     tree = decomposition or BlockCutTree(g)
-    if cycles is None:
-        cycles = [block_outer_cycle(g, b.vertices, b.edge_ids) for b in tree.blocks]
-    if None in cycles:
-        raise NotOuterplanarError("graph is not outerplanar")
+    cycles = _outer_cycles(g, tree.blocks, range(len(tree.blocks)), cycles)
     result = _AnchorSearch(g, tree, cycles, audit=audit).run(e_star)
     if result is None:
         return Failure(
@@ -272,11 +281,7 @@ def minres_be_drawer(g):
     if g.n == 1:
         return BookEmbedding((g.root,))
     blocks = g.tree.blocks
-    cycles = {b: block_outer_cycle(g, blocks[b].vertices, blocks[b].edge_ids)
-              for b in g.block_ids}
-    if None in cycles.values():
-        raise NotOuterplanarError("graph is not outerplanar")
-    search = _AnchorSearch(g, g.tree, cycles)
+    search = _AnchorSearch(g, g.tree, _outer_cycles(g, blocks, g.block_ids))
     for e_star in sorted(e for b in g.block_ids for e in blocks[b].edge_ids):
         result = search.run(e_star)
         if isinstance(result, BookEmbedding):

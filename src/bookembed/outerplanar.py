@@ -1,6 +1,6 @@
 """Outerplanarity recognition: the outer cycle of a biconnected block with
 its edge spans, the cuts of that cycle into linear orders, and the nesting
-forest of edge spans over a linear order with its one walk."""
+forest of edge spans over a linear order, walked in its sort order."""
 
 from __future__ import annotations
 
@@ -20,13 +20,15 @@ def nesting_forest(num_positions, edge_spans):
 
     ``edge_spans`` is a list of ``(left_pos, right_pos, key)`` with
     ``left_pos < right_pos``; ``key`` identifies the edge to the caller.
-    Returns ``(parent, children, roots)`` as parallel structures over the
-    input list indices, children ordered left to right.  Raises
-    :class:`NotOnePageError` (with the two offending keys) if two spans cross.
-    The spans are sorted once; ``num_positions``, the order's length, is not
-    needed by the sweep.
+    Returns ``(walk, children, roots)`` over the input list indices:
+    ``walk`` lists them by ``(left, -right)``, which is the forest's
+    preorder (each parent before its children, the children left to right;
+    read reversed, every node follows its children), and ``children`` and
+    ``roots`` are ordered left to right.  Raises :class:`NotOnePageError`
+    (with the two offending keys) if two spans cross.  The spans are sorted
+    once; ``num_positions``, the order's length, is not needed by the sweep.
     """
-    parent = [-1] * len(edge_spans)
+    walk = []
     children = [[] for _ in edge_spans]
     roots = []
     # the open spans, outermost first, and their right ends
@@ -42,29 +44,13 @@ def nesting_forest(num_positions, edge_spans):
             top = stack[-1]
             if -neg_right > rights[-1]:
                 raise NotOnePageError(edge_spans[top][2], edge_spans[idx][2])
-            parent[idx] = top
             children[top].append(idx)
         else:
             roots.append(idx)
+        walk.append(idx)
         stack.append(idx)
         rights.append(-neg_right)
-    return parent, children, roots
-
-
-def preorder(children, roots):
-    """The nodes of a forest, each parent before its children and the
-    children left to right.  In a :func:`nesting_forest` that is the order
-    of the spans by ``(left, -right)``; read reversed, every node follows
-    its children."""
-    out = []
-    stack = roots[::-1]
-    while stack:
-        i = stack.pop()
-        out.append(i)
-        kids = children[i]
-        if kids:
-            stack += kids[::-1]
-    return out
+    return walk, children, roots
 
 
 class OuterCycle:

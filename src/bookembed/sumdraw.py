@@ -102,44 +102,30 @@ def sum_be_drawer(g, audit=None):
         # the order is cut at the block's unique heaviest edge
         w_top = tree.blocks[bid].max_weight
         w_first = steps[0]
-
-        def fresh_ell():
+        is_root = bid == rooted.root
+        # In a non-root block, every entry choice for a first cut at
+        # position 1 trades free space against room on its right, so each
+        # is tried and the whole front kept; otherwise the greedy picks
+        # every cut's entry.
+        if cuts and cuts[0][0] == 1 and not is_root:
+            choices = range(len(centries[cuts[0][1]][0]))
+        else:
+            choices = (None,)
+        entries = []
+        for j in choices:
             # only the root can have a cut at position 0, and nothing bounds
             # its left extension: INF picks the minimum-right-extension entry
-            return [INF, *steps]
-
-        is_root = bid == rooted.root
-        if cuts and cuts[0][0] == 1 and not is_root:
-            # All entry choices for the first cut trade free space against
-            # room on its right; keep the whole front.
-            branches = []
-            ropes1, lams1, _rhos1 = centries[cuts[0][1]]
-            for j in range(len(ropes1)):
-                res = _greedy(fresh_ell(), cuts, centries, forced_first=j)
-                if res is None:
-                    continue
-                repl, alpha_sub, tau_extra = res
-                branches.append(
-                    (seq.blk(order, repl), w_first - alpha_sub, w_top + tau_extra)
-                )
-            if not branches:
-                return None
-            # built in decreasing free-space order; drop up-down dominated
-            kept = []
-            for rope, alpha, tau in branches:
-                if kept and kept[-1][2] <= tau:
-                    continue
-                kept.append((rope, alpha, tau))
-            kept.reverse()
-            entries = kept
-        else:
-            res = _greedy(fresh_ell(), cuts, centries)
+            res = _greedy([INF, *steps], cuts, centries, forced_first=j)
             if res is None:
-                return None
+                continue
             repl, alpha_sub, tau_extra = res
-            entries = [
-                (seq.blk(order, repl or None), w_first - alpha_sub, w_top + tau_extra)
-            ]
+            tau = w_top + tau_extra
+            # met in decreasing free space: drop the up-down dominated
+            if not entries or tau < entries[-1][2]:
+                entries.append((seq.blk(order, repl or None), w_first - alpha_sub, tau))
+        if not entries:
+            return None
+        entries.reverse()
         if audit is not None and not is_root:
             audit("B", bid, [(r, Fraction(a, den), Fraction(b, den)) for r, a, b in entries])
         bentries[bid] = entries

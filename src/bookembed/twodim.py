@@ -19,7 +19,7 @@ from .embedding import BookEmbedding, _forest_or_raise, validate_minres_supporti
 from .errors import GraphFormatError, NotOnePageError, NotOuterplanarError, PreconditionError
 from .exact import format_ratio, parse_ratio, parse_rational, read_json
 from .graph import WeightedGraph, _coerce_label, _over_lcm, component, components
-from .outerplanar import Cut, _whole_graph_cycle, block_outer_cycle, nesting_forest, preorder, span
+from .outerplanar import Cut, _whole_graph_cycle, block_outer_cycle, nesting_forest, span
 
 
 def _mapped(x, rects, f):
@@ -172,11 +172,12 @@ def _draw_region(order, spans, nums, den, length):
     at height T is S/(den·T) wide.  Its edge takes the top and leaves the
     height y = T·C/S to the children, C being their total; so every child
     region's top is y, and child k ends at x_lo + P/(den·y), P the
-    children's total up to k.  Each new coordinate costs one gcd.
+    children's total up to k.  Each new coordinate costs one gcd.  The
+    subtree totals are summed over the nesting forest's walk (its sort
+    order) reversed, and the regions are filled over the walk itself.
     """
-    _parent, children, roots = nesting_forest(len(order), spans)
+    walk, children, roots = nesting_forest(len(order), spans)
     assert len(roots) == 1, "top edge must wrap every other edge"
-    walk = preorder(children, roots)
     subtree = list(nums)
     for i in reversed(walk):
         for k in children[i]:
@@ -353,11 +354,11 @@ def minres_construct(g, embedding):
             f"order is not a supporting embedding: {violation}"
         )
     pos = embedding.position
-    spans, children, roots = _forest_or_raise(g, embedding)
+    spans, walk, children, _roots = _forest_or_raise(g, embedding)
     ps, qs = g.ratios()
     x = {v: Fraction(pos[v] + 1) for v in embedding.order}
     rects = {}
-    for i in reversed(preorder(children, roots)):
+    for i in reversed(walk):
         a, b, _eid = spans[i]
         y_min = Fraction(0)
         for k in children[i]:
@@ -405,6 +406,10 @@ def check_twodim(g, emb, *, exact_box=None, require_minres=False):
     pierces a rectangle.  Where 1-3 fail, both audits report it; where
     they hold, the two agree.
 
+    An x-coordinate or rectangle keyed by an id that is no vertex or edge
+    of ``g`` is reported, and so is each vertex without an x-coordinate;
+    the audit stops there, as every later check reads every vertex's x.
+
     4 and 5 imply the pairwise conditions.  By 3 and 5, every top
     exceeds every top nested under it, so the largest child top is the
     largest nested top.  Two edges that do not nest have x-ranges meeting
@@ -421,22 +426,26 @@ def check_twodim(g, emb, *, exact_box=None, require_minres=False):
     top nested under it, so every top exceeds the tops nested under it,
     and the largest nested top is the largest child top.
     """
-    problems = []
     order = emb.support.order
-    pos = emb.support.position
     if sorted(order) != list(range(g.n)):
         return ["support order is not a permutation"]
+    pos = emb.support.position  # a list as long as the largest id + 1
+    x, rect = emb.x, emb.rects
+    problems = [f"x-coordinate for unknown vertex {v}" for v in x if v not in range(g.n)]
+    problems += [f"rectangle for unknown edge {e}" for e in rect if e not in range(g.m)]
+    missing = [f"vertex {g.labels[v]} has no x-coordinate" for v in order if v not in x]
+    if missing:
+        return problems + missing
     for a, b in zip(order, order[1:]):
-        if not emb.x[a] < emb.x[b]:
+        if not x[a] < x[b]:
             problems.append(f"x not strictly increasing at {g.labels[b]}")
-    rect = emb.rects
     spans = [span(pos, u, v) + (eid,) for eid, (u, v) in enumerate(g.ends)]
     for (a, b, eid), w in zip(spans, g.weights):
         if eid not in rect:
             problems.append(f"edge {eid} has no rectangle")
             continue
         xmin, xmax, ymin, ymax = rect[eid]
-        if xmin != emb.x[order[a]] or xmax != emb.x[order[b]]:
+        if xmin != x[order[a]] or xmax != x[order[b]]:
             problems.append(f"edge {eid}: rectangle ends differ from endpoint x")
         if ymin < 0 or xmax <= xmin or ymax <= ymin:
             problems.append(f"edge {eid}: degenerate rectangle")
@@ -449,14 +458,14 @@ def check_twodim(g, emb, *, exact_box=None, require_minres=False):
             if ymax - ymin < 1:
                 problems.append(f"edge {eid}: height below 1")
     if require_minres:
-        xs = sorted(emb.x[v] for v in order)
+        xs = sorted(x[v] for v in order)
         for a, b in zip(xs, xs[1:]):
             if b - a < 1:
                 problems.append("vertex spacing below 1")
                 break
     try:
         # the spans are listed by edge id, so forest node i is edge i
-        _parent, children, _roots = nesting_forest(g.n, spans)
+        _walk, children, _roots = nesting_forest(g.n, spans)
     except NotOnePageError as exc:
         problems.append(str(exc))
     else:

@@ -108,7 +108,7 @@ def _direct_wrap_equality(g, drawing):
         if a > b:
             a, b = b, a
         spans.append((a, b, eid))
-    _parent, children, _roots = nesting_forest(g.n, spans)
+    _walk, children, _roots = nesting_forest(g.n, spans)
     for idx, kids in enumerate(children):
         eid = spans[idx][2]
         for k in kids:

@@ -9,7 +9,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import planted  # the benchmark's generator (perfbench/planted.py)
-from bookembed import cli
+from bookembed import cli, graph
 from bookembed.embedding import BookEmbedding
 from bookembed.graph import (
     BlockCutTree,
@@ -172,7 +172,8 @@ def test_embed_cli_builds_no_fraction_and_no_subgraph(monkeypatch, tmp_path):
     codes = []
     for path, cls, _code in paths:
         g = parse_graph(path.read_text())
-        assert (g._scaled is None) == (cls == "minres")  # the union overflows
+        # the union overflows
+        assert (graph._word_view(*g.ratios()) is None) == (cls == "minres")
         for command in ("embed-max", "embed-sum", "embed-minres"):
             out = tmp_path / f"{path.stem}.{command}"
             code = cli.main([command, str(path), "--output", str(out)])

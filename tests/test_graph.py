@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import planted  # the benchmark's generator (perfbench/planted.py)
-from bookembed import cli
+from bookembed import cli, graph
 from bookembed.embedding import per_component
 from bookembed.errors import GraphFormatError, PreconditionError
 from bookembed.exact import format_rational, parse_rational
@@ -103,7 +103,8 @@ def test_scaled_weights_are_exact():
         parts.append(g.induced(range(0, g.n, 2))[0])
         for h in [g] + parts:
             nums, den = h.scaled
-            assert h.scaled is h.scaled
+            again = h.scaled  # made anew on each read, and equal
+            assert again[1] == den and list(again[0]) == list(nums)
             assert len(nums) == h.m
             assert all(Fraction(nums[e], den) == h.weight(e) for e in range(h.m))
             lcm = math.lcm(*(w.denominator for _, _, w in h.edges))
@@ -189,8 +190,8 @@ def _bytes_an_edge(build):
 
 
 def test_constructed_graph_holds_at_most_130_bytes_an_edge():
-    # the labels, ends, (p, q) lists and the 64-bit view: about 96 bytes an
-    # edge; no adjacency rows, Fraction, edge lookup or label index
+    # the labels, ends and (p, q) lists: about 88 bytes an edge; no weight
+    # view, adjacency rows, Fraction, edge lookup or label index
     labels, edges = _triangles(20_000)
     held = _bytes_an_edge(lambda: WeightedGraph(labels, edges))
     assert held <= 130, held
@@ -203,6 +204,24 @@ def test_parsed_graph_holds_at_most_250_bytes_an_edge(fmt):
     text = serialize_graph(WeightedGraph(*_triangles(20_000)), fmt)
     held = _bytes_an_edge(lambda: parse_graph(text, format=fmt))
     assert held <= 250, held
+
+
+def test_a_graph_keeps_no_weight_view(monkeypatch, tmp_path):
+    # the view is made where it is read, never with the graph
+    made = []
+    word_view = graph._word_view
+    monkeypatch.setattr(graph, "_word_view", lambda *pair: made.append(1) or word_view(*pair))
+    labels, edges = _triangles(50)
+    g = WeightedGraph(labels, edges)
+    for fmt in ("json", "edge-list"):
+        parse_graph(serialize_graph(g, fmt), format=fmt)
+    assert made == []
+    path, order = tmp_path / "g.json", tmp_path / "order.json"
+    path.write_text(serialize_graph(g))
+    order.write_text(json.dumps(labels))  # each triangle's heaviest edge wraps the other two
+    args = ["check", "max", str(path), "--order", f"@{order}", "--output", str(tmp_path / "out")]
+    assert cli.main(args) == 0
+    assert len(made) == 1
 
 
 def test_equal_denominators_are_one_object():

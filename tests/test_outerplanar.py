@@ -289,8 +289,8 @@ def test_outer_cycle_checks_the_reduced_ring(monkeypatch, edges):
 
 
 def _forest_reference(spans):
-    """Parent of each span as its tightest enclosing span, children and
-    roots by left end: the nesting forest read pairwise."""
+    """Children and roots by left end, each span's parent being its
+    tightest enclosing span: the nesting forest read pairwise."""
     parent = []
     for a, b, _key in spans:
         around = [
@@ -300,7 +300,7 @@ def _forest_reference(spans):
     by_left = sorted(range(len(spans)), key=lambda i: spans[i][0])
     children = [[i for i in by_left if parent[i] == j] for j in range(len(spans))]
     roots = [i for i in by_left if parent[i] == -1]
-    return parent, children, roots
+    return children, roots
 
 
 def _cross(s, t):
@@ -325,9 +325,9 @@ def test_nesting_forest_matches_the_pairwise_reference():
             assert _cross(by_key[exc.edge_a], by_key[exc.edge_b]), (spans, exc)
         else:
             assert not crossing, spans
-            assert got == _forest_reference(spans), spans
-            assert outerplanar.preorder(got[1], got[2]) == sorted(
-                range(len(spans)), key=lambda i: (spans[i][0], -spans[i][1]))
+            walk, children, roots = got
+            assert (children, roots) == _forest_reference(spans), spans
+            assert walk == sorted(range(len(spans)), key=lambda i: (spans[i][0], -spans[i][1]))
         verdicts[crossing] += 1
     assert verdicts[True] > 300 and verdicts[False] > 300, verdicts
 
@@ -340,7 +340,7 @@ def test_nesting_forest_lists_children_and_roots_left_to_right():
         spans = [
             outerplanar.span(pos, u, v) + (eid,) for eid, (u, v, _) in enumerate(g.edges)
         ]
-        _parent, children, roots = outerplanar.nesting_forest(g.n, spans)
+        _walk, children, roots = outerplanar.nesting_forest(g.n, spans)
         for kids in [roots, *children]:
             lefts = [spans[k][0] for k in kids]
             assert lefts == sorted(set(lefts)), (g.edges, kids)

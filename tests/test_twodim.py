@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -164,10 +165,11 @@ def _two_edges():
 
 def _changed(t, support=None, x=(), rects=()):
     """A copy of drawing ``t`` with ``support`` as its order and the given
-    ``x`` and ``rects`` entries replaced; a rectangle given as None is
+    ``x`` and ``rects`` entries replaced; an entry given as None is
     dropped."""
-    rects = {**t.rects, **dict(rects)}
-    return TwoDimEmbedding(support or t.support, {**t.x, **dict(x)},
+    x, rects = {**t.x, **dict(x)}, {**t.rects, **dict(rects)}
+    return TwoDimEmbedding(support or t.support,
+                           {v: c for v, c in x.items() if c is not None},
                            {eid: r for eid, r in rects.items() if r is not None})
 
 
@@ -203,6 +205,11 @@ _DEFECTS = {
         (_box_triangle, lambda t: _changed(t, rects={2: (0, 1, 2, 4)})),
     "holes: rectangle areas do not fill the box":
         (_box_triangle, lambda t: _changed(t, rects={1: None})),
+    "vertex c has no x-coordinate": (_box_triangle, lambda t: _changed(t, x={2: None})),
+    "x-coordinate for unknown vertex 3":
+        (_box_triangle, lambda t: _changed(t, x={3: Fraction(2)})),
+    "rectangle for unknown edge 9":
+        (_box_triangle, lambda t: _changed(t, rects={9: (0, 1, 3, 4)})),
 }
 
 
@@ -214,6 +221,18 @@ def test_check_twodim_reports_each_defect(message):
     drawing = mutate(drawing)
     assert message in check_twodim(g, drawing, **options)
     assert bool(check_twodim(g, drawing)) == bool(_pairwise_problems(g, drawing))
+
+
+def test_check_twodim_rejects_a_foreign_order_before_placing_it():
+    # the support's position list is as long as its largest id + 1
+    g = graph_from([("a", "b", 1)])
+    far = 10**7
+    drawing = TwoDimEmbedding(BookEmbedding((0, far)), {0: 0, far: 1}, {0: (0, 1, 0, 1)})
+    tracemalloc.start()
+    assert check_twodim(g, drawing) == ["support order is not a permutation"]
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 # mutations whose messages only the pairwise definition gives
@@ -248,11 +267,16 @@ def _pairwise_problems(g, emb):
     pos = emb.support.position
     if sorted(order) != list(range(g.n)):
         return ["support order is not a permutation"]
+    rect = emb.rects
+    problems += [f"x-coordinate for unknown vertex {v}" for v in emb.x if v not in order]
+    problems += [f"rectangle for unknown edge {e}" for e in rect if not 0 <= e < g.m]
+    if any(v not in emb.x for v in order):
+        return problems + [f"vertex {g.labels[v]} has no x-coordinate"
+                           for v in order if v not in emb.x]
     for a, b in zip(order, order[1:]):
         if not emb.x[a] < emb.x[b]:
             problems.append(f"x not strictly increasing at {g.labels[b]}")
     norm = [span(pos, u, v) for u, v in g.ends]
-    rect = emb.rects
     for eid, w in enumerate(g.weights):
         if eid not in rect:
             problems.append(f"edge {eid} has no rectangle")
@@ -371,7 +395,7 @@ def _reference_draw_region(order, spans, nums, den, length):
     """Reference drawing with one Fraction operation per step: an edge takes
     w / width off the top of its region, and a child's width is its
     subtree total / the height left.  Coordinates are Fractions."""
-    _parent, children, roots = nesting_forest(len(order), spans)
+    _walk, children, roots = nesting_forest(len(order), spans)
     weights = [Fraction(p, den) for p in nums]
     subtree = [None] * len(spans)
     post = []
