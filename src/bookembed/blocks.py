@@ -64,16 +64,16 @@ def forced_block_order(g, block, parent, under, reason):
     return cut, tuple(steps), None
 
 
-def rooted_block_orders(g, rooted, under, reason):
-    """Forced orders of every block of ``rooted``, as cuts with the parent
-    cut vertex first: ``(cuts, steps, None)``, both keyed by block id, or
+def rooted_block_orders(g, walk, under, reason):
+    """Forced orders of every block of the :class:`Component` ``g`` that
+    ``walk`` (:meth:`BlockCutTree.walk`) roots, as cuts with the parent cut
+    vertex first: ``(cuts, steps, None)``, both keyed by block id, or
     ``(None, None, failure)`` for the first block in id order without one,
     the :class:`Failure` of :func:`forced_block_order` naming the block."""
     cuts = {}
     block_steps = {}
-    blocks, parents = rooted.tree.blocks, rooted.parent_cut
-    for bid in sorted(parents):
-        cut, steps, failure = forced_block_order(g, blocks[bid], parents[bid], under, reason)
+    for bid, parent in sorted(walk):
+        cut, steps, failure = forced_block_order(g, g.tree.blocks[bid], parent, under, reason)
         if cut is None:
             return None, None, replace(failure, block=bid)
         cuts[bid] = cut

@@ -617,8 +617,8 @@ class BlockCutTree:
     a component's blocks run up to the next component's first (a vertex
     without edges is a block without edges).  Edge ``e`` of
     component ``c`` weighs ``Fraction(nums[e], dens[c])``, the units of
-    ``Block.max_weight`` (:func:`_component_views`).  Use :meth:`rooted`
-    to attach rooting-dependent aggregates.
+    ``Block.max_weight`` (:func:`_component_views`).  :meth:`walk` roots
+    one component.
     """
 
     __slots__ = ("blocks", "cut_vertices", "blocks_of_vertex", "block_of_edge",
@@ -673,8 +673,30 @@ class BlockCutTree:
         self.blocks_of_vertex = tuple(map(tuple, blocks_of_vertex))
         self.block_of_edge = tuple(block_of_edge)
 
-    def rooted(self, root_block):
-        return RootedBCTree(self, root_block)
+    def walk(self, root_block):
+        """The blocks of ``root_block``'s component as ``(block, parent
+        cut)`` pairs in postorder, ``(root_block, None)`` last, so
+        ``dict(walk)`` is the parent map.
+
+        A block's child cuts are its ``cuts`` but its parent cut, in that
+        order, and the child blocks of cut ``c`` under block ``b`` are
+        ``blocks_of_vertex[c]`` but ``b``; the subtrees of a block's
+        children come in that order before it.  Iterative, so the depth of
+        the forest does not meet the recursion limit."""
+        blocks, blocks_of_vertex = self.blocks, self.blocks_of_vertex
+        # a preorder that meets a block's children last-first, reversed
+        order = []
+        stack = [(root_block, None)]
+        while stack:
+            b, parent = stack.pop()
+            order.append((b, parent))
+            for c in blocks[b].cuts:
+                if c != parent:
+                    for b2 in blocks_of_vertex[c]:
+                        if b2 != b:
+                            stack.append((b2, c))
+        order.reverse()
+        return order
 
 
 class Component:
@@ -707,75 +729,14 @@ def components(g):
     return (Component(g, tree, c) for c in range(len(tree.parts)))
 
 
-class RootedBCTree:
-    """Rooting of the root block's component of a :class:`BlockCutTree`,
-    plus the subtree aggregates, in dicts over that component only.
-
-    For every B-node ``b``: ``parent_cut[b]`` (vertex id or None),
-    ``child_cuts[b]``, ``w_plus[b]`` (max edge weight in the rooted subgraph,
-    in the units of ``Block.max_weight``), ``n_plus_b[b]`` (vertex count of
-    the rooted subgraph).  For every C-node ``c``: ``child_blocks[c]``,
-    ``n_plus_c[c]``.
-    """
-
-    __slots__ = ("tree", "root", "parent_cut", "child_cuts", "child_blocks",
-                 "w_plus", "n_plus_b", "n_plus_c", "block_postorder")
-
-    def __init__(self, tree, root_block):
-        self.tree = tree
-        self.root = root_block
-        blocks, blocks_of_vertex = tree.blocks, tree.blocks_of_vertex
-        self.parent_cut = parent_cut = {root_block: None}
-        self.child_cuts = child_cuts = {}
-        self.child_blocks = child_blocks = {}
-        order = []
-        queue = [root_block]
-        while queue:
-            b = queue.pop()
-            order.append(b)
-            parent = parent_cut[b]
-            cuts = child_cuts[b] = []
-            for v in blocks[b].cuts:
-                if v != parent:
-                    cuts.append(v)
-                    kids = child_blocks[v] = []
-                    for b2 in blocks_of_vertex[v]:
-                        if b2 not in parent_cut:
-                            parent_cut[b2] = v
-                            kids.append(b2)
-                            queue.append(b2)
-        # `order` is a DFS preorder over B-nodes; reversed it is a postorder.
-        self.block_postorder = tuple(reversed(order))
-        self.w_plus = w_plus = {}
-        self.n_plus_b = n_plus_b = {}
-        self.n_plus_c = n_plus_c = {}
-        for b in self.block_postorder:
-            block = blocks[b]
-            w = block.max_weight
-            count = len(block.vertices)
-            for c in child_cuts[b]:
-                # Each cut has a unique parent block, so this runs once per cut.
-                cc = 1
-                for b2 in child_blocks[c]:
-                    cc += n_plus_b[b2] - 1
-                    wc = w_plus[b2]
-                    if wc is not None and (w is None or wc > w):
-                        w = wc
-                n_plus_c[c] = cc
-                count += cc - 1
-            w_plus[b] = w
-            n_plus_b[b] = count
-
-
 def build_bc_tree(g):
-    """Block-cut-vertex tree of a connected graph or a :class:`Component`,
-    rooted at the block containing its smallest-id maximum-weight edge."""
+    """The :meth:`BlockCutTree.walk` of a connected graph or a
+    :class:`Component`, rooted at the block containing its smallest-id
+    maximum-weight edge."""
     part = component(g)
     tree, ids = part.tree, part.block_ids
-    if part.n == 1:
-        return tree.rooted(ids[0])
     blocks, nums = tree.blocks, part.scaled[0]
-    top = max(blocks[b].max_weight for b in ids)
-    best = min(e for b in ids if blocks[b].max_weight == top
-               for e in blocks[b].edge_ids if nums[e] == top)
-    return tree.rooted(tree.block_of_edge[best])
+    top = max(blocks[b].max_weight for b in ids)  # None for a lone vertex
+    best = min((e for b in ids if blocks[b].max_weight == top
+                for e in blocks[b].edge_ids if nums[e] == top), default=None)
+    return tree.walk(ids[0] if best is None else tree.block_of_edge[best])

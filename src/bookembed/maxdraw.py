@@ -30,47 +30,54 @@ def max_be_drawer(g):
     g = component(g)
     if g.n == 1:
         return BookEmbedding((g.root,))
-    rooted = build_bc_tree(g)
+    walk = build_bc_tree(g)
+    blocks, blocks_of_vertex = g.tree.blocks, g.tree.blocks_of_vertex
     den = g.scaled[1]
 
-    block_cuts, block_steps, failure = rooted_block_orders(g, rooted, max, _WRAPS)
+    block_cuts, block_steps, failure = rooted_block_orders(g, walk, max, _WRAPS)
     if failure is not None:
         return failure
 
     ropes = {}
-    for bid in rooted.block_postorder:
+    w_plus = {}  # the heaviest edge weight in each block's subtree
+    for bid, parent in walk:
         repl = {}
         cut = block_cuts[bid]
         steps = block_steps[bid]
-        for ci in rooted.child_cuts[bid]:
+        w_top = blocks[bid].max_weight
+        for ci in blocks[bid].cuts:
+            if ci == parent:
+                continue
             # the lowest edges on either side of ci join it to its neighbours
             p = cut.position(ci)
             left_w = steps[p - 1] if p > 0 else INF
             right_w = steps[p] if p < len(steps) else INF
             left_parts = []
             right_parts = []
-            kids = sorted(
-                rooted.child_blocks[ci], key=lambda b2: (-rooted.w_plus[b2], b2)
-            )
+            kids = sorted([b2 for b2 in blocks_of_vertex[ci] if b2 != bid],
+                          key=lambda b2: (-w_plus[b2], b2))
+            if w_plus[kids[0]] > w_top:  # the first child is the heaviest
+                w_top = w_plus[kids[0]]
             for b2 in kids:
-                w_plus = rooted.w_plus[b2]
-                if w_plus >= left_w and w_plus >= right_w:  # so neither side is INF
+                w = w_plus[b2]
+                if w >= left_w and w >= right_w:  # so neither side is INF
                     return Failure(
                         3, "subtree fits on neither side of its cut vertex",
                         block=bid, cut_vertex=ci,
-                        weights=tuple(Fraction(x, den) for x in (w_plus, left_w, right_w)),
+                        weights=tuple(Fraction(x, den) for x in (w, left_w, right_w)),
                     )
                 child = seq.skipping(ropes[b2], ci)
                 r_child = block_steps[b2][0]  # ci is first in b2's order
-                if w_plus < right_w:
+                if w < right_w:
                     right_parts.append(child)
                     right_w = r_child
                 else:
                     left_parts.append(seq.flip(child))
                     left_w = r_child
             repl[ci] = seq.cat(*left_parts, seq.one(ci), *reversed(right_parts))
+        w_plus[bid] = w_top
         ropes[bid] = seq.blk(cut.order(), repl or None)
-    return BookEmbedding(seq.materialize(ropes[rooted.root]))
+    return BookEmbedding(seq.materialize(ropes[walk[-1][0]]))
 
 
 def embed_max(g):

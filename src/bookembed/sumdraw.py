@@ -64,7 +64,8 @@ def sum_be_drawer(g, audit=None):
     condition 2: a block's forced order has its parent cut inside;
     "empty-pareto": some tree node ended with no feasible partial embedding;
     the Failure names the first such node of the bottom-up walk, which
-    visits ``block_postorder`` and each block after its child cuts.
+    visits the blocks in the order of :func:`graph.build_bc_tree` and each
+    block after its child cuts.
 
     ``audit(kind, node, entries)`` is called with every finished Pareto front
     ("C": (rope, lambda, rho); "B": (rope, alpha, tau), values as Fractions)
@@ -73,41 +74,46 @@ def sum_be_drawer(g, audit=None):
     g = component(g)
     if g.n == 1:
         return BookEmbedding((g.root,))
-    rooted = build_bc_tree(g)
-    tree = rooted.tree
-    block_cuts, block_steps, failure = rooted_block_orders(g, rooted, sum, _UNDER)
+    walk = build_bc_tree(g)
+    tree = g.tree
+    block_cuts, block_steps, failure = rooted_block_orders(g, walk, sum, _UNDER)
     if failure is not None:
         return failure
     den = g.scaled[1]
 
     bentries = {}
     centries = {}
+    # below[b]: the vertices of block b's subtree but its parent cut.  A
+    # cut's front holds at most one entry per vertex of the cut's subtree.
+    below = {}
 
-    def process_cut(c):
-        kids = sorted(rooted.child_blocks[c], key=lambda b2: (tree.blocks[b2].max_weight, b2))
+    def process_cut(c, bid):
+        kids = sorted([b2 for b2 in tree.blocks_of_vertex[c] if b2 != bid],
+                      key=lambda b2: (tree.blocks[b2].max_weight, b2))
+        under_c = sum(map(below.__getitem__, kids))
+        below[bid] += under_c
         entries = fold_cut(c, [bentries[b2] for b2 in kids], 0)
         if entries is None:
             return None
-        assert len(entries) <= rooted.n_plus_c[c], "Pareto front exceeds the size bound"
+        assert len(entries) <= 1 + under_c, "Pareto front exceeds the size bound"
         if audit is not None:
             audit("C", c, [(r, Fraction(a, den), Fraction(b, den)) for r, a, b in entries])
         centries[c] = tuple(zip(*entries))
         return entries
 
-    def process_block(bid):
+    def process_block(bid, parent):
         forced = block_cuts[bid]
         order = forced.order()
-        cuts = sorted((forced.position(c), c) for c in rooted.child_cuts[bid])
+        cuts = sorted((forced.position(c), c) for c in tree.blocks[bid].cuts if c != parent)
         steps = block_steps[bid]
         # the order is cut at the block's unique heaviest edge
         w_top = tree.blocks[bid].max_weight
         w_first = steps[0]
-        is_root = bid == rooted.root
         # In a non-root block, every entry choice for a first cut at
         # position 1 trades free space against room on its right, so each
         # is tried and the whole front kept; otherwise the greedy picks
         # every cut's entry.
-        if cuts and cuts[0][0] == 1 and not is_root:
+        if cuts and cuts[0][0] == 1 and parent is not None:
             choices = range(len(centries[cuts[0][1]][0]))
         else:
             choices = (None,)
@@ -126,22 +132,23 @@ def sum_be_drawer(g, audit=None):
         if not entries:
             return None
         entries.reverse()
-        if audit is not None and not is_root:
+        if audit is not None and parent is not None:
             audit("B", bid, [(r, Fraction(a, den), Fraction(b, den)) for r, a, b in entries])
         bentries[bid] = entries
         return entries
 
-    for bid in rooted.block_postorder:
-        for c in rooted.child_cuts[bid]:
-            if process_cut(c) is None:
+    for bid, parent in walk:
+        below[bid] = len(tree.blocks[bid].vertices) - 1
+        for c in tree.blocks[bid].cuts:
+            if c != parent and process_cut(c, bid) is None:
                 return Failure(
                     "empty-pareto", "no feasible combination at a cut vertex",
                     cut_vertex=c,
                 )
-        if process_block(bid) is None:
+        if process_block(bid, parent) is None:
             return Failure("empty-pareto", "no feasible block extension", block=bid)
 
-    return BookEmbedding(seq.materialize(bentries[rooted.root][0][0]))
+    return BookEmbedding(seq.materialize(bentries[walk[-1][0]][0][0]))
 
 
 def embed_sum(g):

@@ -91,6 +91,47 @@ def cut_cycle(cycle, s, t):
     return None
 
 
+def walk_reference(tree, block, parent=None):
+    """The definition of :meth:`BlockCutTree.walk` from ``block`` under
+    ``parent``: for each of the block's ``cuts`` but ``parent`` in turn,
+    each other block at that cut in ``blocks_of_vertex`` order, its own
+    walk; then ``(block, parent)``.  Recursive, so for small forests only."""
+    pairs = []
+    for c in tree.blocks[block].cuts:
+        if c != parent:
+            for b in tree.blocks_of_vertex[c]:
+                if b != block:
+                    pairs += walk_reference(tree, b, c)
+    return pairs + [(block, parent)]
+
+
+def subtree(g, tree, walk, kind, node):
+    """The vertices of the subtree at ``node`` of the rooting ``walk``, by a
+    search of ``g``: for a block (``kind`` "B"), what stays joined to it
+    once its parent cut is removed, with that cut; for a cut vertex ("C"),
+    what it reaches without an edge of its parent block."""
+    parents = dict(walk)
+    above = None
+    if kind == "B":
+        seen = {parents[node]} - {None}
+        stack = [v for v in tree.blocks[node].vertices if v not in seen]
+    else:
+        above = next(b for b in tree.blocks_of_vertex[node] if parents[b] != node)
+        seen, stack = set(), [node]
+    seen.update(stack)
+    adjacency = g.adjacency
+    while stack:
+        v = stack.pop()
+        for eid in adjacency[v]:
+            if tree.block_of_edge[eid] != above:
+                a, b = g.ends[eid]
+                u = b if a == v else a
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return seen
+
+
 def small_corpus(count, *, max_n=8, weights=(1, 20), seed0=0):
     """Seeded connected outerplanar instances mixing sizes and biconnectivity."""
     out = []

@@ -34,6 +34,8 @@ from bookembed.twodim import (
     twodim_general,
 )
 
+from conftest import subtree
+
 
 def _corpus(count, weights, seed0, max_n=8):
     out = []
@@ -217,7 +219,7 @@ def test_criterion_9_pareto_instrumentation(corpus_a, corpus_b):
     for g in corpus_a:
         if g.n < 2:
             continue
-        rooted = build_bc_tree(g)
+        tree, walk = BlockCutTree(g), build_bc_tree(g)
         records = []
         sum_be_drawer(g, audit=lambda k, node, e, _r=records: _r.append((k, node, e)))
         for kind, node, entries in records:
@@ -227,7 +229,7 @@ def test_criterion_9_pareto_instrumentation(corpus_a, corpus_b):
                 rhos = [e[2] for e in entries]
                 assert all(x < y for x, y in zip(lams, lams[1:])), "(C2)"
                 assert all(x > y for x, y in zip(rhos, rhos[1:])), "(C2)"
-                assert len(entries) <= rooted.n_plus_c[node], "front size bound"
+                assert len(entries) <= len(subtree(g, tree, walk, "C", node)), "front size bound"
                 for rope, _lam, _rho in entries:
                     order = materialize(rope)
                     pos = {v: i for i, v in enumerate(order)}
@@ -241,8 +243,8 @@ def test_criterion_9_pareto_instrumentation(corpus_a, corpus_b):
                 taus = [e[2] for e in entries]
                 assert all(x < y for x, y in zip(alphas, alphas[1:])), "(B2)"
                 assert all(x < y for x, y in zip(taus, taus[1:])), "(B2)"
-                assert len(entries) <= rooted.n_plus_b[node], "front size bound"
-                parent = rooted.parent_cut[node]
+                assert len(entries) <= len(subtree(g, tree, walk, "B", node)), "front size bound"
+                parent = dict(walk)[node]
                 for rope, _a, _t in entries:
                     assert materialize(rope)[0] == parent, "(B1)"
 
@@ -256,18 +258,19 @@ def test_criterion_9_pareto_instrumentation(corpus_a, corpus_b):
                 g, e_star,
                 audit=lambda k, node, p, _r=records: _r.append((k, node, p)),
             )
-            rooted = tree.rooted(tree.block_of_edge[e_star])
+            walk = tree.walk(tree.block_of_edge[e_star])
             for kind, node, payload in records:
                 checked_nodes += 1
                 if kind == "C":
                     nls = [e[1] for e in payload]
                     assert all(x < y for x, y in zip(nls, nls[1:])), "(C2)"
-                    assert len(payload) <= rooted.n_plus_c[node], "front size bound"
+                    bound = len(subtree(g, tree, walk, "C", node))
+                    assert len(payload) <= bound, "front size bound"
                     for rope, nl, _nr in payload:
                         assert materialize(rope).index(node) == nl, "(C1)"
                 else:
                     rope, residual = payload
-                    parent = rooted.parent_cut[node]
+                    parent = dict(walk)[node]
                     if parent is not None:
                         order = materialize(rope)
                         assert order[0] == parent, "(B1)"

@@ -27,7 +27,7 @@ from bookembed.maxdraw import max_be_drawer
 from bookembed.minres import minres_be_drawer, minres_be_drawer_anchor
 from bookembed.sumdraw import sum_be_drawer
 
-from conftest import coprime, fractional, graph_from, small_corpus
+from conftest import coprime, fractional, graph_from, small_corpus, subtree, walk_reference
 
 
 def test_parse_json_triangle():
@@ -525,27 +525,32 @@ def test_weights_coerced_to_fraction(w, expected):
 
 def test_bc_tree_path():
     g = graph_from([("a", "b", 1), ("b", "c", 1)])
-    rooted = build_bc_tree(g)
-    assert len(rooted.tree.blocks) == 2
-    assert [g.labels[c] for c in rooted.tree.cut_vertices] == ["b"]
+    tree = BlockCutTree(g)
+    assert len(tree.blocks) == 2
+    assert [g.labels[c] for c in tree.cut_vertices] == ["b"]
+    # the first edge is the smallest-id heaviest: its block is the root
+    ab, bc = tree.block_of_edge
+    assert build_bc_tree(g) == [(bc, g.resolve("b")), (ab, None)]
 
 
 def test_bc_tree_triangle():
     g = graph_from([("a", "b", 1), ("b", "c", 2), ("a", "c", 3)])
-    rooted = build_bc_tree(g)
-    assert len(rooted.tree.blocks) == 1
-    assert rooted.tree.cut_vertices == ()
+    tree = BlockCutTree(g)
+    assert len(tree.blocks) == 1
+    assert tree.cut_vertices == ()
+    assert build_bc_tree(g) == [(0, None)]
 
 
 def test_bc_tree_root_policy_star():
     g = graph_from([("c", "x", 1), ("c", "y", 2), ("c", "z", 3)])
-    rooted = build_bc_tree(g)
-    root_block = rooted.tree.blocks[rooted.root]
-    ws = [g.weight(e) for e in root_block.edge_ids]
+    tree = BlockCutTree(g)
+    root, parent = build_bc_tree(g)[-1]
+    assert parent is None
+    ws = [g.weight(e) for e in tree.blocks[root].edge_ids]
     assert ws == [Fraction(3)]
     eid = g.edge_between(g.resolve("c"), g.resolve("y"))
-    rooted2 = BlockCutTree(g).rooted(rooted.tree.block_of_edge[eid])
-    assert eid in rooted2.tree.blocks[rooted2.root].edge_ids
+    root2, parent2 = tree.walk(tree.block_of_edge[eid])[-1]
+    assert parent2 is None and eid in tree.blocks[root2].edge_ids
 
 
 def test_bc_tree_requires_connected():
@@ -606,43 +611,66 @@ def test_rooted_aggregates():
     g = graph_from(
         [("r", "c", 5), ("c", "x", 1), ("c", "y", 2), ("y", "z", 7), ("c", "z", 3)]
     )
-    rooted = build_bc_tree(g)
-    assert rooted.tree.blocks[rooted.root].max_weight == 7
+    tree = BlockCutTree(g)
+    walk = build_bc_tree(g)
+    assert tree.blocks[walk[-1][0]].max_weight == 7
     c = g.resolve("c")
     # the root block is {c, y, z}; {r, c} and {c, x} hang below c
-    assert rooted.n_plus_c[c] == 3
-    # subtree counts and weights agree with a direct recomputation, also
-    # when the weights are held over a common denominator
+    assert subtree(g, tree, walk, "C", c) == {c, g.resolve("r"), g.resolve("x")}
+    # subtree counts and heaviest weights folded along the walk, as the
+    # drawers fold them, agree with a search of the graph, also when the
+    # weights are held over a common denominator
     for h, den in ((g, 1), (fractional(g), 30), (coprime(g), 1)):
         assert h.scaled[1] == den
-        rooted = build_bc_tree(h)
-        checked_cuts = set()
-        for bid in range(len(rooted.tree.blocks)):
-            seen_vertices = set()
-            w_best = None
-            stack = [bid]
-            while stack:
-                b = stack.pop()
-                seen_vertices.update(rooted.tree.blocks[b].vertices)
-                for e in rooted.tree.blocks[b].edge_ids:
-                    w = h.weight(e)
-                    if w_best is None or w > w_best:
-                        w_best = w
-                for cc in rooted.child_cuts[b]:
-                    stack.extend(rooted.child_blocks[cc])
-            assert rooted.n_plus_b[bid] == len(seen_vertices)
-            assert Fraction(rooted.w_plus[bid], den) == w_best
-            for cc in rooted.child_cuts[bid]:
-                below = {cc}
-                stack = list(rooted.child_blocks[cc])
-                while stack:
-                    b = stack.pop()
-                    below.update(rooted.tree.blocks[b].vertices)
-                    for c2 in rooted.child_cuts[b]:
-                        stack.extend(rooted.child_blocks[c2])
-                assert rooted.n_plus_c[cc] == len(below)
+        tree = BlockCutTree(h)
+        walk = build_bc_tree(h)
+        count, heaviest, checked_cuts = {}, {}, set()
+        for bid, parent in walk:
+            block = tree.blocks[bid]
+            count[bid], heaviest[bid] = len(block.vertices), block.max_weight
+            for cc in block.cuts:
+                if cc == parent:
+                    continue
+                kids = [b for b in tree.blocks_of_vertex[cc] if b != bid]
+                below = 1 + sum(count[b] - 1 for b in kids)
+                assert below == len(subtree(h, tree, walk, "C", cc))
+                count[bid] += below - 1
+                heaviest[bid] = max(heaviest[bid], *(heaviest[b] for b in kids))
                 checked_cuts.add(cc)
-        assert checked_cuts == set(rooted.tree.cut_vertices)
+            seen = subtree(h, tree, walk, "B", bid)
+            assert count[bid] == len(seen)
+            assert Fraction(heaviest[bid], den) == max(
+                h.weight(e) for e in range(h.m) if set(h.ends[e]) <= seen
+            )
+        assert checked_cuts == set(tree.cut_vertices)
+
+
+@pytest.mark.parametrize("weighted", [None, fractional, coprime],
+                         ids=["integer", "fractional", "coprime"])
+def test_walk_by_definition(weighted):
+    graphs = small_corpus(150, max_n=24, weights=(1, 9), seed0=31)
+    for g in map(weighted, graphs) if weighted else graphs:
+        tree = BlockCutTree(g)
+        for root in range(len(tree.blocks)):
+            walk = tree.walk(root)
+            # the sum drawer's failure digest pins this order
+            assert walk == walk_reference(tree, root)
+            assert sorted(b for b, _ in walk) == list(range(len(tree.blocks)))
+            assert walk[-1] == (root, None)
+            at = {b: i for i, (b, _) in enumerate(walk)}
+            top = set(tree.blocks[root].vertices)
+            for bid, parent in walk[:-1]:
+                seen = subtree(g, tree, walk, "B", bid)
+                # the parent cut is the block's vertex that parts it from
+                # the root, so the next block toward the root holds it too
+                assert parent in tree.blocks[bid].vertices
+                assert seen & top <= {parent}
+                for b in range(len(tree.blocks)):
+                    if b != bid and set(tree.blocks[b].vertices) <= seen:
+                        assert at[b] < at[bid]
+        e = min(range(g.m), key=lambda e: (-g.weight(e), e), default=None)
+        root = build_bc_tree(g)[-1][0]
+        assert e is None or e in tree.blocks[root].edge_ids
 
 
 def test_is_connected():

@@ -9,11 +9,11 @@ from bookembed.embedding import BookEmbedding, Failure, validate_max
 from bookembed.errors import NotOuterplanarError
 from bookembed.exact import INF
 from bookembed import graph
-from bookembed.graph import BlockCutTree, build_bc_tree
+from bookembed.graph import BlockCutTree, build_bc_tree, component
 from bookembed.maxdraw import embed_max, max_be_drawer, star_sort_demo
 from bookembed.oracle import oracle_exists, random_outerplanar
 
-from conftest import coprime, fractional, graph_from, small_corpus
+from conftest import coprime, fractional, graph_from, small_corpus, subtree
 
 import planted  # the benchmark's generator (perfbench/planted.py)
 
@@ -108,6 +108,34 @@ def test_oracle_agreement_fractional_weights(weighted):
     assert seen == {1, 2, 3}
 
 
+@pytest.mark.parametrize(
+    "weighted,failures,heaviest",
+    [(None, 17, 16), (fractional, 12, 10), (coprime, 18, 16)],
+    ids=["integer", "fractional", "coprime"],
+)
+def test_condition_3_weighs_a_subtree_hanging_at_the_cut(weighted, failures, heaviest):
+    # weights[0] is the heaviest edge of one child block's subtree at the
+    # cut vertex: of the whole hang when the heaviest child fails, else of
+    # a lighter child that met a heavier one's lowest edge
+    graphs = small_corpus(300, weights=(1, 9), seed0=777)
+    seen = []
+    for g in map(weighted, graphs) if weighted else graphs:
+        out = max_be_drawer(g)
+        if not (isinstance(out, Failure) and out.condition == 3):
+            continue
+        tree, walk = BlockCutTree(g), build_bc_tree(g)
+        assert dict(walk)[out.block] != out.cut_vertex  # the cut hangs below
+
+        def top(vertices):
+            return max(g.weight(e) for e in range(g.m) if set(g.ends[e]) <= vertices)
+
+        kids = [b for b in tree.blocks_of_vertex[out.cut_vertex] if b != out.block]
+        assert out.weights[0] in {top(subtree(g, tree, walk, "B", b)) for b in kids}
+        assert out.weights[0] >= max(out.weights[1:])
+        seen.append(out.weights[0] == top(subtree(g, tree, walk, "C", out.cut_vertex)))
+    assert (len(seen), sum(seen)) == (failures, heaviest)
+
+
 def test_extreme_parent_property():
     # in every success the parent cut of each block is first or last among
     # the subtree's vertices
@@ -115,20 +143,12 @@ def test_extreme_parent_property():
         out = max_be_drawer(g)
         if not isinstance(out, BookEmbedding) or g.n < 3:
             continue
-        rooted = build_bc_tree(g)
+        tree, walk = BlockCutTree(g), build_bc_tree(g)
         pos = out.position
-        for bid in range(len(rooted.tree.blocks)):
-            parent = rooted.parent_cut[bid]
+        for bid, parent in walk:
             if parent is None:
                 continue
-            subtree = set()
-            stack = [bid]
-            while stack:
-                b = stack.pop()
-                subtree.update(rooted.tree.blocks[b].vertices)
-                for c in rooted.child_cuts[b]:
-                    stack.extend(rooted.child_blocks[c])
-            positions = sorted(pos[v] for v in subtree)
+            positions = sorted(pos[v] for v in subtree(g, tree, walk, "B", bid))
             assert pos[parent] in (positions[0], positions[-1])
 
 
@@ -212,9 +232,10 @@ def _step_corpus():
 def test_block_steps_are_the_lowest_edges_of_every_vertex():
     checked = 0
     for g in _step_corpus():
-        tree = BlockCutTree(g)
+        part = component(g)
+        tree = part.tree
         adjacency = g.adjacency  # made anew on every access
-        rooted = build_bc_tree(g)
+        walk = build_bc_tree(part)
         for under in (max, sum):
             for bid, block in enumerate(tree.blocks):
                 cut, steps, failure = forced_block_order(g, block, None, under, "r")
@@ -225,11 +246,11 @@ def test_block_steps_are_the_lowest_edges_of_every_vertex():
                 _assert_steps_are_the_lowest_edges(g, adjacency, tree, bid, order, steps)
                 checked += len(order) > 2
             # the orders as the drawers get them, parent cut vertex first
-            cuts, steps, failure = rooted_block_orders(g, rooted, under, "r")
+            cuts, steps, failure = rooted_block_orders(part, walk, under, "r")
             if failure is None:
                 for bid, cut in cuts.items():
                     order = cut.order()
-                    assert rooted.parent_cut[bid] in (None, order[0])
+                    assert dict(walk)[bid] in (None, order[0])
                     assert [cut.position(v) for v in tree.blocks[bid].vertices] == [
                         order.index(v) for v in tree.blocks[bid].vertices
                     ]

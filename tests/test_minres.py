@@ -15,7 +15,7 @@ from bookembed.seq import materialize
 from bookembed.twodim import check_twodim, minres_construct
 
 import planted  # the benchmark's generator (perfbench/planted.py)
-from conftest import coprime, cut_cycle, fractional, graph_from, small_corpus
+from conftest import coprime, cut_cycle, fractional, graph_from, small_corpus, subtree
 
 
 def test_biconnected_with_edge_examples():
@@ -133,12 +133,13 @@ def _assert_fronts_and_b2(corpus):
                 records.append((kind, node, payload))
 
             res = minres_be_drawer_anchor(g, e_star, audit=audit)
-            rooted = tree.rooted(tree.block_of_edge[e_star])
+            walk = tree.walk(tree.block_of_edge[e_star])
             for kind, node, payload in records:
                 if kind == "C":
                     nls = [e[1] for e in payload]
                     assert all(x < y for x, y in zip(nls, nls[1:])), "(C2)"
-                    assert len(payload) <= rooted.n_plus_c[node], "front size bound"
+                    bound = len(subtree(g, tree, walk, "C", node))
+                    assert len(payload) <= bound, "front size bound"
                     for rope, nl, nr in payload:
                         order = materialize(rope)
                         assert nl + nr + 1 == len(order)
@@ -150,7 +151,7 @@ def _assert_fronts_and_b2(corpus):
                 else:
                     rope, residual = payload
                     order = materialize(rope)
-                    parent = rooted.parent_cut[node]
+                    parent = dict(walk)[node]
                     if parent is None:
                         continue
                     assert order[0] == parent, "(B1)"

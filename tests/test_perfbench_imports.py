@@ -4,7 +4,7 @@ when the benchmark runs."""
 
 from types import SimpleNamespace
 
-from bookembed import cli
+from bookembed import cli, graph, maxdraw, sumdraw
 from bookembed.blocks import block_outer_cycle
 from bookembed.graph import BlockCutTree
 from bookembed.minres import minres_be_drawer_anchor
@@ -37,3 +37,11 @@ def test_anchor_probe_reads_an_integer_condition():
     counts = bench.tracer.counts
     assert counts["minres.anchors_tried"] == 3 and counts["minres.reject.cond1"] == 3
     assert bench.anchor_ok == 0
+
+
+def test_tracer_times_the_drawers_rooting():
+    # BlockCutTree is timed under the same layer, so a nonzero graph.bctree_s
+    # alone would not show that the rooting is still timed
+    patched = {(owner, attr) for owner, attr, original, _wrapper in tracer.Tracer()._patches
+               if original is graph.build_bc_tree}
+    assert {(maxdraw, "build_bc_tree"), (sumdraw, "build_bc_tree")} <= patched

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from bookembed.embedding import BookEmbedding, Failure, metrics, validate_sum
-from bookembed.graph import build_bc_tree
+from bookembed.graph import BlockCutTree, build_bc_tree
 from bookembed.oracle import enumerate_one_page, oracle_exists, random_outerplanar
 from bookembed.seq import materialize
 from bookembed.sumdraw import sum_be_drawer
 
-from conftest import coprime, fractional, graph_from, small_corpus
+from conftest import coprime, fractional, graph_from, small_corpus, subtree
 
 
 def test_biconnected_triangles():
@@ -93,7 +93,7 @@ def _check_fronts(graphs):
             continue
         records = []
         out = sum_be_drawer(g, audit=_collect_audit(records))
-        rooted = build_bc_tree(g)
+        tree, walk = BlockCutTree(g), build_bc_tree(g)
         for kind, node, entries in records:
             assert all(type(x) is Fraction for e in entries for x in e[1:])
             if kind == "C":
@@ -101,7 +101,7 @@ def _check_fronts(graphs):
                 rhos = [e[2] for e in entries]
                 assert all(x < y for x, y in zip(lams, lams[1:]))
                 assert all(x > y for x, y in zip(rhos, rhos[1:]))
-                assert len(entries) <= rooted.n_plus_c[node]
+                assert len(entries) <= len(subtree(g, tree, walk, "C", node))
                 for rope, lam, rho in entries:
                     order = materialize(rope)
                     sub, to_sub = g.induced(order)
@@ -117,8 +117,8 @@ def _check_fronts(graphs):
                 taus = [e[2] for e in entries]
                 assert all(x < y for x, y in zip(alphas, alphas[1:]))
                 assert all(x < y for x, y in zip(taus, taus[1:]))
-                assert len(entries) <= rooted.n_plus_b[node]
-                parent = rooted.parent_cut[node]
+                assert len(entries) <= len(subtree(g, tree, walk, "B", node))
+                parent = dict(walk)[node]
                 for rope, alpha, tau in entries:
                     order = materialize(rope)
                     assert order[0] == parent, "parent must be first (B1)"
@@ -138,19 +138,11 @@ def test_c3_completeness_small_scale():
             continue
         records = []
         out = sum_be_drawer(g, audit=_collect_audit(records))
-        rooted = build_bc_tree(g)
+        tree, walk = BlockCutTree(g), build_bc_tree(g)
         for kind, node, entries in records:
             if kind != "C":
                 continue
-            subtree = [node]
-            stack = list(rooted.child_blocks[node])
-            seen = set()
-            while stack:
-                b = stack.pop()
-                seen.update(rooted.tree.blocks[b].vertices)
-                for c in rooted.child_cuts[b]:
-                    stack.extend(rooted.child_blocks[c])
-            sub, to_sub = g.induced(seen)
+            sub, to_sub = g.induced(subtree(g, tree, walk, "C", node))
             c_local = to_sub[node]
             fronts = [(e[1], e[2]) for e in entries]
             for L in enumerate_one_page(sub):
@@ -168,7 +160,8 @@ def test_c3_completeness_small_scale():
 
 def test_empty_pareto_names_the_first_failing_node_of_the_walk():
     # Several nodes of this graph have empty fronts.  The walk visits
-    # block_postorder with each block after its child cuts, and block 11
+    # the blocks in the order of build_bc_tree, each after its child cuts,
+    # and block 11
     # comes before the failing cut vertex "15".
     g = random_outerplanar(26, (1, 6), seed=390)
     assert sum_be_drawer(g) == Failure(
