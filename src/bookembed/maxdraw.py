@@ -34,7 +34,7 @@ def max_be_drawer(g):
     blocks, blocks_of_vertex = g.tree.blocks, g.tree.blocks_of_vertex
     den = g.scaled[1]
 
-    block_cuts, block_steps, failure = rooted_block_orders(g, walk, max, _WRAPS)
+    block_orders, block_steps, failure = rooted_block_orders(g, walk, max, _WRAPS)
     if failure is not None:
         return failure
 
@@ -42,14 +42,14 @@ def max_be_drawer(g):
     w_plus = {}  # the heaviest edge weight in each block's subtree
     for bid, parent in walk:
         repl = {}
-        cut = block_cuts[bid]
+        forced = block_orders[bid]
         steps = block_steps[bid]
         w_top = blocks[bid].max_weight
         for ci in blocks[bid].cuts:
             if ci == parent:
                 continue
             # the lowest edges on either side of ci join it to its neighbours
-            p = cut.position(ci)
+            p = forced.position(ci)
             left_w = steps[p - 1] if p > 0 else INF
             right_w = steps[p] if p < len(steps) else INF
             left_parts = []
@@ -76,7 +76,7 @@ def max_be_drawer(g):
                     left_w = r_child
             repl[ci] = seq.cat(*left_parts, seq.one(ci), *reversed(right_parts))
         w_plus[bid] = w_top
-        ropes[bid] = seq.blk(cut.order(), repl or None)
+        ropes[bid] = seq.blk(forced.order(), repl or None)
     return BookEmbedding(seq.materialize(ropes[walk[-1][0]]))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from operator import add
 
 from . import seq
 from .blocks import fold_cut, rooted_block_orders
@@ -76,7 +77,7 @@ def sum_be_drawer(g, audit=None):
         return BookEmbedding((g.root,))
     walk = build_bc_tree(g)
     tree = g.tree
-    block_cuts, block_steps, failure = rooted_block_orders(g, walk, sum, _UNDER)
+    block_orders, block_steps, failure = rooted_block_orders(g, walk, add, _UNDER)
     if failure is not None:
         return failure
     den = g.scaled[1]
@@ -102,7 +103,7 @@ def sum_be_drawer(g, audit=None):
         return entries
 
     def process_block(bid, parent):
-        forced = block_cuts[bid]
+        forced = block_orders[bid]
         order = forced.order()
         cuts = sorted((forced.position(c), c) for c in tree.blocks[bid].cuts if c != parent)
         steps = block_steps[bid]

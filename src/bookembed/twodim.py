@@ -266,7 +266,9 @@ def one_page_order(g):
 
     Each block is read along its outer cycle from its parent cut vertex
     (the root block, the first, from its smallest vertex); a cut vertex is
-    followed by its child blocks' orders, less the cut vertex itself."""
+    followed by its child blocks' orders, less the cut vertex itself.  A
+    block of at most three vertices lists them along its cycle already, so
+    it is read with no outer-cycle record."""
     g = component(g)
     if g.n == 1:
         return [g.root]
@@ -274,7 +276,11 @@ def one_page_order(g):
 
     def block_order(bid, first):
         block = blocks[bid]
-        record = block_outer_cycle(g, block.vertices, block.edge_ids)
+        vertices = block.vertices
+        if len(vertices) <= 3:
+            i = vertices.index(first)
+            return iter(vertices[i:] + vertices[:i])
+        record = block_outer_cycle(g, vertices, block.edge_ids)
         if record is None:
             raise NotOuterplanarError("graph is not outerplanar")
         return iter(Cut(record, record.pos[first], 1).order())
@@ -347,27 +353,37 @@ def twodim_general(g, eps=Fraction(1), length=None):
 
 def minres_construct(g, embedding):
     """Unit-resolution drawing from a supporting 1-page embedding:
-    unit vertex spacing, every rectangle at least 1 wide and 1 tall."""
+    unit vertex spacing, every rectangle at least 1 wide and 1 tall.
+
+    Edge ``(a, b)`` of weight p/q, at order positions ``a < b``, spans
+    x = a + 1 to b + 1 and is p/(q·(b - a)) tall; its bottom is the highest
+    top among its children in the nesting forest, or 0.  Every coordinate
+    is a reduced ``(p, q)`` pair of ints, and the pairs compare by
+    cross-multiplication."""
     violation = validate_minres_supporting(g, embedding)
     if violation is not None:
         raise PreconditionError(
             f"order is not a supporting embedding: {violation}"
         )
-    pos = embedding.position
     spans, walk, children, _roots = _forest_or_raise(g, embedding)
     ps, qs = g.ratios()
-    x = {v: Fraction(pos[v] + 1) for v in embedding.order}
+    xs = [(i + 1, 1) for i in range(g.n)]
+    x = dict(zip(embedding.order, xs))
     rects = {}
     for i in reversed(walk):
         a, b, _eid = spans[i]
-        y_min = Fraction(0)
+        y_min = (0, 1)
         for k in children[i]:
-            y_top = rects[k][3]
-            if y_top > y_min:
-                y_min = y_top
-        h = Fraction(ps[i], qs[i] * (b - a))
-        rects[i] = (Fraction(a + 1), Fraction(b + 1), y_min, y_min + h)
-    return TwoDimEmbedding(embedding, x, rects)
+            top = rects[k][3]
+            if top[0] * y_min[1] > y_min[0] * top[1]:
+                y_min = top
+        # the top is y_min + p/(q·(b - a)), reduced
+        mn, md = y_min
+        hd = qs[i] * (b - a)
+        tn, td = mn * hd + ps[i] * md, md * hd
+        d = math.gcd(tn, td)
+        rects[i] = (xs[a], xs[b], y_min, (tn // d, td // d))
+    return TwoDimEmbedding._of_pairs(embedding, x, rects)
 
 
 def default_box_width(total_weight):

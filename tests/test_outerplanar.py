@@ -125,8 +125,8 @@ def _count_calls(monkeypatch, module, name):
     "entry_point,forests,cuts",
     [
         (lambda g, s, t: outerplane_embedding(g), 0, 0),
-        (lambda g, s, t: max_be_drawer(g), 1, 1),
-        (lambda g, s, t: sum_be_drawer(g), 1, 1),
+        (lambda g, s, t: max_be_drawer(g), 0, 1),
+        (lambda g, s, t: sum_be_drawer(g), 0, 1),
         (lambda g, s, t: minres_be_drawer_anchor(g, g.edge_between(s, t)), 0, 1),
         (lambda g, s, t: twodim_biconnected(g, s, t, g.total_weight(), 1), 1, 1),
     ],

@@ -554,3 +554,14 @@ def test_draw_region_does_no_fraction_arithmetic(monkeypatch, tmp_path):
             patch.setattr(Fraction, "__new__", staticmethod(counted))
             assert cli.main(["embed-2d", str(path), "--output", str(out)]) == 0
     assert made[60] == made[240] < 20, made
+
+    # so does the unit-resolution drawing of embed-2d --minres
+    made.clear()
+    for n in (60, 240):
+        parts = [planted.planted_yes(n // 3, "minres", s, s % 3 == 2) for s in range(3)]
+        path = tmp_path / f"minres{n}.json"
+        path.write_text(serialize_graph(planted.disjoint_union(parts).graph))
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", staticmethod(counted))
+            assert cli.main(["embed-2d", "--minres", str(path), "--output", str(out)]) == 0
+    assert made[60] < 20 and made[240] < 20, made
