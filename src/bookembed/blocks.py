@@ -21,20 +21,25 @@ from .outerplanar import block_outer_cycle
 
 
 class Listed:
-    """The forced order of a bridge or a triangle, read as a
+    """An order of a bridge or a triangle, read as a
     :class:`~bookembed.outerplanar.Cut` is read: ``order()`` is the tuple
-    of its vertices and ``position(v)`` the index of ``v`` in it."""
+    of its vertices, ``position(v)`` the index of ``v`` in it and
+    ``spans()`` the ``(a, b, eid)`` of its edges when they were given."""
 
-    __slots__ = ("_order",)
+    __slots__ = ("_order", "_spans")
 
-    def __init__(self, order):
+    def __init__(self, order, spans=()):
         self._order = order
+        self._spans = spans
 
     def order(self):
         return self._order
 
     def position(self, v):
         return self._order.index(v)
+
+    def spans(self):
+        return self._spans
 
 
 def forced_block_order(g, block, parent, under, reason):

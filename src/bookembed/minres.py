@@ -15,10 +15,13 @@ below their own block.  Each anchor's search is one depth-first walk: a node
 is solved when its last child is, a failure is cached for the failing node
 and its unsolved ancestors, and a node below a root is entered at most once
 per drawer call.  Condition 1 (the block order that cuts a given cycle edge
-has ``weight >= span`` everywhere) is answered for every cut of a block by
-one O(k + m) sweep on the block's first use.  Weights are scaled once to
-integers over their common denominator; residuals leave the module as exact
-Fractions.
+has ``weight >= span`` everywhere) is read from the weights of a bridge or
+a triangle, whose vertices already lie along its outer cycle; for a block
+of four or more vertices it is answered for every cut by one O(k + m)
+sweep on the block's first use.  A bridge whose far end lies in no other
+block is solved as soon as its parent cut lists it.  Weights are scaled
+once to integers over their common denominator; residuals leave the module
+as exact Fractions.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from itertools import accumulate
 from math import inf
 
 from . import seq
-from .blocks import fold_cut
+from .blocks import Listed, fold_cut
 from .embedding import BookEmbedding, Failure, per_component
 from .errors import NotOuterplanarError
 from .graph import BlockCutTree, component
@@ -47,9 +50,13 @@ class _AnchorSearch:
     parent cut extreme, 3 when a cut vertex's fold came up empty, and 4 when
     a block extension failed for every stored order.
 
-    ``cycles[b]`` is block ``b``'s :class:`~bookembed.outerplanar.OuterCycle`
-    record; a block's candidate orders are its cuts.  A node below the root
-    is ``("B", block, parent cut)`` or ``("C", cut, parent block)``, and
+    A block's candidate orders are read by its shape.  Those of a bridge
+    or a triangle are :class:`~bookembed.blocks.Listed` orders of its
+    vertex tuple, with condition 1 read from its weights.  Those of a block
+    of four or more vertices are the cuts of ``cycles[b]``, its
+    :class:`~bookembed.outerplanar.OuterCycle` record; ``cycles`` needs no
+    record of a smaller block.  A node below the root is
+    ``("B", block, parent cut)`` or ``("C", cut, parent block)``, and
     ``results`` maps it to its result or its Failure.  A block result is
     ``(rope, residual, vertex count)``; a cut result is the front
     ``(ropes, nls, nrs)`` sorted by ``nl``.  Residuals are scaled by ``den``
@@ -71,15 +78,15 @@ class _AnchorSearch:
         results = self.results
         root = self.tree.block_of_edge[e_star]
         u, v = self.ends[e_star]
-        cut = self.cycles[root].cut(min(u, v), max(u, v))
-        if cut is None or not self._supports(root, cut):
+        order = self._order(root, min(u, v), max(u, v))
+        if order is None:
             return None
 
-        # a frame (node, unsolved children, candidate cuts) per unsolved node
-        # from the root down; a node is solved when its last child is
+        # a frame (node, unsolved children, candidate orders) per unsolved
+        # node from the root down; a node is solved when its last child is
         blocks, blocks_of = self.tree.blocks, self.tree.blocks_of_vertex
         stack = []
-        node, cuts = ("B", root, None), [cut]
+        node, cuts = ("B", root, None), [order]
         while True:
             kind, x, parent = node
             unsolved = []
@@ -96,6 +103,8 @@ class _AnchorSearch:
             for kid in kids:  # a failure cached below fails the node before any solve
                 known = results.get(kid)
                 if known is None:
+                    if kind == "C" and self._solve_pendant(kid[1], x):
+                        continue
                     unsolved.append(kid)
                 elif isinstance(known, Failure):
                     return self._fail(stack, known)
@@ -153,11 +162,56 @@ class _AnchorSearch:
             ok = self.sweeps[bid] = self._sweep(bid)
         return ok[cut.dropped()]
 
+    def _order(self, bid, s, t):
+        """The order of block ``bid`` with ``s`` first and ``t`` last, or
+        None unless ``s t`` is a cycle edge and the order satisfies
+        condition 1."""
+        block = self.tree.blocks[bid]
+        vertices = block.vertices
+        if len(vertices) > 3:
+            cut = self.cycles[bid].cut(s, t)
+            return cut if cut is not None and self._supports(bid, cut) else None
+        # a bridge or a triangle lies along its cycle: s, the third vertex
+        # if any, then t; each edge must weigh at least its span
+        w, den, ends = self.w, self.den, self.ends
+        order = (s, t) if len(vertices) == 2 else (s, sum(vertices) - s - t, t)
+        spans = []
+        for eid in block.edge_ids:
+            p, q = ends[eid]
+            a, b = order.index(p), order.index(q)
+            if a > b:
+                a, b = b, a
+            if w[eid] < (b - a) * den:
+                return None
+            spans.append((a, b, eid))
+        return Listed(order, spans)
+
     def _candidates(self, bid, c):
-        """Supporting cuts of block ``bid`` with its parent cut ``c`` first,
-        by the id of their last vertex."""
+        """Supporting orders of block ``bid`` with its parent cut ``c``
+        first, by the id of their last vertex."""
+        vertices = self.tree.blocks[bid].vertices
+        if len(vertices) <= 3:  # vertices are in id order
+            orders = [self._order(bid, c, t) for t in vertices if t != c]
+            return [order for order in orders if order is not None]
         cuts = sorted(self.cycles[bid].cuts(c), key=Cut.last)
         return [cut for cut in cuts if self._supports(bid, cut)]
+
+    def _solve_pendant(self, bid, c):
+        """Whether block ``bid`` is a bridge whose far end lies in no other
+        block and whose weight covers its span; if so, its result below its
+        parent cut ``c`` is cached, with no frame."""
+        block = self.tree.blocks[bid]
+        if len(block.vertices) != 2 or len(block.cuts) != 1:
+            return False
+        residual = self.w[block.edge_ids[0]] - self.den
+        if residual < 0:
+            return False
+        u, v = block.vertices
+        rope = seq.blk((c, v if u == c else u))
+        self.results["B", bid, c] = rope, residual, 2
+        if self.audit is not None:
+            self.audit("B", bid, (rope, Fraction(residual, self.den)))
+        return True
 
     def _process_cut(self, c, parent):
         den = self.den
@@ -178,14 +232,46 @@ class _AnchorSearch:
         return tuple(zip(*entries))
 
     def _process_block(self, bid, parent, cuts):
+        bridge = len(self.tree.blocks[bid].vertices) == 2
+        extend = self._extend_bridge if bridge else self._extend_block
         best = None
         for cut in cuts:
-            out = self._extend_block(bid, parent, cut)
+            out = extend(bid, parent, cut)
             if out is not None and (best is None or out[1] > best[1]):
                 best = out
         if best is not None and self.audit is not None:
             self.audit("B", bid, (best[0], Fraction(best[1], self.den)))
         return best
+
+    def _extend_bridge(self, bid, parent, order):
+        """:meth:`_extend_block` of a bridge ordered ``(s, t)``, read from its
+        one weight.  No span starts at position 1, so the front of a child
+        cut ``t`` is taken at its first entry, the fewest vertices left of
+        it; the end ``s`` is a child cut too only when the bridge is the
+        root."""
+        block = self.tree.blocks[bid]
+        den, results = self.den, self.results
+        slack = self.w[block.edge_ids[0]] - den
+        s, t = order.order()
+        size = 2
+        repl = {}
+        if t in block.cuts:
+            ropes, nls, nrs = results["C", t, bid]
+            slack -= nls[0] * den
+            if slack < 0:
+                return None
+            size += nls[0] + nrs[0]
+            repl[t] = ropes[0]
+        if parent is None and s in block.cuts:
+            ropes, nls, nrs = results["C", s, bid]
+            total = nls[0] + nrs[0]
+            j = bisect_left(nls, total - slack // den)
+            if j >= len(nls):
+                return None
+            slack -= nrs[j] * den
+            size += total
+            repl[s] = ropes[j]
+        return seq.blk((s, t), repl or None), slack, size
 
     def _extend_block(self, bid, parent, cut):
         w, den = self.w, self.den
@@ -243,12 +329,15 @@ class _AnchorSearch:
 
 def _outer_cycles(g, blocks, bids, cycles=None):
     """``cycles``, or when None the :class:`~bookembed.outerplanar.OuterCycle`
-    record of every block ``blocks[b]`` for ``b`` in ``bids``, by block id;
-    :class:`NotOuterplanarError` if a block in ``bids`` has none."""
+    record of every block ``blocks[b]`` of four or more vertices for ``b``
+    in ``bids``, by block id; :class:`NotOuterplanarError` if such a block
+    has none.  A smaller block is a bridge or, the graph being simple, a
+    triangle, and needs no record."""
+    large = [b for b in bids if len(blocks[b].vertices) > 3]
     if cycles is None:
         cycles = {b: block_outer_cycle(g, blocks[b].vertices, blocks[b].edge_ids)
-                  for b in bids}
-    if any(cycles[b] is None for b in bids):
+                  for b in large}
+    if any(cycles[b] is None for b in large):
         raise NotOuterplanarError("graph is not outerplanar")
     return cycles
 
@@ -257,7 +346,9 @@ def minres_be_drawer_anchor(g, e_star, *, decomposition=None, cycles=None, audit
     """Supporting embedding of a connected graph in which ``e_star`` is
     nested under no edge, or a Failure.  ``cycles``, when given, holds the
     :func:`~bookembed.outerplanar.block_outer_cycle` record of every block
-    of ``decomposition`` by block id.  Each call starts from empty caches,
+    of ``decomposition`` of four or more vertices by block id; records of
+    smaller blocks may be there too, and are not read.  Each call starts
+    from empty caches,
     so ``audit`` sees every node it solves."""
     tree = decomposition or BlockCutTree(g)
     cycles = _outer_cycles(g, tree.blocks, range(len(tree.blocks)), cycles)

@@ -1,5 +1,6 @@
 """The forced block orders of the max and sum classes against the outer-cycle
-reference, and the small blocks that need no outer-cycle record."""
+reference, and the small blocks that need no outer-cycle record in any
+drawer."""
 
 import sys
 from functools import reduce
@@ -13,6 +14,7 @@ from bookembed.embedding import BookEmbedding, Failure
 from bookembed.errors import NotOuterplanarError
 from bookembed.graph import BlockCutTree, WeightedGraph
 from bookembed.maxdraw import embed_max
+from bookembed.minres import embed_minres
 from bookembed.oracle import random_outerplanar
 from bookembed.outerplanar import Cut, OuterCycle, block_outer_cycle, nesting_forest
 from bookembed.sumdraw import embed_sum
@@ -154,7 +156,7 @@ def test_bridges_and_triangles_need_no_outer_cycle(monkeypatch, g):
     forests = _count(monkeypatch, outerplanar, "nesting_forest")
     records = _count(monkeypatch, OuterCycle, "__init__")
     cuts = _count(monkeypatch, Cut, "__init__")
-    for embed in (embed_max, embed_sum):
+    for embed in (embed_max, embed_sum, embed_minres):
         assert isinstance(embed(g), BookEmbedding)
     assert sorted(one_page_order(g)) == list(range(g.n))
     assert (len(cycles), len(forests), len(records), len(cuts)) == (0, 0, 0, 0)

@@ -18,8 +18,9 @@ import pytest
 from bookembed.cli import main
 from bookembed.embedding import Failure
 from bookembed.errors import NotOuterplanarError
-from bookembed.graph import components, serialize_graph
+from bookembed.graph import BlockCutTree, components, connected_components, serialize_graph
 from bookembed.maxdraw import max_be_drawer
+from bookembed.minres import minres_be_drawer_anchor
 from bookembed.sumdraw import sum_be_drawer
 from bookembed.twodim import one_page_order
 
@@ -228,3 +229,34 @@ def test_large_2d_coordinates_match_their_golden_digest(tmp_path):
             code, out = _run(argv + [str(path)])
             digest.update(f"{key}\n{argv}\n{code}\n{out}\n".encode())
     assert digest.hexdigest() == TWODIM_DIGEST
+
+
+# Every anchor's minres result, beyond what the CLI prints: the order of
+# each success, and the condition, block, cut vertex and anchor that locate
+# each rejection, per component and anchor in edge-id order.
+MINRES_ANCHOR_DIGEST = "c5e542767a625d5c7bfed64dbc92d02117c5da1de9c721a2cacf77bfe87c02aa"
+
+
+def _minres_anchor_inputs():
+    yield from _failure_inputs()
+    for s in range(10):
+        for make in (planted.planted_no, planted.planted_yes):
+            yield f"{make.__name__}-40-minres-{s}", make(40, "minres", s, s % 3 == 2).graph
+
+
+def test_minres_anchor_results_match_their_golden_digest():
+    digest = hashlib.sha256()
+    for key, g in _minres_anchor_inputs():
+        for c, part in enumerate(connected_components(g)):
+            tree = BlockCutTree(part)
+            for e_star in range(part.m):
+                try:
+                    f = minres_be_drawer_anchor(part, e_star, decomposition=tree)
+                except NotOuterplanarError:
+                    f = "not outerplanar"
+                if isinstance(f, Failure):
+                    f = (f.condition, f.detail, f.block, f.cut_vertex, f.anchor)
+                elif not isinstance(f, str):
+                    f = f.order
+                digest.update(f"{key}\n{c}\n{e_star}\n{f!r}\n".encode())
+    assert digest.hexdigest() == MINRES_ANCHOR_DIGEST

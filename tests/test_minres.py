@@ -294,13 +294,27 @@ def test_sweep_matches_definition_on_planted_instances():
 
 @pytest.mark.parametrize("biconnected", [True, False])
 def test_every_block_is_swept_once_per_drawer_call(monkeypatch, biconnected):
-    # a planted no-instance: every anchor fails, the most anchors a call tries
+    # a planted no-instance: every anchor fails, the most anchors a call
+    # tries.  Only the blocks of four or more vertices have a record and a
+    # sweep; the cycle of a bridge or a triangle is its vertex tuple.
     g = planted.planted_no(1000, "minres", 1, biconnected).graph
     tree = BlockCutTree(g)
-    edge_ids = {frozenset(b.vertices): b.edge_ids for b in tree.blocks}
-    swept, passing, orders, anchors = [], [], [], []
+    blocks = tree.blocks
+    large = [bid for bid, block in enumerate(blocks) if len(block.vertices) > 3]
+    swept, verdicts, orders, anchors = [], [], [], []
     search = minres._AnchorSearch
     sweep, run, supports, order_of = search._sweep, search.run, search._supports, Cut.order
+    candidates, solve_pendant = search._candidates, search._solve_pendant
+
+    def expected(self, bid, s, t):
+        """The order of block ``bid`` from s to t if it meets condition 1 by
+        definition, else None; the verdict is recorded with the block's
+        shape."""
+        block = blocks[bid]
+        cycle = block.vertices if len(block.vertices) <= 3 else self.cycles[bid].cycle
+        order = _supporting_cut(g, cycle, block.edge_ids, s, t)
+        verdicts.append((len(block.vertices) <= 3, order is not None))
+        return order
 
     def counted_sweep(self, bid):
         swept.append(bid)
@@ -308,25 +322,48 @@ def test_every_block_is_swept_once_per_drawer_call(monkeypatch, biconnected):
 
     def checked_supports(self, bid, cut):
         verdict = supports(self, bid, cut)
-        order, cycle = order_of(cut), self.cycles[bid].cycle
-        expected = _supporting_cut(g, cycle, edge_ids[frozenset(cycle)], order[0], order[-1])
-        assert (list(order) if verdict else None) == expected
-        passing.append(verdict)
+        order = order_of(cut)
+        assert (list(order) if verdict else None) == expected(self, bid, order[0], order[-1])
         return verdict
 
+    def checked_candidates(self, bid, c):
+        got = candidates(self, bid, c)
+        vertices = blocks[bid].vertices
+        if len(vertices) <= 3:  # every other vertex is a cycle neighbour of c
+            want = [expected(self, bid, c, t) for t in vertices if t != c]
+            assert [list(order.order()) for order in got] == [o for o in want if o is not None]
+        return got
+
+    def checked_pendant(self, bid, c):
+        solved = solve_pendant(self, bid, c)
+        block = blocks[bid]
+        if len(block.vertices) == 2 and block.cuts == (c,):
+            (t,) = set(block.vertices) - {c}
+            assert solved == (expected(self, bid, c, t) is not None)
+        else:
+            assert not solved
+        return solved
+
     def counted_order(cut):
+        assert len(cut.record.cycle) > 3
         orders.append(cut)
         return order_of(cut)
 
-    def counted_run(self, e_star):
+    def checked_run(self, e_star):
         result = run(self, e_star)
         assert result is None or isinstance(result, Failure)  # None: condition 1
+        bid = tree.block_of_edge[e_star]
+        if len(blocks[bid].vertices) <= 3:
+            s, t = sorted(g.ends[e_star])
+            assert (result is None) == (expected(self, bid, s, t) is None)
         anchors.append(e_star)
         return result
 
     monkeypatch.setattr(search, "_sweep", counted_sweep)
-    monkeypatch.setattr(search, "run", counted_run)
+    monkeypatch.setattr(search, "run", checked_run)
     monkeypatch.setattr(search, "_supports", checked_supports)
+    monkeypatch.setattr(search, "_candidates", checked_candidates)
+    monkeypatch.setattr(search, "_solve_pendant", checked_pendant)
     monkeypatch.setattr(Cut, "order", counted_order)
     for _call in range(2):
         swept.clear()
@@ -334,13 +371,18 @@ def test_every_block_is_swept_once_per_drawer_call(monkeypatch, biconnected):
         orders.clear()
         assert isinstance(embed_minres(g), Failure)
         assert anchors == list(range(g.m))
-        assert sorted(swept) == list(range(len(tree.blocks)))
+        assert sorted(swept) == large
         # biconnected: one block whose every cut fails, so no order is
         # built.  Connected: some cuts pass, and the blocks solved before a
         # walk meets its failure are extended, each once per parent.
-        assert len(orders) <= len(tree.blocks)
+        assert len(orders) <= len(blocks)
         assert (orders == []) == biconnected
-    assert any(passing) != biconnected
+    # biconnected: every cut of the one block fails.  Connected: both
+    # verdicts, on the small blocks and on the larger ones
+    large_verdicts = {ok for small, ok in verdicts if not small}
+    small_verdicts = {ok for small, ok in verdicts if small}
+    assert large_verdicts == ({False} if biconnected else {True, False})
+    assert small_verdicts == (set() if biconnected else {True, False})
 
 
 def test_each_node_below_a_root_is_entered_once_per_drawer_call(monkeypatch):
@@ -372,6 +414,55 @@ def test_each_node_below_a_root_is_entered_once_per_drawer_call(monkeypatch):
     assert isinstance(embed_minres(g), Failure)
     assert len(entered) <= 2 * sum(len(block.cuts) for block in tree.blocks)
     assert solved and len(set(solved)) == len(solved)
+
+
+def test_a_pendant_bridge_is_solved_at_its_cut_without_a_frame(monkeypatch):
+    entered = []
+    candidates = minres._AnchorSearch._candidates
+
+    def counted(self, bid, c):
+        entered.append(bid)
+        return candidates(self, bid, c)
+
+    monkeypatch.setattr(minres._AnchorSearch, "_candidates", counted)
+    # "b" and "d" hang from "c"; "d"'s bridge weighs exactly its span
+    g = graph_from([("a", "c", 3), ("c", "d", 1), ("c", "b", 2)])
+    assert isinstance(minres_be_drawer_anchor(g, 0), BookEmbedding)
+    assert entered == []
+    # a pendant bridge lighter than its span takes a frame, and fails there
+    g = graph_from([("a", "c", 3), ("c", "b", Fraction(1, 2))])
+    light = BlockCutTree(g).block_of_edge[1]
+    assert minres_be_drawer_anchor(g, 0) == Failure(
+        2, "no supporting order keeps the parent cut extreme",
+        block=light, cut_vertex=g.resolve("c"), anchor=0,
+    )
+    assert entered == [light]
+
+
+def test_records_of_every_block_change_no_anchor_result():
+    # the call the traced benchmark makes passes the record of every block,
+    # bridges and triangles included, which the search does not read
+    corpus = small_corpus(90, max_n=12, weights=(1, 8), seed0=909)
+    graphs = corpus + [fractional(g) for g in corpus] + [coprime(g) for g in corpus]
+    graphs += [make(40, "minres", seed, seed % 2 == 0).graph
+               for make in (planted.planted_yes, planted.planted_no) for seed in range(4)]
+    graphs.append(random_outerplanar(6, (1, 3), seed=68))  # condition 3 at "3"
+    outcomes = set()
+    for g in graphs:
+        tree = BlockCutTree(g)
+        records = [block_outer_cycle(g, b.vertices, b.edge_ids) for b in tree.blocks]
+        for e_star in range(g.m):
+            runs = []
+            for cycles in (None, records):
+                audits = []
+                result = minres_be_drawer_anchor(
+                    g, e_star, decomposition=tree, cycles=cycles,
+                    audit=lambda *record: audits.append(record),
+                )
+                runs.append((result, audits))
+            assert runs[0] == runs[1]
+            outcomes.add(getattr(runs[0][0], "condition", "ok"))
+    assert outcomes == {"ok", 1, 2, 3, 4}
 
 
 def test_shared_search_caches_agree_with_fresh_searches():
